@@ -28,7 +28,7 @@ from .distances import absolute, euclidean
 from .linear import (affine_family, decompose, hoffman_check,
                      penrose_residuals, pseudo_inverse)
 from .ladder import build_ladder
-from .optima import check_finite_stability
+from .optima import VerdictReport, check_finite_stability
 from .parametric import certify_value_lipschitz
 from .scheme import run_scheme
 from .sets import hausdorff, load_set
@@ -38,17 +38,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _write_table(path, columns, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for r in rows:
-            fh.write(",".join(_fmt(r[c]) for c in columns) + "\n")
+    VerdictReport(columns, rows).to_csv(path)
 
 
 def _require(cfg: dict, kind: str, required: set, optional: set) -> None:
@@ -160,7 +151,7 @@ def _exp_hoffman(cfg: dict, out_dir: str):
                          slack=r["slack"], verdict=r["verdict"]))
     _write_table(os.path.join(out_dir, "hoffman.csv"),
                  ["triple", "D_H", "bound", "slack", "verdict"], rows)
-    return ok, {"n_triples": n}
+    return ok, {"n_triples": n, "rows": len(rows), "skipped_rank0": n - len(rows)}
 
 
 def _exp_egi(cfg: dict, out_dir: str):
@@ -215,7 +206,7 @@ def _exp_parametric(cfg: dict, out_dir: str):
     pairs = [(float(a), float(b))
              for a, b in rng.uniform(-5, 5, size=(int(cfg.get("n_pairs", 50)), 2))]
     rep = certify_value_lipschitz(V, pairs, rng=rng)
-    _write_table(os.path.join(out_dir, "parametric.csv"), rep.columns, rep.rows)
+    rep.to_csv(os.path.join(out_dir, "parametric.csv"))
     return rep.passed, {"n_pairs": len(pairs)}
 
 
@@ -224,7 +215,9 @@ def _exp_hausdorff(cfg: dict, out_dir: str):
     A = load_set(cfg["set_a"])
     B = load_set(cfg["set_b"])
     rng = np.random.default_rng(int(cfg["seed"]))
-    dim = int(cfg.get("dim", getattr(A, "dim", 1)))
+    dim = int(cfg.get("dim", A.dim))
+    if {A.dim, B.dim} != {dim}:
+        raise ConfigError(f"hausdorff: sets of dim {A.dim} and {B.dim} with dim {dim}")
     d = absolute() if dim == 1 else euclidean(dim)
     rep = hausdorff(d, A, B, rng=rng)
     rows = [dict(quantity="D_H", value=rep.value, mode=rep.mode)]

@@ -30,22 +30,36 @@ class PseudoDistance:
     properties: frozenset = frozenset()
 
 
+def _check_dim(d: PseudoDistance, n: int) -> None:
+    if d.ambient_dim is not None and n != d.ambient_dim:
+        raise ValueError(
+            f"point of dim {n} passed to {d.name!r} with ambient dim {d.ambient_dim}")
+
+
 def eval_distance(d: PseudoDistance, x, y) -> float:
     """d(x, y) as an extended real; raises on dimension mismatch."""
     if d.ambient_dim is not None:
         for p in (x, y):
             p = np.asarray(p, dtype=float)
-            n = 1 if p.ndim == 0 else p.shape[-1]
-            if n != d.ambient_dim:
-                raise ValueError(
-                    f"point of dim {n} passed to {d.name!r} with ambient dim {d.ambient_dim}")
+            _check_dim(d, 1 if p.ndim == 0 else p.shape[-1])
     return check_extended_real(d.fn(x, y))
+
+
+# The kernels of euclidean() and absolute(): set closed forms are keyed by
+# these function objects, never by a distance's name.
+def _euclidean(x, y) -> float:
+    return float(np.linalg.norm(np.asarray(y, float) - np.asarray(x, float)))
+
+
+def _absolute(x, y) -> float:
+    return abs(float(np.squeeze(np.asarray(y, float)))
+               - float(np.squeeze(np.asarray(x, float))))
 
 
 def euclidean(dim: Optional[int] = None) -> PseudoDistance:
     return PseudoDistance(
         name="euclidean",
-        fn=lambda x, y: float(np.linalg.norm(np.asarray(y, float) - np.asarray(x, float))),
+        fn=_euclidean,
         ambient_dim=dim,
         properties=frozenset({SYMMETRIC, NONNEGATIVE, TRIANGLE, IDENTITY}),
     )
@@ -54,8 +68,7 @@ def euclidean(dim: Optional[int] = None) -> PseudoDistance:
 def absolute() -> PseudoDistance:
     return PseudoDistance(
         name="absolute",
-        fn=lambda x, y: abs(float(np.squeeze(np.asarray(y, float)))
-                            - float(np.squeeze(np.asarray(x, float)))),
+        fn=_absolute,
         ambient_dim=1,
         properties=frozenset({SYMMETRIC, NONNEGATIVE, TRIANGLE, IDENTITY}),
     )

@@ -53,12 +53,13 @@ def inf_of(values: Iterable[float]) -> float:
 
 
 def scale(alpha: float, x: float) -> float:
-    """alpha * x with the convention 0 * (+/-inf) = 0.
+    """alpha * x with the convention 0 * (+/-inf) = inf * 0 = 0.
 
     For alpha > 0 this is ordinary scaling, so alpha * inf = inf.
     """
-    if alpha < 0:
+    if check_extended_real(alpha) < 0:
         raise ValueError("scale expects a nonnegative factor")
-    if alpha == 0.0:
+    x = check_extended_real(x)
+    if alpha == 0.0 or x == 0.0:
         return 0.0
-    return alpha * check_extended_real(x)
+    return alpha * x

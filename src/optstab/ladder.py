@@ -18,6 +18,7 @@ import numpy as np
 
 from .extreal import INF
 from .gauges import GaugeSet
+from .optima import VerdictReport
 
 TOL_LADDER = 1e-6
 MAX_BRACKET_DOUBLINGS = 60
@@ -179,11 +180,9 @@ class LadderResult:
         return all(v["verified"] for v in self.verification)
 
     def to_table(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("k,lambda_k,t_k,verified,worst_ratio\n")
-            for k, v in enumerate(self.verification, start=1):
-                fh.write(f"{k},{v['lambda']!r},{v['t']!r},"
-                         f"{v['verified']},{v['worst_ratio']!r}\n")
+        rows = [dict(v, k=k, lambda_k=v["lambda"], t_k=v["t"])
+                for k, v in enumerate(self.verification, start=1)]
+        VerdictReport(["k", "lambda_k", "t_k", "verified", "worst_ratio"], rows).to_csv(path)
 
 
 def _verify_level(P: SmoothProblem, t: float, lam: float,

@@ -23,8 +23,8 @@ from .distances import PseudoDistance, euclidean
 from .extreal import INF
 from .gauges import GaugeSet, as_magnitude
 from .optima import Lipschitz, ObjectiveFn, VerdictReport
-from .parametric import (ParamFamily, ValueFunction, certify_value_lipschitz,
-                         empirical_value_continuity, eval_value_function)
+from .parametric import (ParamFamily, ValueFunction, _delta_search,
+                         certify_value_lipschitz, empirical_value_continuity)
 from .sets import (DEFAULT_BUDGET, AffineSlab, ImplicitSampled, SetModel,
                    hausdorff)
 
@@ -469,16 +469,7 @@ def example_mixed_constraints(f: ObjectiveFn, L, C: GaugeSet,
         di = d_param.fn(s0, t)
         dh = hausdorff(d, A0, slice_at(t), budget=budget, rng=rng).value
         set_rows.append((t, di, dh))
-    set_conv = {}
-    for eps in eps_grid:
-        found = None
-        for level in range(21):
-            delta = eps / 2.0 ** level
-            inside = [r for r in set_rows if r[1] < delta]
-            if inside and all(r[2] < eps for r in inside):
-                found = delta
-                break
-        set_conv[eps] = found
+    set_conv = {eps: _delta_search(set_rows, eps) for eps in eps_grid}
 
     pf = ParamFamily(index_distance=d_param, member=slice_at,
                      admissible_class="all-nonempty-bounded")

@@ -19,10 +19,9 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .distances import PseudoDistance
-from .extreal import INF, NEG_INF
-from .sets import (DEFAULT_BUDGET, AxisSegments, DistanceReport, FiniteCloud,
-                   Interval, IntervalUnion, SetModel, asym_hausdorff, hausdorff,
-                   point_set_distance)
+from .extreal import INF, NEG_INF, scale
+from .sets import (DEFAULT_BUDGET, FiniteCloud, Interval, IntervalUnion,
+                   SetModel, asym_hausdorff, hausdorff)
 
 TOL_OPT = 1e-9
 
@@ -150,68 +149,44 @@ def _piecewise_extreme(pieces: Sequence[LinearPiece], A: IntervalUnion, want_max
     return best, witness
 
 
+def _extreme(f: ObjectiveFn, A, budget: int, rng: Optional[np.random.Generator],
+             want_max: bool) -> OptValue:
+    """SUP_f(A) if ``want_max`` else INF_f(A): exact on probe lists, finite
+    clouds, exact hooks and piecewise objectives over interval unions, and
+    a sampled estimate otherwise."""
+    pick = np.argmax if want_max else np.argmin
+    mode = "exact"
+    if isinstance(A, (list, tuple, np.ndarray)):
+        pts = list(A)
+        if not pts:
+            return OptValue(NEG_INF if want_max else INF, None, "exact")
+    elif isinstance(A, FiniteCloud):
+        pts = A.points
+    else:
+        hook = f.exact_sup if want_max else f.exact_inf
+        v = hook(A) if hook is not None else None
+        if v is not None:
+            return OptValue(float(v), None, "exact")
+        if f.pieces is not None and isinstance(A, IntervalUnion):
+            v, w = _piecewise_extreme(f.pieces, A, want_max)
+            return OptValue(v, w, "exact")
+        rng = rng if rng is not None else np.random.default_rng(0)
+        pts, mode = A.sample(budget, rng), "sampled"
+    vals = [f(p) for p in pts]
+    i = int(pick(vals))
+    return OptValue(vals[i], pts[i], mode)
+
+
 def sup_over(f: ObjectiveFn, A, budget: int = DEFAULT_BUDGET,
              rng: Optional[np.random.Generator] = None) -> OptValue:
     """SUP_f(A) with the convention sup over an empty probe list = -inf."""
-    if isinstance(A, (list, tuple)) or (isinstance(A, np.ndarray) and not isinstance(A, SetModel)):
-        pts = list(A)
-        if not pts:
-            return OptValue(NEG_INF, None, "exact")
-        vals = [f(p) for p in pts]
-        i = int(np.argmax(vals))
-        return OptValue(vals[i], pts[i], "exact")
-
-    if isinstance(A, FiniteCloud):
-        vals = [f(p) for p in A.points]
-        i = int(np.argmax(vals))
-        return OptValue(vals[i], A.points[i], "exact")
-
-    if f.exact_sup is not None:
-        v = f.exact_sup(A)
-        if v is not None:
-            return OptValue(float(v), None, "exact")
-
-    if f.pieces is not None and isinstance(A, IntervalUnion):
-        v, w = _piecewise_extreme(f.pieces, A, want_max=True)
-        return OptValue(v, w, "exact")
-
-    rng = rng if rng is not None else np.random.default_rng(0)
-    pts = A.sample(budget, rng)
-    vals = [f(p) for p in pts]
-    i = int(np.argmax(vals))
-    return OptValue(vals[i], pts[i], "sampled")
+    return _extreme(f, A, budget, rng, want_max=True)
 
 
 def inf_over(f: ObjectiveFn, A, budget: int = DEFAULT_BUDGET,
              rng: Optional[np.random.Generator] = None) -> OptValue:
     """INF_f(A) with the convention inf over an empty probe list = +inf."""
-    if isinstance(A, (list, tuple)) or (isinstance(A, np.ndarray) and not isinstance(A, SetModel)):
-        pts = list(A)
-        if not pts:
-            return OptValue(INF, None, "exact")
-        vals = [f(p) for p in pts]
-        i = int(np.argmin(vals))
-        return OptValue(vals[i], pts[i], "exact")
-
-    if isinstance(A, FiniteCloud):
-        vals = [f(p) for p in A.points]
-        i = int(np.argmin(vals))
-        return OptValue(vals[i], A.points[i], "exact")
-
-    if f.exact_inf is not None:
-        v = f.exact_inf(A)
-        if v is not None:
-            return OptValue(float(v), None, "exact")
-
-    if f.pieces is not None and isinstance(A, IntervalUnion):
-        v, w = _piecewise_extreme(f.pieces, A, want_max=False)
-        return OptValue(v, w, "exact")
-
-    rng = rng if rng is not None else np.random.default_rng(0)
-    pts = A.sample(budget, rng)
-    vals = [f(p) for p in pts]
-    i = int(np.argmin(vals))
-    return OptValue(vals[i], pts[i], "sampled")
+    return _extreme(f, A, budget, rng, want_max=False)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +210,8 @@ class VerdictReport:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     return str(v)
 
 
@@ -277,7 +252,7 @@ def check_finite_stability(f: ObjectiveFn, d: PseudoDistance,
             if dh == NEG_INF and reg.lam > 0:
                 raise ValueError(
                     f"pair {i}: D_H = -inf is inconsistent with a Lipschitz objective")
-            bound = reg.lam * dh + tol
+            bound = scale(reg.lam, dh) + tol
             slack = bound - max(dsup, dinf)
             row.update(delta_used="", bound=bound, slack=slack,
                        verdict="pass" if slack >= 0 else "fail")

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .distances import PseudoDistance, eval_distance
-from .extreal import INF
+from .extreal import scale
 from .optima import (TOL_OPT, Lipschitz, ObjectiveFn, OptValue, VerdictReport,
                      inf_over, sup_over)
 from .sets import DEFAULT_BUDGET, SetModel, ball_around_set, hausdorff
@@ -63,6 +63,18 @@ class ValueFunction:
             raise ValueError("mode must be 'sup' or 'inf'")
 
 
+def _delta_search(rows: Sequence, eps: float, max_halvings: int = 20) -> Optional[float]:
+    """The largest delta in {eps, eps/2, ..., eps/2**max_halvings} such that
+    some (t, d_I, gap) row has d_I < delta and every such row has gap < eps;
+    None if no level qualifies."""
+    for level in range(max_halvings + 1):
+        delta = eps / 2.0 ** level
+        inside = [gap for (_, di, gap) in rows if di < delta]
+        if inside and all(gap < eps for gap in inside):
+            return delta
+    return None
+
+
 def eval_value_function(V: ValueFunction, t, budget: int = DEFAULT_BUDGET,
                         rng: Optional[np.random.Generator] = None) -> OptValue:
     A = V.family.set_at(t)
@@ -88,14 +100,12 @@ def empirical_hausdorff_limsup(F: ParamFamily, d_ambient: PseudoDistance,
         di = eval_distance(F.index_distance, t0, t)
         dh = hausdorff(d_ambient, A0, F.set_at(t), budget=budget, rng=rng).value
         rows.append((t, di, dh))
-    for level in range(max_halvings + 1):
-        delta = eps / 2.0 ** level
-        inside = [(t, di, dh) for (t, di, dh) in rows if di < delta]
-        if inside and all(dh < eps for (_, _, dh) in inside):
-            return dict(eps=eps, delta=delta, verdict="pass",
-                        n_inside=len(inside), rows=rows)
-    return dict(eps=eps, delta=None, verdict="inconclusive",
-                n_inside=0, rows=rows)
+    delta = _delta_search(rows, eps, max_halvings)
+    if delta is None:
+        return dict(eps=eps, delta=None, verdict="inconclusive",
+                    n_inside=0, rows=rows)
+    return dict(eps=eps, delta=delta, verdict="pass",
+                n_inside=sum(di < delta for (_, di, _) in rows), rows=rows)
 
 
 def certify_value_lipschitz(V: ValueFunction, sample_pairs: Sequence,
@@ -126,7 +136,7 @@ def certify_value_lipschitz(V: ValueFunction, sample_pairs: Sequence,
         vt = eval_value_function(V, t, budget=budget, rng=rng).value
         vs = eval_value_function(V, s, budget=budget, rng=rng).value
         observed = abs(vt - vs)
-        bound = alpha * lam * di + tol
+        bound = scale(scale(alpha, lam), di) + tol
         slack = bound - observed
         rows.append(dict(t=t, s=s, d_I=di, bound=bound, observed=observed,
                          slack=slack, verdict="pass" if slack >= 0 else "fail"))
@@ -161,16 +171,7 @@ def empirical_value_continuity(V: ValueFunction, t0, probes: Sequence,
         di = eval_distance(V.family.index_distance, t0, t)
         vt = eval_value_function(V, t, budget=budget, rng=rng).value
         rows.append((t, di, abs(vt - v0)))
-    results = {}
-    for eps in eps_grid:
-        found = None
-        for level in range(max_halvings + 1):
-            delta = eps / 2.0 ** level
-            inside = [(t, di, dv) for (t, di, dv) in rows if di < delta]
-            if inside and all(dv < eps for (_, _, dv) in inside):
-                found = delta
-                break
-        results[eps] = found
+    results = {eps: _delta_search(rows, eps, max_halvings) for eps in eps_grid}
     return dict(t0=t0, value=v0, deltas=results,
                 verdict="pass" if all(v is not None for v in results.values())
                 else "inconclusive")

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .optima import (ContinuousOnly, Lipschitz, ObjectiveFn, UniformModulus,
-                     inf_over)
+                     VerdictReport, inf_over)
 from .sets import FiniteCloud, SetModel
 
 
@@ -62,11 +62,8 @@ class ConvergenceCertificate:
         return self.final_bracket[0] <= value <= self.final_bracket[1]
 
     def to_table(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("k,h_k,sigma_k,tau_k,budget_k,bracket_lo,bracket_hi\n")
-            for r in self.rows:
-                fh.write(f"{r['k']},{r['h_k']!r},{r['sigma_k']!r},{r['tau_k']!r},"
-                         f"{r['budget_k']!r},{r['bracket_lo']!r},{r['bracket_hi']!r}\n")
+        VerdictReport(["k", "h_k", "sigma_k", "tau_k", "budget_k", "bracket_lo",
+                       "bracket_hi"], list(self.rows)).to_csv(path)
 
 
 def run_scheme(S: SchemeInstance, K: Optional[int] = None) -> ConvergenceCertificate:

@@ -26,8 +26,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distances import PseudoDistance, eval_distance
-from .extreal import INF, NEG_INF
+from .distances import PseudoDistance, _absolute, _check_dim, _euclidean
+from .extreal import INF, check_extended_real
 
 DEFAULT_BUDGET = 2048
 
@@ -366,7 +366,7 @@ def load_set(path) -> SetModel:
 # closed-form pieces
 # ---------------------------------------------------------------------------
 
-def _abs_dist_to_union(x: float, A: IntervalUnion) -> float:
+def _abs_dist_to_union(x, A: IntervalUnion) -> float:
     best = INF
     for iv in A.intervals:
         if iv.lo <= x <= iv.hi:
@@ -375,116 +375,17 @@ def _abs_dist_to_union(x: float, A: IntervalUnion) -> float:
     return best
 
 
-def _euclid_dist_to_axis_segments(x: np.ndarray, A: AxisSegments) -> float:
-    x = np.asarray(x, dtype=float).ravel()
-    sq = float(x @ x)
+def _interval_gap(A: IntervalUnion, B: IntervalUnion) -> float:
     best = INF
-    for m, (u, _) in A.extents.items():
-        s = min(max(x[m], 0.0), u) if m < x.shape[0] else 0.0
-        xm = x[m] if m < x.shape[0] else 0.0
-        best = min(best, np.sqrt(sq - xm * xm + (xm - s) ** 2))
+    for ia in A.intervals:
+        for ib in B.intervals:
+            if ia.lo <= ib.hi and ib.lo <= ia.hi:
+                return 0.0
+            best = min(best, abs(ia.lo - ib.hi), abs(ib.lo - ia.hi))
     return best
 
 
-def _slabs_parallel(A: AffineSlab, B: AffineSlab, tol: float = 1e-9) -> bool:
-    Ka, Kb = A.kernel_basis, B.kernel_basis
-    if Ka.shape != Kb.shape:
-        return False
-    if Ka.shape[1] == 0:
-        return True
-    ra = Ka - Kb @ (Kb.T @ Ka)
-    rb = Kb - Ka @ (Ka.T @ Kb)
-    return float(np.abs(ra).max()) < tol and float(np.abs(rb).max()) < tol
-
-
-def _slab_offset_distance(A: AffineSlab, B: AffineSlab) -> float:
-    # distance between parallel affine subspaces: the normal component of
-    # the particular-point difference; the same value from every point.
-    delta = A.particular - B.particular
-    K = B.kernel_basis
-    if K.shape[1] > 0:
-        delta = delta - K @ (K.T @ delta)
-    return float(np.linalg.norm(delta))
-
-
-# ---------------------------------------------------------------------------
-# the four distance notions
-# ---------------------------------------------------------------------------
-
-def point_set_distance(d: PseudoDistance, x, A: SetModel,
-                       budget: int = DEFAULT_BUDGET,
-                       rng: Optional[np.random.Generator] = None,
-                       orientation: str = "from_point") -> DistanceReport:
-    """d(x, A) = inf { d(x, a) : a in A }.
-
-    ``orientation`` selects the argument order for asymmetric d:
-    "from_point" evaluates d(x, a) (the default convention) and
-    "to_point" evaluates d(a, x).
-    """
-    if orientation not in ("from_point", "to_point"):
-        raise ValueError(f"unknown orientation {orientation!r}")
-
-    def dd(p, a):
-        return eval_distance(d, p, a) if orientation == "from_point" else eval_distance(d, a, p)
-
-    if isinstance(A, FiniteCloud):
-        value = min(dd(x, a) for a in A.points)
-        return DistanceReport(value, "exact")
-
-    if isinstance(A, IntervalUnion) and d.name == "absolute":
-        return DistanceReport(_abs_dist_to_union(float(x), A), "exact")
-
-    if isinstance(A, AxisSegments) and d.name == "euclidean":
-        return DistanceReport(_euclid_dist_to_axis_segments(x, A), "exact")
-
-    if isinstance(A, AffineSlab) and d.name == "euclidean":
-        value = float(np.linalg.norm(np.asarray(x, float).ravel() - A.project(x)))
-        return DistanceReport(value, "exact")
-
-    rng = rng if rng is not None else np.random.default_rng(0)
-    pts = A.sample(budget, rng)
-    value = min(dd(x, a) for a in pts)
-    err = A.dispersion if isinstance(A, ImplicitSampled) else INF
-    return DistanceReport(value, "sampled", sample_budget=budget, certified_error=err)
-
-
-def set_set_distance(d: PseudoDistance, A: SetModel, B: SetModel,
-                     budget: int = DEFAULT_BUDGET,
-                     rng: Optional[np.random.Generator] = None) -> DistanceReport:
-    """d(A, B) = inf { d(a, b) : a in A, b in B }."""
-    if isinstance(A, FiniteCloud):
-        reports = [point_set_distance(d, a, B, budget=budget, rng=rng) for a in A.points]
-        value = min(r.value for r in reports)
-        if all(r.mode == "exact" for r in reports):
-            return DistanceReport(value, "exact")
-        return DistanceReport(value, "sampled", sample_budget=budget, certified_error=INF)
-
-    if isinstance(A, IntervalUnion) and isinstance(B, IntervalUnion) and d.name == "absolute":
-        best = INF
-        for ia in A.intervals:
-            for ib in B.intervals:
-                if ia.lo <= ib.hi and ib.lo <= ia.hi:
-                    return DistanceReport(0.0, "exact")
-                best = min(best, abs(ia.lo - ib.hi), abs(ib.lo - ia.hi))
-        return DistanceReport(best, "exact")
-
-    rng = rng if rng is not None else np.random.default_rng(0)
-    pts = A.sample(budget, rng)
-    if _has_exact_point_distance(d, B):
-        value = min(point_set_distance(d, a, B, budget=budget, rng=rng).value
-                    for a in pts)
-    else:
-        pts_b = np.atleast_2d(np.asarray(B.sample(budget, rng), dtype=float))
-        pa = np.atleast_2d(np.asarray(pts, dtype=float))
-        if d.name == "euclidean":
-            from scipy.spatial.distance import cdist
-            value = float(cdist(pa, pts_b).min())
-        else:
-            value = min(eval_distance(d, a, b) for a in pts for b in pts_b)
-    return DistanceReport(value, "sampled", sample_budget=budget, certified_error=INF)
-
-
-def _asym_interval_union(d, A: IntervalUnion, B: IntervalUnion) -> float:
+def _asym_interval_union(A: IntervalUnion, B: IntervalUnion) -> float:
     # sup over a in A of dist(a, B): the distance profile is piecewise linear
     # with local maxima only at the endpoints of A's intervals and at the
     # midpoints of B's gaps; suprema over half-open pieces go through the
@@ -502,6 +403,17 @@ def _asym_interval_union(d, A: IntervalUnion, B: IntervalUnion) -> float:
     return max(_abs_dist_to_union(c, B) for c in candidates)
 
 
+def _euclid_dist_to_axis_segments(x, A: AxisSegments) -> float:
+    x = np.asarray(x, dtype=float).ravel()
+    sq = float(x @ x)
+    best = INF
+    for m, (u, _) in A.extents.items():
+        s = min(max(x[m], 0.0), u) if m < x.shape[0] else 0.0
+        xm = x[m] if m < x.shape[0] else 0.0
+        best = min(best, np.sqrt(sq - xm * xm + (xm - s) ** 2))
+    return best
+
+
 def _asym_axis_segments(A: AxisSegments, B: AxisSegments) -> float:
     # The origin is in every axis-segments set, so the distance from t*e_k
     # to B is max(0, t - v_k) with v_k the extent of axis k in B; the sup
@@ -512,37 +424,134 @@ def _asym_axis_segments(A: AxisSegments, B: AxisSegments) -> float:
     return best
 
 
-def _has_exact_point_distance(d: PseudoDistance, B: SetModel) -> bool:
-    return (isinstance(B, FiniteCloud)
-            or (isinstance(B, IntervalUnion) and d.name == "absolute")
-            or (isinstance(B, AxisSegments) and d.name == "euclidean")
-            or (isinstance(B, AffineSlab) and d.name == "euclidean"))
+def _euclid_dist_to_slab(x, A: AffineSlab) -> float:
+    return float(np.linalg.norm(np.asarray(x, float).ravel() - A.project(x)))
 
 
-def _sampled_sup_of_point_distances(d: PseudoDistance, A: SetModel,
-                                    B: SetModel, budget: int,
-                                    rng: np.random.Generator,
-                                    orientation: str) -> float:
-    """sup over samples of A of d(a, B), sampling B at most once."""
-    pts_a = A.sample(budget, rng)
-    if _has_exact_point_distance(d, B):
-        return max(point_set_distance(d, a, B, budget=budget, rng=rng,
-                                      orientation=orientation).value
-                   for a in pts_a)
-    pts_b = np.atleast_2d(np.asarray(B.sample(budget, rng), dtype=float))
-    pa = np.atleast_2d(np.asarray(pts_a, dtype=float))
-    if d.name == "euclidean":
+def _asym_slabs(A: AffineSlab, B: AffineSlab) -> Optional[float]:
+    # Parallel affine subspaces are a constant distance apart: the normal
+    # component of the particular-point difference.  None if not parallel.
+    Ka, Kb = A.kernel_basis, B.kernel_basis
+    if Ka.shape != Kb.shape:
+        return None
+    if Ka.shape[1] > 0:
+        ra = Ka - Kb @ (Kb.T @ Ka)
+        rb = Kb - Ka @ (Ka.T @ Kb)
+        if float(np.abs(ra).max()) >= 1e-9 or float(np.abs(rb).max()) >= 1e-9:
+            return None
+    delta = A.particular - B.particular
+    if Kb.shape[1] > 0:
+        delta = delta - Kb @ (Kb.T @ delta)
+    return float(np.linalg.norm(delta))
+
+
+# Closed forms keyed by (set type, distance kernel).  "point" gives d(x, A);
+# "asym" gives D_asyH(A, B) and "gap" gives d(A, B) for A and B of that same
+# type, or None where the closed form does not apply.  Only the distances
+# built by euclidean() and absolute() carry these kernels.
+_CLOSED_FORMS = {
+    (IntervalUnion, _absolute): dict(point=_abs_dist_to_union,
+                                     asym=_asym_interval_union, gap=_interval_gap),
+    (AxisSegments, _euclidean): dict(point=_euclid_dist_to_axis_segments,
+                                     asym=_asym_axis_segments),
+    (AffineSlab, _euclidean): dict(point=_euclid_dist_to_slab, asym=_asym_slabs),
+}
+_CDIST_METRICS = {_euclidean: "euclidean", _absolute: "cityblock"}
+
+
+def _closed_form(d: PseudoDistance, A: SetModel, what: str):
+    entry = _CLOSED_FORMS.get((type(A), d.fn))
+    if entry is None:
+        return None
+    _check_dim(d, A.dim)
+    return entry.get(what)
+
+
+def _pairwise_min(d: PseudoDistance, P, Q, orientation: str) -> np.ndarray:
+    """min over q in Q of d(p, q) (of d(q, p) if "to_point"), for each p in P.
+
+    P and Q hold one point per row, or one scalar per entry in dimension 1.
+    """
+    P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
+    rows_p, rows_q = P.reshape(len(P), -1), Q.reshape(len(Q), -1)
+    _check_dim(d, rows_p.shape[1])
+    _check_dim(d, rows_q.shape[1])
+    metric = _CDIST_METRICS.get(d.fn)
+    if metric is not None:
         from scipy.spatial.distance import cdist
-        D = cdist(pa, pts_b)
-        return float(D.min(axis=1).max())
-    best = NEG_INF
-    for a in pts_a:
-        if orientation == "from_point":
-            v = min(eval_distance(d, a, b) for b in pts_b)
-        else:
-            v = min(eval_distance(d, b, a) for b in pts_b)
-        best = max(best, v)
-    return best
+        return cdist(rows_p, rows_q, metric).min(axis=1)
+    fn = d.fn if orientation == "from_point" else (lambda p, q: d.fn(q, p))
+    return np.array([min(check_extended_real(fn(p, q)) for q in Q) for p in P])
+
+
+def _point_distances(d: PseudoDistance, P, B: SetModel, budget: int,
+                     rng: Optional[np.random.Generator],
+                     orientation: str) -> Tuple[np.ndarray, bool]:
+    """d(p, B) for each point p of P, and whether the values are exact; B is
+    sampled at most once."""
+    if orientation not in ("from_point", "to_point"):
+        raise ValueError(f"unknown orientation {orientation!r}")
+    if isinstance(B, FiniteCloud):
+        return _pairwise_min(d, P, B.points, orientation), True
+    point = _closed_form(d, B, "point")
+    if point is not None:
+        return np.array([point(p, B) for p in P]), True
+    rng = rng if rng is not None else np.random.default_rng(0)
+    return _pairwise_min(d, P, B.sample(budget, rng), orientation), False
+
+
+def _report(value, exact: bool, budget: int, err: float = INF) -> DistanceReport:
+    if exact:
+        return DistanceReport(value, "exact")
+    return DistanceReport(value, "sampled", sample_budget=budget, certified_error=err)
+
+
+# ---------------------------------------------------------------------------
+# the four distance notions
+# ---------------------------------------------------------------------------
+
+def point_set_distance(d: PseudoDistance, x, A: SetModel,
+                       budget: int = DEFAULT_BUDGET,
+                       rng: Optional[np.random.Generator] = None,
+                       orientation: str = "from_point") -> DistanceReport:
+    """d(x, A) = inf { d(x, a) : a in A }.
+
+    ``orientation`` selects the argument order for asymmetric d:
+    "from_point" evaluates d(x, a) (the default convention) and
+    "to_point" evaluates d(a, x).
+    """
+    values, exact = _point_distances(d, np.asarray([x], dtype=float), A, budget,
+                                     rng, orientation)
+    err = A.dispersion if isinstance(A, ImplicitSampled) else INF
+    return _report(float(values.min()), exact, budget, err)
+
+
+def _sets_reduce(d: PseudoDistance, A: SetModel, B: SetModel, what: str,
+                 budget: int, rng: Optional[np.random.Generator],
+                 orientation: str) -> DistanceReport:
+    """The closed form ``what`` for A and B if one applies; otherwise the max
+    ("asym") or min ("gap") over the points of A, sampled if A is not a
+    finite cloud, of d(a, B)."""
+    if type(A) is type(B):
+        closed = _closed_form(d, A, what)
+        value = closed(A, B) if closed is not None else None
+        if value is not None:
+            return DistanceReport(value, "exact")
+    if isinstance(A, FiniteCloud):
+        pts, exact = A.points, True
+    else:
+        rng = rng if rng is not None else np.random.default_rng(0)
+        pts, exact = A.sample(budget, rng), False
+    values, exact_b = _point_distances(d, pts, B, budget, rng, orientation)
+    return _report(float(values.max() if what == "asym" else values.min()),
+                   exact and exact_b, budget)
+
+
+def set_set_distance(d: PseudoDistance, A: SetModel, B: SetModel,
+                     budget: int = DEFAULT_BUDGET,
+                     rng: Optional[np.random.Generator] = None) -> DistanceReport:
+    """d(A, B) = inf { d(a, b) : a in A, b in B }."""
+    return _sets_reduce(d, A, B, "gap", budget, rng, "from_point")
 
 
 def asym_hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
@@ -550,27 +559,7 @@ def asym_hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
                    rng: Optional[np.random.Generator] = None,
                    orientation: str = "from_point") -> DistanceReport:
     """D_asyH(A, B) = sup { d(a, B) : a in A }."""
-    if isinstance(A, FiniteCloud):
-        reports = [point_set_distance(d, a, B, budget=budget, rng=rng,
-                                      orientation=orientation) for a in A.points]
-        value = max(r.value for r in reports) if len(reports) else NEG_INF
-        if all(r.mode == "exact" for r in reports):
-            return DistanceReport(value, "exact")
-        return DistanceReport(value, "sampled", sample_budget=budget, certified_error=INF)
-
-    if isinstance(A, IntervalUnion) and isinstance(B, IntervalUnion) and d.name == "absolute":
-        return DistanceReport(_asym_interval_union(d, A, B), "exact")
-
-    if isinstance(A, AxisSegments) and isinstance(B, AxisSegments) and d.name == "euclidean":
-        return DistanceReport(_asym_axis_segments(A, B), "exact")
-
-    if (isinstance(A, AffineSlab) and isinstance(B, AffineSlab)
-            and d.name == "euclidean" and _slabs_parallel(A, B)):
-        return DistanceReport(_slab_offset_distance(A, B), "exact")
-
-    rng = rng if rng is not None else np.random.default_rng(0)
-    value = _sampled_sup_of_point_distances(d, A, B, budget, rng, orientation)
-    return DistanceReport(value, "sampled", sample_budget=budget, certified_error=INF)
+    return _sets_reduce(d, A, B, "asym", budget, rng, orientation)
 
 
 def hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
@@ -579,10 +568,8 @@ def hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
     """D_H(A, B) = max(D_asyH(A, B), D_asyH(B, A))."""
     r1 = asym_hausdorff(d, A, B, budget=budget, rng=rng)
     r2 = asym_hausdorff(d, B, A, budget=budget, rng=rng)
-    value = max(r1.value, r2.value)
-    if r1.mode == "exact" and r2.mode == "exact":
-        return DistanceReport(value, "exact")
-    return DistanceReport(value, "sampled", sample_budget=budget, certified_error=INF)
+    return _report(max(r1.value, r2.value),
+                   r1.mode == "exact" and r2.mode == "exact", budget)
 
 
 def ball_around_set(d: PseudoDistance, A: SetModel, r: float, probe,

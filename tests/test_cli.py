@@ -96,3 +96,24 @@ def test_run_ladder_and_parametric(tmp_path):
                  {"kind": "parametric", "seed": 0, "n_pairs": 10,
                   "out_dir": str(tmp_path / "outp")})
     assert main(["run", cfg]) == 0
+
+
+def test_hoffman_summary_counts_rows_and_rank0_skips(tmp_path):
+    cfg = _write(tmp_path, "h.json",
+                 {"kind": "hoffman", "seed": 1, "n_triples": 20,
+                  "out_dir": str(tmp_path / "out")})
+    assert main(["run", cfg]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    rows = (tmp_path / "out" / "hoffman.csv").read_text().strip().splitlines()[1:]
+    assert summary["rows"] == len(rows)
+    assert summary["skipped_rank0"] == 20 - len(rows) > 0
+
+
+def test_hausdorff_kind_refuses_mismatched_dim(tmp_path):
+    from optstab.sets import IntervalUnion, save_set
+    save_set(IntervalUnion([(0.0, 1.0)]), tmp_path / "a.json")
+    cfg = _write(tmp_path, "h.json",
+                 {"kind": "hausdorff", "set_a": str(tmp_path / "a.json"),
+                  "set_b": str(tmp_path / "a.json"), "seed": 0, "dim": 2,
+                  "out_dir": str(tmp_path / "out")})
+    assert main(["run", cfg]) == 2

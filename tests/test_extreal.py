@@ -46,6 +46,13 @@ def test_scale_zero_times_infinity_is_zero():
         scale(-1.0, 2.0)
 
 
+def test_scale_infinity_times_zero_is_zero():
+    assert scale(INF, 0.0) == 0.0
+    assert scale(INF, 2.0) == INF
+    with pytest.raises(ValueError):
+        scale(1.0, float("nan"))
+
+
 def test_sup_of_rejects_nan():
     with pytest.raises(ValueError):
         sup_of([1.0, float("nan")])

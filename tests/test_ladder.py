@@ -144,3 +144,9 @@ def test_ladder_table_export(tmp_path):
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "k,lambda_k,t_k,verified,worst_ratio"
     assert len(lines) == 3
+    for line in lines[1:]:
+        k, lam, t, verified, ratio = line.split(",")
+        assert float(lam) == float(k)
+        assert float(t) == pytest.approx(math.sqrt(float(k)), abs=1e-5)
+        assert 0.0 <= float(ratio) <= float(lam) * (1 + 1e-6)
+        assert verified == "True"

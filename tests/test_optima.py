@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from optstab.distances import PseudoDistance, absolute, euclidean
+from optstab.distances import PseudoDistance, absolute, constant_infinite, euclidean
 from optstab.extreal import INF, NEG_INF
 from optstab.instances import (build, oscillating_blocks,
                                oscillating_objective, random_cloud,
@@ -216,3 +216,18 @@ def test_verdict_report_csv(tmp_path):
     lines = p.read_text().strip().splitlines()
     assert lines[0].startswith("pair_id,D_H,sup_A")
     assert len(lines) == 2
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    for col in ("pair_id", "D_H", "sup_A", "sup_Ap", "inf_A", "inf_Ap", "bound", "slack"):
+        float(row[col])
+    assert row["delta_used"] == "" and row["verdict"] == "pass"
+
+
+def test_zero_lipschitz_on_infinite_distance_passes():
+    # 0 * inf = 0: a constant objective moves by nothing, whatever D_H is
+    f = ObjectiveFn(fn=lambda x: 1.0, regularity=Lipschitz(0.0))
+    rep = check_finite_stability(f, constant_infinite(),
+                                 [(FiniteCloud([0.0]), FiniteCloud([5.0]))], tol=1e-9)
+    row = rep.rows[0]
+    assert row["D_H"] == INF
+    assert row["bound"] == 1e-9
+    assert row["verdict"] == "pass"

@@ -147,3 +147,6 @@ def test_certificate_table_export(tmp_path):
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "k,h_k,sigma_k,tau_k,budget_k,bracket_lo,bracket_hi"
     assert len(lines) == 3
+    for line in lines[1:]:
+        cells = [float(c) for c in line.split(",")]
+        assert cells[5] <= 1.0 <= cells[6]
