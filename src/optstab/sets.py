@@ -457,6 +457,7 @@ _CLOSED_FORMS = {
     (AffineSlab, _euclidean): dict(point=_euclid_dist_to_slab, asym=_asym_slabs),
 }
 _CDIST_METRICS = {_euclidean: "euclidean", _absolute: "cityblock"}
+_CDIST_BLOCK = 1 << 22      # matrix entries per cdist call: 32 MB of float64
 
 
 def _closed_form(d: PseudoDistance, A: SetModel, what: str):
@@ -479,7 +480,12 @@ def _pairwise_min(d: PseudoDistance, P, Q, orientation: str) -> np.ndarray:
     metric = _CDIST_METRICS.get(d.fn)
     if metric is not None:
         from scipy.spatial.distance import cdist
-        return cdist(rows_p, rows_q, metric).min(axis=1)
+        step = max(1, _CDIST_BLOCK // max(1, len(rows_q)))
+        out = np.concatenate([cdist(rows_p[i:i + step], rows_q, metric).min(axis=1)
+                              for i in range(0, max(1, len(rows_p)), step)])
+        if np.isnan(out).any():
+            raise ValueError("NaN is not an extended real")
+        return out
     fn = d.fn if orientation == "from_point" else (lambda p, q: d.fn(q, p))
     return np.array([min(check_extended_real(fn(p, q)) for q in Q) for p in P])
 
@@ -491,6 +497,8 @@ def _point_distances(d: PseudoDistance, P, B: SetModel, budget: int,
     sampled at most once."""
     if orientation not in ("from_point", "to_point"):
         raise ValueError(f"unknown orientation {orientation!r}")
+    if np.isnan(P).any():
+        raise ValueError("NaN is not an extended real")
     if isinstance(B, FiniteCloud):
         return _pairwise_min(d, P, B.points, orientation), True
     point = _closed_form(d, B, "point")

@@ -117,3 +117,14 @@ def test_hausdorff_kind_refuses_mismatched_dim(tmp_path):
                   "set_b": str(tmp_path / "a.json"), "seed": 0, "dim": 2,
                   "out_dir": str(tmp_path / "out")})
     assert main(["run", cfg]) == 2
+
+
+def test_hausdorff_kind_rejects_nan_cloud(tmp_path):
+    (tmp_path / "a.json").write_text('{"kind": "finite_cloud", "points": [[NaN, 0.0]]}')
+    (tmp_path / "b.json").write_text('{"kind": "finite_cloud", "points": [[0.0, 0.0]]}')
+    cfg = _write(tmp_path, "h.json",
+                 {"kind": "hausdorff", "set_a": str(tmp_path / "a.json"),
+                  "set_b": str(tmp_path / "b.json"), "seed": 0,
+                  "out_dir": str(tmp_path / "out")})
+    assert main(["run", cfg]) == 3
+    assert not (tmp_path / "out" / "hausdorff.csv").exists()

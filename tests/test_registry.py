@@ -71,6 +71,38 @@ def test_cdist_kernel_matches_the_per_pair_loop(kernel, dim):
         assert fn(fast, A, B).value == pytest.approx(fn(loop, A, B).value, rel=1e-14)
 
 
+@pytest.mark.parametrize("d, bad, good", [
+    (euclidean(2), [[np.nan, 0.0]], [[0.0, 0.0]]),
+    (absolute(), [np.nan], [0.0]),
+])
+def test_nan_coordinates_raise_on_the_cdist_path(d, bad, good):
+    for A, B in ((FiniteCloud(bad), FiniteCloud(good)), (FiniteCloud(good), FiniteCloud(bad))):
+        with pytest.raises(ValueError, match="NaN"):
+            hausdorff(d, A, B)
+    with pytest.raises(ValueError, match="NaN"):
+        point_set_distance(d, good[0], FiniteCloud(bad))
+    with pytest.raises(ValueError, match="NaN"):
+        point_set_distance(d, bad[0], FiniteCloud(good))
+
+
+def test_nan_query_point_raises_before_a_closed_form():
+    with pytest.raises(ValueError, match="NaN"):
+        point_set_distance(absolute(), np.nan, IntervalUnion([(0.0, 1.0)]))
+    with pytest.raises(ValueError, match="NaN"):
+        hausdorff(euclidean(2), FiniteCloud([[np.nan, 0.0]]),
+                  AxisSegments({0: (1.0, True)}, dim=2))
+
+
+def test_cdist_reduction_in_row_blocks_keeps_the_values(monkeypatch):
+    from optstab import sets
+    rng = np.random.default_rng(3)
+    A, B = FiniteCloud(rng.standard_normal((37, 2))), FiniteCloud(rng.standard_normal((11, 2)))
+    whole = asym_hausdorff(euclidean(2), A, B).value, set_set_distance(euclidean(2), A, B).value
+    monkeypatch.setattr(sets, "_CDIST_BLOCK", 25)
+    assert (asym_hausdorff(euclidean(2), A, B).value,
+            set_set_distance(euclidean(2), A, B).value) == whole
+
+
 def test_sampled_cloud_side_samples_the_other_set_once():
     calls = []
     disk = _disk()
