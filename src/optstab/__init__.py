@@ -14,7 +14,7 @@ from .gauges import GaugeSet, InvalidGaugeError, conjugate_gauge, minkowski_gaug
 from .sets import (AffineSlab, AxisSegments, DistanceReport, FiniteCloud,
                    ImplicitSampled, Interval, IntervalUnion, SetModel,
                    asym_hausdorff, hausdorff, load_set, point_set_distance,
-                   save_set, set_set_distance)
+                   save_set)
 from .optima import (ContinuousOnly, LinearPiece, Lipschitz, ObjectiveFn,
                      OptValue, UniformModulus, check_finite_stability,
                      check_infinite_escape, domain_transfer_check, inf_over,

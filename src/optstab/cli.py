@@ -9,6 +9,8 @@ Subcommands::
 Configs are JSON documents with a mandatory ``kind`` field; unknown fields
 are rejected and a ``seed`` is mandatory for every kind that samples.
 Given identical configs (and seeds), re-runs produce byte-identical tables.
+Counts and sweep bounds that would give an empty sweep are config errors.
+``summary.json`` is RFC 8259 JSON: +-inf appear as the strings "inf" / "-inf".
 Exit codes: 0 all checks pass, 1 check failure, 2 config error, 3 internal
 error.
 """
@@ -52,6 +54,19 @@ def _require(cfg: dict, kind: str, required: set, optional: set) -> None:
         raise ConfigError(f"{kind}: missing config fields {sorted(missing)}")
 
 
+def _int_at_least(cfg: dict, key: str, default: int, least: int) -> int:
+    value = int(cfg.get(key, default))
+    if value < least:
+        raise ConfigError(f"{key} = {value} is below {least}")
+    return value
+
+
+def _json_value(v):
+    if isinstance(v, float) and math.isinf(v):
+        return "inf" if v > 0 else "-inf"
+    return v
+
+
 # ---------------------------------------------------------------------------
 # experiment kinds
 # ---------------------------------------------------------------------------
@@ -63,7 +78,8 @@ def _exp_counterexample(cfg: dict, out_dir: str):
     if name not in ("ce33", "ce34"):
         raise ConfigError("counterexample instance must be ce33 or ce34")
     K = int(cfg.get("K", 60))
-    j_min, j_max = int(cfg.get("j_min", 2)), int(cfg.get("j_max", 50))
+    j_min = _int_at_least(cfg, "j_min", 2, 2)
+    j_max = _int_at_least(cfg, "j_max", 50, j_min)
     rows = []
     ok = True
     for j in range(j_min, j_max + 1):
@@ -85,7 +101,8 @@ def _exp_scheme(cfg: dict, out_dir: str):
     _require(cfg, "scheme", {"instance"}, {"m_min", "m_max", "out_dir"})
     if cfg["instance"] != "disk_polygon":
         raise ConfigError("scheme instance must be disk_polygon")
-    m_seq = list(range(int(cfg.get("m_min", 3)), int(cfg.get("m_max", 256)) + 1))
+    m_min = _int_at_least(cfg, "m_min", 3, 3)
+    m_seq = list(range(m_min, _int_at_least(cfg, "m_max", 256, m_min) + 1))
     S = instances.disk_polygon_scheme(m_seq)
     cert = run_scheme(S)
     rows = []
@@ -109,7 +126,7 @@ def _exp_scheme(cfg: dict, out_dir: str):
 def _exp_stability(cfg: dict, out_dir: str):
     _require(cfg, "stability", {"seed"}, {"n_trials", "out_dir"})
     rng = np.random.default_rng(int(cfg["seed"]))
-    n = int(cfg.get("n_trials", 100))
+    n = _int_at_least(cfg, "n_trials", 100, 1)
     d = absolute()
     rows = []
     ok = True
@@ -131,11 +148,12 @@ def _exp_stability(cfg: dict, out_dir: str):
 def _exp_hoffman(cfg: dict, out_dir: str):
     _require(cfg, "hoffman", {"seed"}, {"n_triples", "max_dim", "out_dir"})
     rng = np.random.default_rng(int(cfg["seed"]))
-    n = int(cfg.get("n_triples", 50))
+    n = _int_at_least(cfg, "n_triples", 50, 1)
+    max_dim = _int_at_least(cfg, "max_dim", 6, 1)
     rows = []
     ok = True
     for i in range(n):
-        L = instances.random_rank_deficient_matrix(rng, int(cfg.get("max_dim", 6)))
+        L = instances.random_rank_deficient_matrix(rng, max_dim)
         lm = decompose(L)
         if lm.rank == 0:
             continue
@@ -157,11 +175,12 @@ def _exp_hoffman(cfg: dict, out_dir: str):
 def _exp_egi(cfg: dict, out_dir: str):
     _require(cfg, "egi", {"seed"}, {"n_matrices", "max_dim", "out_dir"})
     rng = np.random.default_rng(int(cfg["seed"]))
-    n = int(cfg.get("n_matrices", 50))
+    n = _int_at_least(cfg, "n_matrices", 50, 1)
+    max_dim = _int_at_least(cfg, "max_dim", 8, 1)
     rows = []
     ok = True
     for i in range(n):
-        L = instances.random_rank_deficient_matrix(rng, int(cfg.get("max_dim", 8)))
+        L = instances.random_rank_deficient_matrix(rng, max_dim)
         lm = decompose(L)
         res = penrose_residuals(lm)
         tol = 1e-9 * (1.0 + float(np.linalg.norm(L)))
@@ -178,7 +197,7 @@ def _exp_egi(cfg: dict, out_dir: str):
 def _exp_ladder(cfg: dict, out_dir: str):
     _require(cfg, "ladder", {"seed"}, {"n_levels", "out_dir"})
     rng = np.random.default_rng(int(cfg["seed"]))
-    n_levels = int(cfg.get("n_levels", 10))
+    n_levels = _int_at_least(cfg, "n_levels", 10, 1)
     P = instances.quartic_problem()
     result = build_ladder(P, list(range(1, n_levels + 1)), rng=rng)
     rows = []
@@ -197,6 +216,7 @@ def _exp_ladder(cfg: dict, out_dir: str):
 def _exp_parametric(cfg: dict, out_dir: str):
     _require(cfg, "parametric", {"seed"}, {"n_pairs", "out_dir"})
     rng = np.random.default_rng(int(cfg["seed"]))
+    n_pairs = _int_at_least(cfg, "n_pairs", 50, 1)
     entry = instances.build("affine_whole")
     fam = entry.objects["family"]
     d_param = absolute()
@@ -204,7 +224,7 @@ def _exp_parametric(cfg: dict, out_dir: str):
     from .parametric import ValueFunction
     V = ValueFunction(mode="inf", family=pf, objective=entry.objects["objective"])
     pairs = [(float(a), float(b))
-             for a, b in rng.uniform(-5, 5, size=(int(cfg.get("n_pairs", 50)), 2))]
+             for a, b in rng.uniform(-5, 5, size=(n_pairs, 2))]
     rep = certify_value_lipschitz(V, pairs, rng=rng)
     rep.to_csv(os.path.join(out_dir, "parametric.csv"))
     return rep.passed, {"n_pairs": len(pairs)}
@@ -252,16 +272,18 @@ def run_config(path: str) -> int:
         return 2
     try:
         ok, summary = _KINDS[kind](cfg, out_dir)
+        summary = {k: _json_value(v) for k, v in
+                   dict(kind=kind, verdict="pass" if ok else "fail", **summary).items()}
+        text = json.dumps(summary, indent=2, sort_keys=True, default=float, allow_nan=False)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - report and map to exit code 3
         print(f"internal error: {e}", file=sys.stderr)
         return 3
-    summary = dict(kind=kind, verdict="pass" if ok else "fail", **summary)
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=float)
-    print(json.dumps(summary, sort_keys=True, default=float))
+        fh.write(text)
+    print(json.dumps(summary, sort_keys=True, default=float, allow_nan=False))
     return 0 if ok else 1
 
 

@@ -12,7 +12,6 @@ which may be asymmetric and may attain +inf.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -100,65 +99,6 @@ class GaugeSet:
                           bounds=[(0, None)] * nv, method="highs")
             return bool(res.status == 0)
         return bool(self.member(x))
-
-    def convexity_spot_check(self, rng: np.random.Generator, n_samples: int = 64) -> bool:
-        """Sampled check: lam*x + (1-lam)*y stays in C for x, y in C."""
-        pts = self._interior_samples(rng, n_samples)
-        if len(pts) < 2:
-            return True
-        for _ in range(n_samples):
-            i, j = rng.integers(0, len(pts), size=2)
-            lam = rng.uniform()
-            if not self.contains(lam * pts[i] + (1 - lam) * pts[j]):
-                return False
-        return True
-
-    def _interior_samples(self, rng: np.random.Generator, n: int) -> list:
-        r = self.bounding_radius or self.radius or 1.0
-        if self.kind == "vertices":
-            r = float(np.max(np.linalg.norm(self.vertices, axis=1))) or 1.0
-        if self.kind == "halfspaces":
-            r = 10.0
-        out = [np.zeros(self.dim)]
-        for _ in range(20 * n):
-            x = rng.uniform(-r, r, size=self.dim)
-            if self.contains(x):
-                out.append(x)
-                if len(out) >= n:
-                    break
-        return out
-
-    # -- serialization (structured text / JSON) -----------------------------
-
-    def to_dict(self) -> dict:
-        if self.kind == "halfspaces":
-            return {"kind": "halfspaces", "rows": self.halfspace_A.tolist(),
-                    "offsets": self.halfspace_b.tolist()}
-        if self.kind == "vertices":
-            return {"kind": "vertices", "points": self.vertices.tolist()}
-        if self.kind == "ball":
-            return {"kind": "ball", "radius": self.radius, "dim": self.dim}
-        raise ValueError("oracle gauge sets are not serializable")
-
-    @staticmethod
-    def from_dict(doc: dict) -> "GaugeSet":
-        kind = doc["kind"]
-        if kind == "halfspaces":
-            return GaugeSet.from_halfspaces(doc["rows"], doc["offsets"])
-        if kind == "vertices":
-            return GaugeSet.from_vertices(doc["points"])
-        if kind == "ball":
-            return GaugeSet.from_ball(doc["radius"], doc["dim"])
-        raise ValueError(f"unknown gauge set kind {kind!r}")
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-
-    @staticmethod
-    def load(path) -> "GaugeSet":
-        with open(path) as fh:
-            return GaugeSet.from_dict(json.load(fh))
 
 
 def minkowski_gauge(C: GaugeSet, x, tol: float = DEFAULT_GAUGE_TOL) -> float:

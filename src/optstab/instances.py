@@ -11,7 +11,7 @@ affine, polygon-scheme and ladder examples used across the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,9 +28,6 @@ from .optima import (ContinuousOnly, LinearPiece, Lipschitz, ObjectiveFn,
 from .scheme import SchemeInstance, build_inner_polygon_family
 from .sets import (AffineSlab, AxisSegments, FiniteCloud, Interval,
                    IntervalUnion, hausdorff)
-
-CATALOG_NAMES = ("ce33", "ce34", "minset_sin", "gauge_segment", "affine_whole",
-                 "mixed_box", "disk_polygon", "quartic_ladder", "energy_ladder")
 
 
 class CatalogError(KeyError):
@@ -483,7 +480,7 @@ _DESCRIPTIONS = {
 
 
 def catalog_names() -> tuple:
-    return CATALOG_NAMES
+    return tuple(_BUILDERS)
 
 
 def describe(name: str) -> str:

@@ -18,10 +18,11 @@ import numpy as np
 
 from .extreal import INF
 from .gauges import GaugeSet
-from .optima import VerdictReport
 
 TOL_LADDER = 1e-6
 MAX_BRACKET_DOUBLINGS = 60
+HESSIAN_SAMPLES = 1000      # boundary and interior samples of the sampled sup
+REFINE_ROUNDS = 5           # coordinate refinement rounds around the best sample
 
 
 @dataclass(frozen=True)
@@ -57,41 +58,8 @@ class SmoothProblem:
         return True
 
 
-def check_derivative_consistency(P: SmoothProblem, rng: np.random.Generator,
-                                 n_points: int = 100, radius: float = 1.0,
-                                 fd_step: float = 1e-6) -> dict:
-    """Central-difference consistency of grad with f, and of hess_norm with
-    gradient differences along sampled segments."""
-    grad_ok, hess_ok = True, True
-    pts = []
-    while len(pts) < n_points:
-        x = P.y0 + rng.uniform(-radius, radius, size=P.dim)
-        if P.feasible(x):
-            pts.append(x)
-    for x in pts:
-        g = np.atleast_1d(np.asarray(P.grad(x), dtype=float))
-        fd = np.zeros(P.dim)
-        for i in range(P.dim):
-            e = np.zeros(P.dim)
-            e[i] = fd_step
-            fd[i] = (P.f(x + e) - P.f(x - e)) / (2 * fd_step)
-        scale = max(1.0, float(np.linalg.norm(g)))
-        if np.linalg.norm(fd - g) / scale > 1e-5:
-            grad_ok = False
-    for i in range(0, len(pts) - 1, 2):
-        x, y = pts[i], pts[i + 1]
-        seg = [x + s * (y - x) for s in np.linspace(0, 1, 16)]
-        hmax = max(float(P.hess_norm(z)) for z in seg)
-        lhs = float(np.linalg.norm(np.atleast_1d(np.asarray(P.grad(x), float))
-                                   - np.atleast_1d(np.asarray(P.grad(y), float))))
-        if lhs > hmax * float(np.linalg.norm(x - y)) * (1 + 1e-4) + 1e-12:
-            hess_ok = False
-    return dict(grad_ok=grad_ok, hess_ok=hess_ok, passed=grad_ok and hess_ok)
-
-
 def hessian_sup(P: SmoothProblem, t: float,
-                rng: Optional[np.random.Generator] = None,
-                n_samples: int = 1000, refine_rounds: int = 5) -> tuple:
+                rng: Optional[np.random.Generator] = None) -> tuple:
     """sup of the Hessian norm over (ball of radius t around y0) within the
     feasible region; nondecreasing in t by construction.
 
@@ -116,17 +84,17 @@ def hessian_sup(P: SmoothProblem, t: float,
                 best, best_x = v, x
 
     # boundary then interior samples, then local coordinate refinement
-    dirs = rng.standard_normal((n_samples, P.dim))
+    dirs = rng.standard_normal((HESSIAN_SAMPLES, P.dim))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1)[:, None], 1e-30)
     for u in dirs:
         consider(P.y0 + t * u)
-    radii = t * rng.uniform(0, 1, size=n_samples) ** (1.0 / P.dim)
-    dirs = rng.standard_normal((n_samples, P.dim))
+    radii = t * rng.uniform(0, 1, size=HESSIAN_SAMPLES) ** (1.0 / P.dim)
+    dirs = rng.standard_normal((HESSIAN_SAMPLES, P.dim))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1)[:, None], 1e-30)
     for r, u in zip(radii, dirs):
         consider(P.y0 + r * u)
     step = t / 8.0
-    for _ in range(refine_rounds):
+    for _ in range(REFINE_ROUNDS):
         for i in range(P.dim):
             for sgn in (-1.0, 1.0):
                 e = np.zeros(P.dim)
@@ -178,11 +146,6 @@ class LadderResult:
     @property
     def passed(self) -> bool:
         return all(v["verified"] for v in self.verification)
-
-    def to_table(self, path) -> None:
-        rows = [dict(v, k=k, lambda_k=v["lambda"], t_k=v["t"])
-                for k, v in enumerate(self.verification, start=1)]
-        VerdictReport(["k", "lambda_k", "t_k", "verified", "worst_ratio"], rows).to_csv(path)
 
 
 def _verify_level(P: SmoothProblem, t: float, lam: float,
@@ -247,19 +210,3 @@ def build_ladder(P: SmoothProblem, lam_seq: Sequence[float],
         verifs.append(_verify_level(P, t, lam, rng, n_pairs, inflation))
     return LadderResult(radii=tuple(radii), constants=tuple(lam_seq),
                         short_circuit=None, verification=tuple(verifs))
-
-
-def coverage_probe(P: SmoothProblem, result: LadderResult,
-                   probes: Sequence[np.ndarray]) -> bool:
-    """Every feasible probe within the largest radius lies in some S_k."""
-    if result.short_circuit is not None:
-        return True
-    t_max = result.radii[-1]
-    for x in probes:
-        x = np.atleast_1d(np.asarray(x, float))
-        if not P.feasible(x):
-            continue
-        r = float(np.linalg.norm(x - P.y0))
-        if r <= t_max and not any(r <= t for t in result.radii):
-            return False
-    return True

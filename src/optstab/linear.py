@@ -25,13 +25,13 @@ from .gauges import GaugeSet, as_magnitude
 from .optima import Lipschitz, ObjectiveFn, VerdictReport
 from .parametric import (ParamFamily, ValueFunction, _delta_search,
                          certify_value_lipschitz, empirical_value_continuity)
-from .sets import (DEFAULT_BUDGET, AffineSlab, ImplicitSampled, SetModel,
-                   hausdorff)
+from .sets import DEFAULT_BUDGET, AffineSlab, ImplicitSampled, hausdorff
 
 TOL_RANK = 1e-12  # relative singular-value cutoff
 TOL_HOFFMAN = 1e-9
 ETA_INFLATION = 1.1
 ETA_SAMPLES = 100_000
+BOX_SCALE = 1e3  # sampling box half-width of A_t per unit of 1 + ||apply(t)||
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,12 @@ def decompose(L) -> LinearMap:
                      preimages=preimages, pinv=pinv)
 
 
-def load_matrix_txt(path, delimiter: str = ",") -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=delimiter, dtype=float))
+def load_matrix_txt(path) -> np.ndarray:
+    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
 
 
-def save_matrix_txt(M, path, delimiter: str = ",") -> None:
-    np.savetxt(path, np.atleast_2d(np.asarray(M, float)), delimiter=delimiter)
+def save_matrix_txt(M, path) -> None:
+    np.savetxt(path, np.atleast_2d(np.asarray(M, float)), delimiter=",")
 
 
 def penrose_residuals(lm: LinearMap) -> dict:
@@ -146,15 +146,6 @@ def pseudo_inverse(lm: LinearMap) -> EGI:
                lipschitz_cert=cert)
 
 
-def min_norm_preimage(lm: LinearMap, t) -> np.ndarray:
-    """Constructive preimage selector for t in range(L) (no choice axiom:
-    the minimum-norm element of the solution slab, realized by pinv)."""
-    t = np.asarray(t, dtype=float).ravel()
-    if not lm.in_range(t):
-        raise ValueError("parameter is outside the range of the map")
-    return lm.pinv @ t
-
-
 def _eta_for_gauge(lm: LinearMap, S_Y, rng: np.random.Generator,
                    n_samples: int = ETA_SAMPLES) -> tuple:
     """eta = sup of max-abs range coordinate over the S_Y unit sphere in
@@ -188,7 +179,8 @@ def restricted_inverse_egi(lm: LinearMap, S_X, S_Y, kappa: float = 1.0,
         sigma = tau * eta * sum_j S_X(v_j).
 
     kappa is the gauge's subadditivity defect (1 for norms); it is declared
-    by the caller and spot-checked, not derived from black-box evaluation.
+    by the caller and not checked here: the caller must confirm it, for
+    example with ``check_gauge_subadditivity``.
     """
     if lm.rank == 0:
         raise ValueError("range is {0}: restricted inverse undefined")
@@ -262,14 +254,13 @@ class AffineFamily:
     """t -> {x : L x = t}, box-truncated for sampling."""
     linmap: LinearMap
     egi: EGI
-    box_scale: float = 1e3
 
     def member(self, t) -> AffineSlab:
         t = np.asarray(t, dtype=float).ravel()
         if not self.linmap.in_range(t):
             raise ValueError("parameter is outside the range of the map")
         particular = self.egi.apply(t)
-        half = self.box_scale * (1.0 + float(np.linalg.norm(particular)))
+        half = BOX_SCALE * (1.0 + float(np.linalg.norm(particular)))
         return AffineSlab(particular, self.linmap.kernel_basis,
                           box_halfwidth=half)
 
@@ -283,19 +274,18 @@ class AffineFamily:
                            hausdorff_rate=rate)
 
 
-def affine_family(L, egi: Optional[EGI] = None, box_scale: float = 1e3) -> AffineFamily:
+def affine_family(L, egi: Optional[EGI] = None) -> AffineFamily:
     lm = L if isinstance(L, LinearMap) else decompose(L)
     if egi is None:
         egi = pseudo_inverse(lm)
-    return AffineFamily(linmap=lm, egi=egi, box_scale=box_scale)
+    return AffineFamily(linmap=lm, egi=egi)
 
 
 def hoffman_check(F: AffineFamily, E: EGI, S_Yt, pairs: Sequence,
                   nu: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
                   tol: float = TOL_HOFFMAN,
                   budget: int = DEFAULT_BUDGET,
-                  rng: Optional[np.random.Generator] = None,
-                  d_ambient: Optional[PseudoDistance] = None) -> VerdictReport:
+                  rng: Optional[np.random.Generator] = None) -> VerdictReport:
     """D_H(A_s, A_t) <= max{alpha S(s-t), alpha S(t-s)} + tol per pair.
 
     With ``nu`` supplied, the bound is max{nu(s,t), nu(t,s)} instead (the
@@ -305,7 +295,7 @@ def hoffman_check(F: AffineFamily, E: EGI, S_Yt, pairs: Sequence,
     mag = as_magnitude(S_Yt)
     alpha = E.constant
     lm = F.linmap
-    d = d_ambient if d_ambient is not None else euclidean(lm.matrix.shape[1])
+    d = euclidean(lm.matrix.shape[1])
     rng = rng if rng is not None else np.random.default_rng(0)
 
     columns = ["pair_id", "D_H", "bound", "slack", "translation_ok", "verdict"]

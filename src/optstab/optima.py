@@ -153,7 +153,7 @@ def _extreme(f: ObjectiveFn, A, budget: int, rng: Optional[np.random.Generator],
              want_max: bool) -> OptValue:
     """SUP_f(A) if ``want_max`` else INF_f(A): exact on probe lists, finite
     clouds, exact hooks and piecewise objectives over interval unions, and
-    a sampled estimate otherwise."""
+    a sampled estimate otherwise.  A NaN objective value raises ValueError."""
     pick = np.argmax if want_max else np.argmin
     mode = "exact"
     if isinstance(A, (list, tuple, np.ndarray)):
@@ -173,7 +173,10 @@ def _extreme(f: ObjectiveFn, A, budget: int, rng: Optional[np.random.Generator],
         rng = rng if rng is not None else np.random.default_rng(0)
         pts, mode = A.sample(budget, rng), "sampled"
     vals = [f(p) for p in pts]
-    i = int(pick(vals))
+    arr = np.asarray(vals)
+    if np.isnan(arr).any():
+        raise ValueError(f"{f.name} is NaN on a point of the set")
+    i = int(pick(arr))
     return OptValue(vals[i], pts[i], mode)
 
 

@@ -20,6 +20,8 @@ from .optima import (TOL_OPT, Lipschitz, ObjectiveFn, OptValue, VerdictReport,
                      inf_over, sup_over)
 from .sets import DEFAULT_BUDGET, SetModel, ball_around_set, hausdorff
 
+MAX_HALVINGS = 20  # delta searches stop at eps / 2**MAX_HALVINGS
+
 
 @dataclass(frozen=True)
 class ParamFamily:
@@ -63,11 +65,11 @@ class ValueFunction:
             raise ValueError("mode must be 'sup' or 'inf'")
 
 
-def _delta_search(rows: Sequence, eps: float, max_halvings: int = 20) -> Optional[float]:
-    """The largest delta in {eps, eps/2, ..., eps/2**max_halvings} such that
+def _delta_search(rows: Sequence, eps: float) -> Optional[float]:
+    """The largest delta in {eps, eps/2, ..., eps/2**MAX_HALVINGS} such that
     some (t, d_I, gap) row has d_I < delta and every such row has gap < eps;
     None if no level qualifies."""
-    for level in range(max_halvings + 1):
+    for level in range(MAX_HALVINGS + 1):
         delta = eps / 2.0 ** level
         inside = [gap for (_, di, gap) in rows if di < delta]
         if inside and all(gap < eps for gap in inside):
@@ -84,7 +86,6 @@ def eval_value_function(V: ValueFunction, t, budget: int = DEFAULT_BUDGET,
 
 def empirical_hausdorff_limsup(F: ParamFamily, d_ambient: PseudoDistance,
                                t0, probes: Sequence, eps: float,
-                               max_halvings: int = 20,
                                budget: int = DEFAULT_BUDGET,
                                rng: Optional[np.random.Generator] = None) -> dict:
     """Empirical probe of limsup_{t->t0} D_H(A_t0, A_t) <= 0.
@@ -100,7 +101,7 @@ def empirical_hausdorff_limsup(F: ParamFamily, d_ambient: PseudoDistance,
         di = eval_distance(F.index_distance, t0, t)
         dh = hausdorff(d_ambient, A0, F.set_at(t), budget=budget, rng=rng).value
         rows.append((t, di, dh))
-    delta = _delta_search(rows, eps, max_halvings)
+    delta = _delta_search(rows, eps)
     if delta is None:
         return dict(eps=eps, delta=None, verdict="inconclusive",
                     n_inside=0, rows=rows)
@@ -160,7 +161,6 @@ def measured_lipschitz_ratio(V: ValueFunction, sample_pairs: Sequence,
 
 def empirical_value_continuity(V: ValueFunction, t0, probes: Sequence,
                                eps_grid: Sequence[float],
-                               max_halvings: int = 20,
                                budget: int = DEFAULT_BUDGET,
                                rng: Optional[np.random.Generator] = None) -> dict:
     """For each eps on the grid, search for delta > 0 such that every probe
@@ -171,7 +171,7 @@ def empirical_value_continuity(V: ValueFunction, t0, probes: Sequence,
         di = eval_distance(V.family.index_distance, t0, t)
         vt = eval_value_function(V, t, budget=budget, rng=rng).value
         rows.append((t, di, abs(vt - v0)))
-    results = {eps: _delta_search(rows, eps, max_halvings) for eps in eps_grid}
+    results = {eps: _delta_search(rows, eps) for eps in eps_grid}
     return dict(t0=t0, value=v0, deltas=results,
                 verdict="pass" if all(v is not None for v in results.values())
                 else "inconclusive")

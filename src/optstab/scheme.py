@@ -1,9 +1,9 @@
 """Convergence scheme for optimal values over approximating sets.
 
 Given an expensive or implicit target set A, a sequence of surrogate sets
-A_k with instance-certified Hausdorff bounds h_k >= D_H(A, A_k), and an
-inner solver returning sigma_k ~= INF_f(A_k) to tolerance tau_k, the
-Lipschitz transfer gives
+A_k with instance-certified Hausdorff bounds h_k >= D_H(A, A_k), and the
+surrogate optima sigma_k = INF_f(A_k) from ``inf_over``, known to a
+declared tolerance tau_k, the Lipschitz transfer gives
 
     |sigma_k - INF_f(A)| <= tau_k + Lambda * h_k   per level,
 
@@ -16,14 +16,13 @@ invalidate the budget (it is still logged for diagnostics).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .optima import (ContinuousOnly, Lipschitz, ObjectiveFn, UniformModulus,
-                     VerdictReport, inf_over)
-from .sets import FiniteCloud, SetModel
+from .optima import ContinuousOnly, Lipschitz, ObjectiveFn, UniformModulus, inf_over
+from .sets import FiniteCloud
 
 
 @dataclass(frozen=True)
@@ -31,10 +30,8 @@ class SchemeInstance:
     objective: ObjectiveFn
     levels: tuple                       # surrogate sets A_k
     h_bounds: tuple                     # certified h_k >= D_H(A, A_k)
-    solver: Callable[[ObjectiveFn, SetModel], float] = field(default=None, repr=False)
     solver_tol: float = 0.0             # tau_k (uniform across levels)
     inner: bool = False                 # A_k certified to lie inside A
-    target: Optional[SetModel] = None   # A itself, when available (diagnostics)
 
     def __post_init__(self):
         if len(self.levels) != len(self.h_bounds):
@@ -42,11 +39,6 @@ class SchemeInstance:
         hs = [float(h) for h in self.h_bounds]
         if any(hs[i + 1] > hs[i] + 1e-15 for i in range(len(hs) - 1)):
             raise ValueError("h_k must be nonincreasing")
-
-
-def _default_solver(f: ObjectiveFn, A: SetModel) -> float:
-    # exhaustive on finite clouds; closed-form piecewise path otherwise
-    return inf_over(f, A).value
 
 
 @dataclass(frozen=True)
@@ -61,26 +53,22 @@ class ConvergenceCertificate:
     def contains(self, value: float) -> bool:
         return self.final_bracket[0] <= value <= self.final_bracket[1]
 
-    def to_table(self, path) -> None:
-        VerdictReport(["k", "h_k", "sigma_k", "tau_k", "budget_k", "bracket_lo",
-                       "bracket_hi"], list(self.rows)).to_csv(path)
-
 
 def run_scheme(S: SchemeInstance, K: Optional[int] = None) -> ConvergenceCertificate:
-    """Run the inner solver on the first K levels and assemble brackets.
+    """Compute sigma_k = INF_f(A_k) on the first K levels and assemble brackets.
 
     The generic level bracket is [sigma - tau - Lambda*h, sigma + tau +
     Lambda*h].  For a certified inner approximation (A_k inside A), the
     surrogate infimum can only overshoot the true one, so the upper side
     sharpens to sigma + tau; the final bracket is the intersection across
-    levels and must be nonempty.
+    levels and must be nonempty.  A sampled sigma_k is only an estimate, so
+    it is refused unless the instance declares a tolerance ``solver_tol``.
     """
     reg = S.objective.regularity
     if isinstance(reg, ContinuousOnly):
         raise ValueError(
             "scheme requires declared uniform or Lipschitz regularity")
     K = len(S.levels) if K is None else min(K, len(S.levels))
-    solver = S.solver if S.solver is not None else _default_solver
     tau = float(S.solver_tol)
 
     rows = []
@@ -90,7 +78,11 @@ def run_scheme(S: SchemeInstance, K: Optional[int] = None) -> ConvergenceCertifi
         h_k = float(S.h_bounds[k])
         if not math.isfinite(h_k):
             raise ValueError(f"level {k}: h_k must be finite")
-        sigma = float(solver(S.objective, A_k))
+        opt = inf_over(S.objective, A_k)
+        if opt.mode == "sampled" and tau == 0.0:
+            raise ValueError(
+                f"level {k}: sigma_k is sampled; declare its tolerance solver_tol")
+        sigma = float(opt.value)
         if isinstance(reg, Lipschitz):
             transfer = reg.lam * h_k
         else:

@@ -91,27 +91,6 @@ class FiniteCloud(SetModel):
         return FiniteCloud(doc["points"])
 
 
-def save_cloud_txt(cloud: FiniteCloud, path, delimiter: str = ",") -> None:
-    """One point per line, coordinates delimited."""
-    pts = np.atleast_2d(cloud.points)
-    with open(path, "w") as fh:
-        for row in pts:
-            fh.write(delimiter.join(repr(float(v)) for v in row) + "\n")
-
-
-def load_cloud_txt(path, delimiter: str = ",") -> FiniteCloud:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(delimiter)])
-    pts = np.asarray(rows)
-    if pts.shape[1] == 1:
-        pts = pts.ravel()
-    return FiniteCloud(pts)
-
-
 @dataclass(frozen=True)
 class Interval:
     lo: float
@@ -256,11 +235,9 @@ class ImplicitSampled(SetModel):
     sampler: Callable[[int, np.random.Generator], np.ndarray] = field(repr=False)
     dim: int = 1
     budget: int = DEFAULT_BUDGET
-    dispersion: float = INF  # bound on sup over members of distance to a sample
     _witness: Optional[np.ndarray] = None
 
-    def __init__(self, member, sampler, dim, witness, budget=DEFAULT_BUDGET,
-                 dispersion=INF):
+    def __init__(self, member, sampler, dim, witness, budget=DEFAULT_BUDGET):
         witness = np.asarray(witness, dtype=float)
         if not member(witness):
             raise ValueError("witness point fails the membership oracle")
@@ -268,7 +245,6 @@ class ImplicitSampled(SetModel):
         object.__setattr__(self, "sampler", sampler)
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "budget", int(budget))
-        object.__setattr__(self, "dispersion", float(dispersion))
         object.__setattr__(self, "_witness", witness)
 
     def witness(self):
@@ -375,16 +351,6 @@ def _abs_dist_to_union(x, A: IntervalUnion) -> float:
     return best
 
 
-def _interval_gap(A: IntervalUnion, B: IntervalUnion) -> float:
-    best = INF
-    for ia in A.intervals:
-        for ib in B.intervals:
-            if ia.lo <= ib.hi and ib.lo <= ia.hi:
-                return 0.0
-            best = min(best, abs(ia.lo - ib.hi), abs(ib.lo - ia.hi))
-    return best
-
-
 def _asym_interval_union(A: IntervalUnion, B: IntervalUnion) -> float:
     # sup over a in A of dist(a, B): the distance profile is piecewise linear
     # with local maxima only at the endpoints of A's intervals and at the
@@ -446,12 +412,11 @@ def _asym_slabs(A: AffineSlab, B: AffineSlab) -> Optional[float]:
 
 
 # Closed forms keyed by (set type, distance kernel).  "point" gives d(x, A);
-# "asym" gives D_asyH(A, B) and "gap" gives d(A, B) for A and B of that same
-# type, or None where the closed form does not apply.  Only the distances
-# built by euclidean() and absolute() carry these kernels.
+# "asym" gives D_asyH(A, B) for A and B of that same type, or None where the
+# closed form does not apply.  Only the distances built by euclidean() and
+# absolute() carry these kernels.
 _CLOSED_FORMS = {
-    (IntervalUnion, _absolute): dict(point=_abs_dist_to_union,
-                                     asym=_asym_interval_union, gap=_interval_gap),
+    (IntervalUnion, _absolute): dict(point=_abs_dist_to_union, asym=_asym_interval_union),
     (AxisSegments, _euclidean): dict(point=_euclid_dist_to_axis_segments,
                                      asym=_asym_axis_segments),
     (AffineSlab, _euclidean): dict(point=_euclid_dist_to_slab, asym=_asym_slabs),
@@ -465,7 +430,7 @@ def _closed_form(d: PseudoDistance, A: SetModel, what: str):
     if entry is None:
         return None
     _check_dim(d, A.dim)
-    return entry.get(what)
+    return entry[what]
 
 
 def _pairwise_min(d: PseudoDistance, P, Q, orientation: str) -> np.ndarray:
@@ -508,14 +473,14 @@ def _point_distances(d: PseudoDistance, P, B: SetModel, budget: int,
     return _pairwise_min(d, P, B.sample(budget, rng), orientation), False
 
 
-def _report(value, exact: bool, budget: int, err: float = INF) -> DistanceReport:
+def _report(value, exact: bool, budget: int) -> DistanceReport:
     if exact:
         return DistanceReport(value, "exact")
-    return DistanceReport(value, "sampled", sample_budget=budget, certified_error=err)
+    return DistanceReport(value, "sampled", sample_budget=budget, certified_error=INF)
 
 
 # ---------------------------------------------------------------------------
-# the four distance notions
+# the three distance notions
 # ---------------------------------------------------------------------------
 
 def point_set_distance(d: PseudoDistance, x, A: SetModel,
@@ -530,18 +495,19 @@ def point_set_distance(d: PseudoDistance, x, A: SetModel,
     """
     values, exact = _point_distances(d, np.asarray([x], dtype=float), A, budget,
                                      rng, orientation)
-    err = A.dispersion if isinstance(A, ImplicitSampled) else INF
-    return _report(float(values.min()), exact, budget, err)
+    return _report(float(values.min()), exact, budget)
 
 
-def _sets_reduce(d: PseudoDistance, A: SetModel, B: SetModel, what: str,
-                 budget: int, rng: Optional[np.random.Generator],
-                 orientation: str) -> DistanceReport:
-    """The closed form ``what`` for A and B if one applies; otherwise the max
-    ("asym") or min ("gap") over the points of A, sampled if A is not a
-    finite cloud, of d(a, B)."""
+def asym_hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
+                   budget: int = DEFAULT_BUDGET,
+                   rng: Optional[np.random.Generator] = None) -> DistanceReport:
+    """D_asyH(A, B) = sup { d(a, B) : a in A }.
+
+    The closed form for A and B if one applies; otherwise the max of d(a, B)
+    over the points of A, sampled if A is not a finite cloud.
+    """
     if type(A) is type(B):
-        closed = _closed_form(d, A, what)
+        closed = _closed_form(d, A, "asym")
         value = closed(A, B) if closed is not None else None
         if value is not None:
             return DistanceReport(value, "exact")
@@ -550,24 +516,8 @@ def _sets_reduce(d: PseudoDistance, A: SetModel, B: SetModel, what: str,
     else:
         rng = rng if rng is not None else np.random.default_rng(0)
         pts, exact = A.sample(budget, rng), False
-    values, exact_b = _point_distances(d, pts, B, budget, rng, orientation)
-    return _report(float(values.max() if what == "asym" else values.min()),
-                   exact and exact_b, budget)
-
-
-def set_set_distance(d: PseudoDistance, A: SetModel, B: SetModel,
-                     budget: int = DEFAULT_BUDGET,
-                     rng: Optional[np.random.Generator] = None) -> DistanceReport:
-    """d(A, B) = inf { d(a, b) : a in A, b in B }."""
-    return _sets_reduce(d, A, B, "gap", budget, rng, "from_point")
-
-
-def asym_hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
-                   budget: int = DEFAULT_BUDGET,
-                   rng: Optional[np.random.Generator] = None,
-                   orientation: str = "from_point") -> DistanceReport:
-    """D_asyH(A, B) = sup { d(a, B) : a in A }."""
-    return _sets_reduce(d, A, B, "asym", budget, rng, orientation)
+    values, exact_b = _point_distances(d, pts, B, budget, rng, "from_point")
+    return _report(float(values.max()), exact and exact_b, budget)
 
 
 def hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,

@@ -128,3 +128,37 @@ def test_hausdorff_kind_rejects_nan_cloud(tmp_path):
                   "out_dir": str(tmp_path / "out")})
     assert main(["run", cfg]) == 3
     assert not (tmp_path / "out" / "hausdorff.csv").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "scheme", "instance": "disk_polygon", "m_min": 5, "m_max": 4},
+    {"kind": "scheme", "instance": "disk_polygon", "m_min": 2, "m_max": 4},
+    {"kind": "counterexample", "instance": "ce33", "j_min": 9, "j_max": 3},
+    {"kind": "counterexample", "instance": "ce33", "j_min": 1, "j_max": 3},
+    {"kind": "stability", "seed": 1, "n_trials": 0},
+    {"kind": "hoffman", "seed": 1, "n_triples": 0},
+    {"kind": "hoffman", "seed": 1, "n_triples": 2, "max_dim": 0},
+    {"kind": "egi", "seed": 1, "n_matrices": 0},
+    {"kind": "egi", "seed": 1, "n_matrices": 2, "max_dim": 0},
+    {"kind": "ladder", "seed": 1, "n_levels": 0},
+    {"kind": "parametric", "seed": 1, "n_pairs": 0},
+], ids=lambda doc: "-".join(f"{k}={v}" for k, v in doc.items() if k != "instance"))
+def test_empty_or_out_of_range_sweep_exit_2(tmp_path, doc):
+    cfg = _write(tmp_path, "c.json", dict(doc, out_dir=str(tmp_path / "out")))
+    assert main(["run", cfg]) == 2
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_summary_is_rfc8259_json_with_infinite_distance(tmp_path, capsys):
+    (tmp_path / "a.json").write_text('{"kind": "finite_cloud", "points": [0.0, Infinity]}')
+    (tmp_path / "b.json").write_text('{"kind": "finite_cloud", "points": [0.0]}')
+    cfg = _write(tmp_path, "h.json",
+                 {"kind": "hausdorff", "set_a": str(tmp_path / "a.json"),
+                  "set_b": str(tmp_path / "b.json"), "seed": 0,
+                  "out_dir": str(tmp_path / "out")})
+    assert main(["run", cfg]) == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not RFC 8259 JSON")
+    for text in ((tmp_path / "out" / "summary.json").read_text(), capsys.readouterr().out):
+        assert json.loads(text, parse_constant=refuse)["D_H"] == "inf"

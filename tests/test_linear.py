@@ -10,7 +10,7 @@ from optstab.linear import (EGI, affine_family, check_gauge_subadditivity,
                             decompose, example_mixed_constraints,
                             example_whole_space, hoffman_check,
                             kernel_projector_identity_residual,
-                            load_matrix_txt, min_norm_preimage,
+                            load_matrix_txt,
                             penrose_residuals, pseudo_inverse,
                             restricted_inverse_egi, sampled_worst_ratio,
                             save_matrix_txt)
@@ -96,15 +96,6 @@ def test_egi_rejects_out_of_range():
     E = pseudo_inverse(decompose([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         E([0.0, 1.0])
-
-
-def test_min_norm_preimage_matches_pseudo_inverse():
-    rng = np.random.default_rng(4)
-    L = random_rank_deficient_matrix(rng, max_dim=5)
-    lm = decompose(L)
-    if lm.rank > 0:
-        t = L @ rng.standard_normal(L.shape[1])
-        assert min_norm_preimage(lm, t) == pytest.approx(lm.pinv @ t)
 
 
 def test_restricted_inverse_certificate_row():

@@ -231,3 +231,13 @@ def test_zero_lipschitz_on_infinite_distance_passes():
     assert row["D_H"] == INF
     assert row["bound"] == 1e-9
     assert row["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("A", [[0.0, 1.0, 2.0], FiniteCloud([0.0, 1.0, 2.0]),
+                               IntervalUnion([Interval(0.0, 2.0)])],
+                         ids=["probe-list", "finite-cloud", "sampled"])
+def test_nan_objective_values_raise(A):
+    f = ObjectiveFn(fn=lambda x: math.nan if float(x) > 0.5 else 0.0)
+    for op in (sup_over, inf_over):
+        with pytest.raises(ValueError, match="NaN"):
+            op(f, A)

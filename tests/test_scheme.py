@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from optstab.cli import main
 from optstab.distances import euclidean
 from optstab.instances import disk_polygon_scheme, target_distance_objective
 from optstab.optima import ContinuousOnly, Lipschitz, ObjectiveFn, inf_over
@@ -141,12 +143,27 @@ def test_grid_family_refine_first_error():
 
 
 def test_certificate_table_export(tmp_path):
-    cert = run_scheme(disk_polygon_scheme([3, 4]))
-    p = tmp_path / "cert.csv"
-    cert.to_table(p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "k,h_k,sigma_k,tau_k,budget_k,bracket_lo,bracket_hi"
+    cfg = tmp_path / "scheme.json"
+    cfg.write_text(json.dumps({"kind": "scheme", "instance": "disk_polygon",
+                               "m_min": 3, "m_max": 4, "out_dir": str(tmp_path)}))
+    assert main(["run", str(cfg)]) == 0
+    lines = (tmp_path / "scheme_disk.csv").read_text().strip().splitlines()
+    assert lines[0] == "m,h_k,sigma_k,tau_k,budget_k,bracket_lo,bracket_hi,verdict"
     assert len(lines) == 3
     for line in lines[1:]:
-        cells = [float(c) for c in line.split(",")]
+        cells = [float(c) for c in line.split(",")[:-1]]
         assert cells[5] <= 1.0 <= cells[6]
+
+
+def test_sampled_sigma_needs_a_declared_tolerance():
+    from optstab.sets import ImplicitSampled
+    disk = ImplicitSampled(member=lambda x: bool(np.linalg.norm(x) <= 1.0),
+                           sampler=lambda n, rg: rg.uniform(-1, 1, size=(n, 2)),
+                           dim=2, witness=[0.0, 0.0])
+    f = target_distance_objective([2.0, 0.0])
+    # the sampled inf over the disk is 1.01892, above the true value 1.0
+    with pytest.raises(ValueError, match="sampled"):
+        run_scheme(SchemeInstance(objective=f, levels=(disk,), h_bounds=(0.0,)))
+    cert = run_scheme(SchemeInstance(objective=f, levels=(disk,), h_bounds=(0.0,),
+                                     solver_tol=0.05))
+    assert cert.contains(1.0)
