@@ -9,7 +9,9 @@ Subcommands::
 Configs are JSON documents with a mandatory ``kind`` field; unknown fields
 are rejected and a ``seed`` is mandatory for every kind that samples.
 Given identical configs (and seeds), re-runs produce byte-identical tables.
-Counts and sweep bounds that would give an empty sweep are config errors.
+Counts, seeds and sweep bounds must be JSON integers; a value that is not
+one, or that would give an empty sweep or an instance outside its parameter
+range, is a config error.
 ``summary.json`` is RFC 8259 JSON: +-inf appear as the strings "inf" / "-inf".
 Exit codes: 0 all checks pass, 1 check failure, 2 config error, 3 internal
 error.
@@ -54,11 +56,17 @@ def _require(cfg: dict, kind: str, required: set, optional: set) -> None:
         raise ConfigError(f"{kind}: missing config fields {sorted(missing)}")
 
 
-def _int_at_least(cfg: dict, key: str, default: int, least: int) -> int:
-    value = int(cfg.get(key, default))
+def _int_at_least(cfg: dict, key: str, default, least: int) -> int:
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} = {value!r} is not an integer")
     if value < least:
         raise ConfigError(f"{key} = {value} is below {least}")
     return value
+
+
+def _seeded_rng(cfg: dict) -> np.random.Generator:
+    return np.random.default_rng(_int_at_least(cfg, "seed", None, 0))
 
 
 def _json_value(v):
@@ -77,13 +85,16 @@ def _exp_counterexample(cfg: dict, out_dir: str):
     name = cfg["instance"]
     if name not in ("ce33", "ce34"):
         raise ConfigError("counterexample instance must be ce33 or ce34")
-    K = int(cfg.get("K", 60))
+    K = _int_at_least(cfg, "K", 60, 2)
     j_min = _int_at_least(cfg, "j_min", 2, 2)
     j_max = _int_at_least(cfg, "j_max", 50, j_min)
     rows = []
     ok = True
     for j in range(j_min, j_max + 1):
-        e = instances.build(name, K=K, j=j)
+        try:
+            e = instances.build(name, K=K, j=j)
+        except ValueError as exc:  # j outside the range the instance allows for K
+            raise ConfigError(f"{name} with K = {K}, j = {j}: {exc}") from exc
         g = dict((q, a) for q, _, a in e.goldens)
         verdict = (g["INF_f(A_j)"] == -1.0 and g["SUP_f(A_j)"] == 1.0
                    and g["INF_f(A)"] == 0.0 and g["SUP_f(A)"] == 0.0
@@ -125,7 +136,7 @@ def _exp_scheme(cfg: dict, out_dir: str):
 
 def _exp_stability(cfg: dict, out_dir: str):
     _require(cfg, "stability", {"seed"}, {"n_trials", "out_dir"})
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = _seeded_rng(cfg)
     n = _int_at_least(cfg, "n_trials", 100, 1)
     d = absolute()
     rows = []
@@ -147,7 +158,7 @@ def _exp_stability(cfg: dict, out_dir: str):
 
 def _exp_hoffman(cfg: dict, out_dir: str):
     _require(cfg, "hoffman", {"seed"}, {"n_triples", "max_dim", "out_dir"})
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = _seeded_rng(cfg)
     n = _int_at_least(cfg, "n_triples", 50, 1)
     max_dim = _int_at_least(cfg, "max_dim", 6, 1)
     rows = []
@@ -174,7 +185,7 @@ def _exp_hoffman(cfg: dict, out_dir: str):
 
 def _exp_egi(cfg: dict, out_dir: str):
     _require(cfg, "egi", {"seed"}, {"n_matrices", "max_dim", "out_dir"})
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = _seeded_rng(cfg)
     n = _int_at_least(cfg, "n_matrices", 50, 1)
     max_dim = _int_at_least(cfg, "max_dim", 8, 1)
     rows = []
@@ -196,7 +207,7 @@ def _exp_egi(cfg: dict, out_dir: str):
 
 def _exp_ladder(cfg: dict, out_dir: str):
     _require(cfg, "ladder", {"seed"}, {"n_levels", "out_dir"})
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = _seeded_rng(cfg)
     n_levels = _int_at_least(cfg, "n_levels", 10, 1)
     P = instances.quartic_problem()
     result = build_ladder(P, list(range(1, n_levels + 1)), rng=rng)
@@ -215,7 +226,7 @@ def _exp_ladder(cfg: dict, out_dir: str):
 
 def _exp_parametric(cfg: dict, out_dir: str):
     _require(cfg, "parametric", {"seed"}, {"n_pairs", "out_dir"})
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = _seeded_rng(cfg)
     n_pairs = _int_at_least(cfg, "n_pairs", 50, 1)
     entry = instances.build("affine_whole")
     fam = entry.objects["family"]
@@ -234,8 +245,8 @@ def _exp_hausdorff(cfg: dict, out_dir: str):
     _require(cfg, "hausdorff", {"set_a", "set_b", "seed"}, {"dim", "out_dir"})
     A = load_set(cfg["set_a"])
     B = load_set(cfg["set_b"])
-    rng = np.random.default_rng(int(cfg["seed"]))
-    dim = int(cfg.get("dim", A.dim))
+    rng = _seeded_rng(cfg)
+    dim = _int_at_least(cfg, "dim", A.dim, 1)
     if {A.dim, B.dim} != {dim}:
         raise ConfigError(f"hausdorff: sets of dim {A.dim} and {B.dim} with dim {dim}")
     d = absolute() if dim == 1 else euclidean(dim)

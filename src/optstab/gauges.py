@@ -83,10 +83,19 @@ class GaugeSet:
 
     # -- membership --------------------------------------------------------
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.shape[0] != self.dim:
-            raise ValueError(f"point has dim {x.shape[0]}, gauge set has dim {self.dim}")
+    def contains(self, x, tol: float = 1e-9):
+        """Membership of one point, or a boolean array over the rows of an
+        (n, dim) array."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            _check_dim(x.shape[1], self.dim)
+            if self.kind == "halfspaces":
+                return np.all(x @ self.halfspace_A.T <= self.halfspace_b + tol, axis=1)
+            if self.kind == "ball":
+                return np.linalg.norm(x, axis=1) <= self.radius + tol
+            return np.array([self.contains(p, tol) for p in x], dtype=bool)
+        x = x.ravel()
+        _check_dim(x.shape[0], self.dim)
         if self.kind == "halfspaces":
             return bool(np.all(self.halfspace_A @ x <= self.halfspace_b + tol))
         if self.kind == "ball":
@@ -101,11 +110,27 @@ class GaugeSet:
         return bool(self.member(x))
 
 
-def minkowski_gauge(C: GaugeSet, x, tol: float = DEFAULT_GAUGE_TOL) -> float:
-    """Gauge value M_C(x) in [0, inf]."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != C.dim:
-        raise ValueError(f"point has dim {x.shape[0]}, gauge set has dim {C.dim}")
+def _check_dim(got: int, dim: int) -> None:
+    if got != dim:
+        raise ValueError(f"point has dim {got}, gauge set has dim {dim}")
+
+
+def minkowski_gauge(C: GaugeSet, x, tol: float = DEFAULT_GAUGE_TOL):
+    """Gauge value M_C(x) in [0, inf] of one point, or an array of the
+    gauges of the rows of an (n, dim) array."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        _check_dim(x.shape[1], C.dim)
+        if C.kind == "halfspaces":
+            # the rule below, row-wise: rows with b_i = 0 give 0 or +inf
+            ax, b = x @ C.halfspace_A.T, C.halfspace_b
+            ratio = np.divide(ax, b, out=np.where(ax > tol, INF, 0.0), where=b > 0.0)
+            return ratio.max(axis=1, initial=0.0)
+        if C.kind == "ball":
+            return np.linalg.norm(x, axis=1) / C.radius
+        return np.array([minkowski_gauge(C, p, tol) for p in x])
+    x = x.ravel()
+    _check_dim(x.shape[0], C.dim)
 
     if C.kind == "halfspaces":
         # For C = {x : a_i . x <= b_i} with all b_i >= 0:

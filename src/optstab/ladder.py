@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,16 +46,24 @@ class SmoothProblem:
         if not self.feasible(y0):
             raise ValueError("base point y0 is not in C intersect U")
 
-    def feasible(self, x) -> bool:
+    def feasible(self, x):
+        """Whether x is in C intersect U; for an (n, dim) array, a boolean
+        array over the rows."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.C is not None and not self.C.contains(x):
-            return False
+        ok = np.full(x.shape[:-1], True) if self.C is None else self.C.contains(x)
         if self.U_box is not None:
             lo, hi = self.U_box
-            if not (np.all(x > np.asarray(lo, float))
-                    and np.all(x < np.asarray(hi, float))):
-                return False
-        return True
+            ok = ok & np.all((x > np.asarray(lo, float))
+                             & (x < np.asarray(hi, float)), axis=-1)
+        return ok if x.ndim == 2 else bool(ok)
+
+
+def _hess_values(P: SmoothProblem, X) -> np.ndarray:
+    """hess_norm at each row of X, in order; a NaN value raises ValueError."""
+    v = np.array([float(P.hess_norm(x)) for x in X])
+    if np.isnan(v).any():
+        raise ValueError("hess_norm is NaN at a point of the feasible region")
+    return v
 
 
 def hessian_sup(P: SmoothProblem, t: float,
@@ -64,44 +72,47 @@ def hessian_sup(P: SmoothProblem, t: float,
     feasible region; nondecreasing in t by construction.
 
     Returns (value, mode).  The sampled fallback yields a lower bound on
-    the true sup and is flagged mode='sampled'.
+    the true sup and is flagged mode='sampled'.  A NaN Hessian norm raises
+    ValueError.
     """
     if t < 0:
         raise ValueError("radius must be nonnegative")
     if P.hessian_sup_closed_form is not None:
         return float(P.hessian_sup_closed_form(t)), "exact"
+    best_x = P.y0
+    best = _hess_values(P, [P.y0])[0]
     if t == 0.0:
-        return float(P.hess_norm(P.y0)), "exact"
+        return float(best), "exact"
     rng = rng if rng is not None else np.random.default_rng(0)
-    best_x = P.y0.copy()
-    best = float(P.hess_norm(P.y0))
 
-    def consider(x):
+    def consider(X):
+        # the first strict maximum over the rows in the ball and the region
         nonlocal best, best_x
-        if np.linalg.norm(x - P.y0) <= t and P.feasible(x):
-            v = float(P.hess_norm(x))
-            if v > best:
-                best, best_x = v, x
+        X = X[np.linalg.norm(X - P.y0, axis=1) <= t]
+        X = X[P.feasible(X)]
+        if len(X):
+            v = _hess_values(P, X)
+            i = int(np.argmax(v))
+            if v[i] > best:
+                best, best_x = v[i], X[i]
 
     # boundary then interior samples, then local coordinate refinement
     dirs = rng.standard_normal((HESSIAN_SAMPLES, P.dim))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1)[:, None], 1e-30)
-    for u in dirs:
-        consider(P.y0 + t * u)
+    consider(P.y0 + t * dirs)
     radii = t * rng.uniform(0, 1, size=HESSIAN_SAMPLES) ** (1.0 / P.dim)
     dirs = rng.standard_normal((HESSIAN_SAMPLES, P.dim))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1)[:, None], 1e-30)
-    for r, u in zip(radii, dirs):
-        consider(P.y0 + r * u)
+    consider(P.y0 + radii[:, None] * dirs)
     step = t / 8.0
     for _ in range(REFINE_ROUNDS):
         for i in range(P.dim):
             for sgn in (-1.0, 1.0):
                 e = np.zeros(P.dim)
                 e[i] = sgn * step
-                consider(best_x + e)
+                consider((best_x + e)[None])
         step /= 4.0
-    return best, "sampled"
+    return float(best), "sampled"
 
 
 def solve_radius(P: SmoothProblem, lam: float, t_hint: float = 1.0,
@@ -152,31 +163,34 @@ def _verify_level(P: SmoothProblem, t: float, lam: float,
                   rng: np.random.Generator, n_pairs: int,
                   inflation: float) -> dict:
     """Sampled gradient-difference check: ||g(x)-g(y)|| <= lam ||x-y|| for
-    x, y in (ball of radius t) within the feasible region."""
-    pts: List[np.ndarray] = []
-    tries = 0
-    while len(pts) < 2 * n_pairs and tries < 40 * n_pairs:
-        tries += 1
-        u = rng.standard_normal(P.dim)
-        u /= max(np.linalg.norm(u), 1e-30)
-        r = t * rng.uniform() ** (1.0 / P.dim)
-        x = P.y0 + r * u
-        if P.feasible(x):
-            pts.append(x)
-    worst = 0.0
-    for i in range(0, len(pts) - 1, 2):
-        x, y = pts[i], pts[i + 1]
-        dx = float(np.linalg.norm(x - y))
-        if dx == 0.0:
-            continue
-        dg = float(np.linalg.norm(
-            np.atleast_1d(np.asarray(P.grad(x), float))
-            - np.atleast_1d(np.asarray(P.grad(y), float))))
-        worst = max(worst, dg / dx)
-    more_than_one = len(pts) >= 2
+    x, y in (ball of radius t) within the feasible region.  Points are drawn
+    one at a time, in chunks of the number still needed, so the generator
+    stream does not depend on the chunking.  A NaN ratio raises ValueError."""
+    need, tries_left = 2 * n_pairs, 40 * n_pairs
+    chunks, n_pts = [np.empty((0, P.dim))], 0
+    while n_pts < need and tries_left > 0:
+        k = min(need - n_pts, tries_left)
+        tries_left -= k
+        U, r = np.empty((k, P.dim)), np.empty(k)
+        for j in range(k):
+            U[j] = rng.standard_normal(P.dim)
+            r[j] = t * rng.uniform() ** (1.0 / P.dim)
+        U /= np.maximum(np.linalg.norm(U, axis=1), 1e-30)[:, None]
+        X = P.y0 + r[:, None] * U
+        chunks.append(X[P.feasible(X)])
+        n_pts += len(chunks[-1])
+    pts = np.concatenate(chunks)
+    pairs = pts[:n_pts - n_pts % 2].reshape(-1, 2, P.dim)
+    dx = np.linalg.norm(pairs[:, 0] - pairs[:, 1], axis=1)
+    pairs, dx = pairs[dx != 0.0], dx[dx != 0.0]
+    g = [np.atleast_1d(np.asarray(P.grad(x), float)) for x in pairs.reshape(-1, P.dim)]
+    ratios = np.linalg.norm(np.array(g[0::2]) - np.array(g[1::2]), axis=-1) / dx
+    if np.isnan(ratios).any():
+        raise ValueError("gradient difference ratio is NaN at a sampled pair")
+    worst = float(np.max(ratios, initial=0.0))
     return dict(t=t, **{"lambda": lam}, worst_ratio=worst,
-                verified=bool(worst <= lam * inflation and more_than_one),
-                n_points=len(pts))
+                verified=bool(worst <= lam * inflation and n_pts >= 2),
+                n_points=n_pts)
 
 
 def build_ladder(P: SmoothProblem, lam_seq: Sequence[float],

@@ -21,7 +21,7 @@ from scipy.optimize import linprog
 
 from .distances import PseudoDistance, euclidean
 from .extreal import INF
-from .gauges import GaugeSet, as_magnitude
+from .gauges import GaugeSet, as_magnitude, minkowski_gauge
 from .optima import Lipschitz, ObjectiveFn, VerdictReport
 from .parametric import (ParamFamily, ValueFunction, _delta_search,
                          certify_value_lipschitz, empirical_value_continuity)
@@ -46,7 +46,9 @@ class LinearMap:
 
     @property
     def tol_lin(self) -> float:
-        return 1e-10 * max(1.0, float(np.linalg.norm(self.matrix, 2)))
+        # the spectral norm is the largest stored singular value (0 at rank 0)
+        smax = float(self.singular_values[0]) if self.rank else 0.0
+        return 1e-10 * max(1.0, smax)
 
     def in_range(self, t, tol: Optional[float] = None) -> bool:
         t = np.asarray(t, dtype=float).ravel()
@@ -152,19 +154,18 @@ def _eta_for_gauge(lm: LinearMap, S_Y, rng: np.random.Generator,
     range(L).  Exact for Euclidean-ball gauges; sampled with a fixed
     inflation factor otherwise (eta is a supremum with no general recipe).
     """
-    r = lm.rank
     if isinstance(S_Y, GaugeSet) and S_Y.kind == "ball":
         return float(S_Y.radius), "exact-ball"
-    mag = as_magnitude(S_Y)
-    worst = 0.0
-    dirs = rng.standard_normal((n_samples, r))
+    dirs = rng.standard_normal((n_samples, lm.rank))
     norms = np.linalg.norm(dirs, axis=1)
     dirs = dirs[norms > 0] / norms[norms > 0, None]
-    for beta in dirs:
-        s = lm.range_basis @ beta
-        g = mag(s)
-        if 0.0 < g < INF:
-            worst = max(worst, float(np.max(np.abs(beta))) / g)
+    S = dirs @ lm.range_basis.T
+    if isinstance(S_Y, GaugeSet):
+        g = minkowski_gauge(S_Y, S)
+    else:
+        g = np.array([float(S_Y(s)) for s in S])
+    ok = g > 0.0  # drops zero and NaN gauges; an infinite one gives ratio 0
+    worst = float(np.max(np.max(np.abs(dirs[ok]), axis=1) / g[ok], initial=0.0))
     return worst * ETA_INFLATION, "sampled-inflated"
 
 

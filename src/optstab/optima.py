@@ -153,7 +153,8 @@ def _extreme(f: ObjectiveFn, A, budget: int, rng: Optional[np.random.Generator],
              want_max: bool) -> OptValue:
     """SUP_f(A) if ``want_max`` else INF_f(A): exact on probe lists, finite
     clouds, exact hooks and piecewise objectives over interval unions, and
-    a sampled estimate otherwise.  A NaN objective value raises ValueError."""
+    a sampled estimate otherwise.  A NaN objective value, or a NaN from an
+    exact hook, raises ValueError."""
     pick = np.argmax if want_max else np.argmin
     mode = "exact"
     if isinstance(A, (list, tuple, np.ndarray)):
@@ -166,7 +167,10 @@ def _extreme(f: ObjectiveFn, A, budget: int, rng: Optional[np.random.Generator],
         hook = f.exact_sup if want_max else f.exact_inf
         v = hook(A) if hook is not None else None
         if v is not None:
-            return OptValue(float(v), None, "exact")
+            v = float(v)
+            if math.isnan(v):
+                raise ValueError(f"the exact hook of {f.name} returned NaN")
+            return OptValue(v, None, "exact")
         if f.pieces is not None and isinstance(A, IntervalUnion):
             v, w = _piecewise_extreme(f.pieces, A, want_max)
             return OptValue(v, w, "exact")

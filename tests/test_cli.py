@@ -162,3 +162,22 @@ def test_summary_is_rfc8259_json_with_infinite_distance(tmp_path, capsys):
         raise ValueError(f"{name} is not RFC 8259 JSON")
     for text in ((tmp_path / "out" / "summary.json").read_text(), capsys.readouterr().out):
         assert json.loads(text, parse_constant=refuse)["D_H"] == "inf"
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "stability", "seed": 1, "n_trials": "ten"},
+    {"kind": "stability", "seed": 1, "n_trials": 2.5},
+    {"kind": "stability", "seed": 1, "n_trials": True},
+    {"kind": "stability", "seed": "one", "n_trials": 2},
+    {"kind": "ladder", "seed": -1, "n_levels": 1},
+    {"kind": "counterexample", "instance": "ce33", "K": 0},
+    {"kind": "counterexample", "instance": "ce33", "K": 5, "j_min": 2, "j_max": 8},
+    {"kind": "counterexample", "instance": "ce34", "K": 5, "j_min": 2, "j_max": 8},
+], ids=lambda doc: "-".join(f"{k}={v}" for k, v in doc.items() if k != "kind"))
+def test_malformed_values_exit_2(tmp_path, doc, capsys):
+    # values that are not integers, and instance parameters out of range,
+    # are config errors (exit 2), not internal errors (exit 3)
+    cfg = _write(tmp_path, "c.json", dict(doc, out_dir=str(tmp_path / "out")))
+    assert main(["run", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.json").exists()

@@ -33,12 +33,21 @@ CONFIGS = {
     "hausdorff_axis": ({"kind": "hausdorff", "set_a": "ax_a", "set_b": "ax_b",
                         "seed": 5}, "hausdorff.csv"),
 }
+CONFIGS.update({
+    f"ladder_s{seed}_n{n}": ({"kind": "ladder", "seed": seed, "n_levels": n}, "ladder.csv")
+    for seed in (1, 7) for n in (1, 3, 10)})
 
 GOLDEN_SHA256 = {
     "ce33": "c240118d9633bc3ffab05bfcf1b14858dea14b0735c8de222ab408572d33f359",
     "ce34": "b6eeac822f4b656f8e29b1c639a4eb8deb75b57368e92f2cc75c326b7fd61bf1",
     "hausdorff_axis": "d1ac07df26d36c6be4855d3ca050a1683879214087356d4fe620263e5b3e0dde",
     "hausdorff_intervals": "e39a445be1396f5d6182fe549b11d5d2a432b7eb67d7c069c9e100a9c3b78b3b",
+    "ladder_s1_n1": "8202409dca390ebe5bae4b6fc5f03dc9d3ecf8b5afe6863e80a7f646b6d8f403",
+    "ladder_s1_n3": "17d64bd434237ada363580786cb2f8575434cac9258dae86371f90b4ea615e1f",
+    "ladder_s1_n10": "8c03802a20a4e9578e859d1da7eda738b233c30970f2fdd076e9c27a14fa7f91",
+    "ladder_s7_n1": "1a6cea1eb25161178d313c9123b6554e1b4b0ce74223ec15ebada1a8861d1a6b",
+    "ladder_s7_n3": "51f4e7252770a5a32123c2a794df4c04012fd729d807a14e25843cf97848059e",
+    "ladder_s7_n10": "35c582eb55510b2e40ed254f43643d8e62ab2156850d9473914b6175191b9079",
     "scheme": "d1f612100574e5fa1daf78773beedfd47cc545ad96d71a85ff8f0592af5b3fa9",
     "stability": "c83b6ad46266ca37aaebeaf1ffbf5542a5ddf0ab53528e63f67c611dfeb82cec",
 }

@@ -132,3 +132,31 @@ def test_ladder_table_export(tmp_path):
         assert float(t) == pytest.approx(math.sqrt(float(k)), abs=1e-5)
         assert 0.0 <= float(ratio) <= float(lam) * (1 + 1e-6)
         assert verdict == "pass"
+
+
+def _nan_grad_problem():
+    # closed-form Hessian sup 1 + t, so only the sampled gradient check runs
+    return SmoothProblem(f=lambda x: 0.0, grad=lambda x: np.array([math.nan]),
+                         hess_norm=lambda x: 1.0, dim=1, y0=[0.0],
+                         hessian_sup_closed_form=lambda t: 1.0 + t)
+
+
+def test_nan_gradient_fails_the_level():
+    # before, max(worst, nan) kept worst: passed=True with worst_ratio 0.0
+    with pytest.raises(ValueError, match="NaN"):
+        build_ladder(_nan_grad_problem(), [2.0], rng=np.random.default_rng(0),
+                     n_pairs=50)
+
+
+def test_nan_hessian_norm_raises():
+    # before, v > best skipped a NaN and the sampled sup ignored it
+    P = SmoothProblem(f=lambda x: 0.0, grad=lambda x: np.zeros(1),
+                      hess_norm=lambda x: math.nan if abs(float(x[0])) > 0.5 else 1.0,
+                      dim=1, y0=[0.0])
+    with pytest.raises(ValueError, match="NaN"):
+        hessian_sup(P, 1.0, rng=np.random.default_rng(0))
+    P0 = SmoothProblem(f=lambda x: 0.0, grad=lambda x: np.zeros(1),
+                       hess_norm=lambda x: math.nan, dim=1, y0=[0.0])
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError, match="NaN"):
+            hessian_sup(P0, t)

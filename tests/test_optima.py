@@ -241,3 +241,12 @@ def test_nan_objective_values_raise(A):
     for op in (sup_over, inf_over):
         with pytest.raises(ValueError, match="NaN"):
             op(f, A)
+
+
+@pytest.mark.parametrize("hook", ["exact_sup", "exact_inf"])
+def test_nan_from_an_exact_hook_raises(hook):
+    # a NaN hook value must not come back as OptValue(nan, None, "exact")
+    f = ObjectiveFn(fn=lambda x: 0.0, **{hook: lambda A: math.nan})
+    op = sup_over if hook == "exact_sup" else inf_over
+    with pytest.raises(ValueError, match="NaN"):
+        op(f, IntervalUnion([(0.0, 1.0)]))
