@@ -12,6 +12,7 @@ which may be asymmetric and may attain +inf.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -85,8 +86,8 @@ class GaugeSet:
 
     def contains(self, x, tol: float = 1e-9):
         """Membership of one point, or a boolean array over the rows of an
-        (n, dim) array."""
-        x = np.asarray(x, dtype=float)
+        (n, dim) array.  A NaN coordinate raises ValueError."""
+        x = _as_points(x)
         if x.ndim == 2:
             _check_dim(x.shape[1], self.dim)
             if self.kind == "halfspaces":
@@ -110,6 +111,25 @@ class GaugeSet:
         return bool(self.member(x))
 
 
+def _as_points(x) -> np.ndarray:
+    """x as a float array; a NaN coordinate raises ValueError.
+
+    One point is tested by its sum of squares, which is NaN exactly when a
+    coordinate is (no term is negative, so inf - inf cannot occur): one dot
+    product, the cheapest test for a form that the gauge distances call per
+    pair.  Rows are tested elementwise, which starts no BLAS threads.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        has_nan = bool(np.isnan(x).any())
+    else:
+        flat = x.ravel()
+        has_nan = math.isnan(flat.dot(flat))
+    if has_nan:
+        raise ValueError("NaN is not a coordinate of a point")
+    return x
+
+
 def _check_dim(got: int, dim: int) -> None:
     if got != dim:
         raise ValueError(f"point has dim {got}, gauge set has dim {dim}")
@@ -117,8 +137,9 @@ def _check_dim(got: int, dim: int) -> None:
 
 def minkowski_gauge(C: GaugeSet, x, tol: float = DEFAULT_GAUGE_TOL):
     """Gauge value M_C(x) in [0, inf] of one point, or an array of the
-    gauges of the rows of an (n, dim) array."""
-    x = np.asarray(x, dtype=float)
+    gauges of the rows of an (n, dim) array.  A NaN coordinate raises
+    ValueError."""
+    x = _as_points(x)
     if x.ndim == 2:
         _check_dim(x.shape[1], C.dim)
         if C.kind == "halfspaces":
@@ -136,10 +157,9 @@ def minkowski_gauge(C: GaugeSet, x, tol: float = DEFAULT_GAUGE_TOL):
         # For C = {x : a_i . x <= b_i} with all b_i >= 0:
         # rows with b_i > 0 contribute a_i.x / b_i; rows with b_i = 0 force
         # +inf when a_i.x > 0 and are ignored otherwise.
-        ax = C.halfspace_A @ x
-        b = C.halfspace_b
+        # (Python floats: this loop runs once per pair in a gauge distance)
         value = 0.0
-        for axi, bi in zip(ax, b):
+        for axi, bi in zip((C.halfspace_A @ x).tolist(), C.halfspace_b.tolist()):
             if bi == 0.0:
                 if axi > tol:
                     return INF

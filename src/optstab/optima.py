@@ -21,7 +21,7 @@ import numpy as np
 from .distances import PseudoDistance
 from .extreal import INF, NEG_INF, scale
 from .sets import (DEFAULT_BUDGET, FiniteCloud, Interval, IntervalUnion,
-                   SetModel, asym_hausdorff, hausdorff)
+                   SetModel, _endpoints, asym_hausdorff, hausdorff)
 
 TOL_OPT = 1e-9
 
@@ -131,19 +131,48 @@ class OptValue:
     mode: str = "exact"
 
 
+def _covers(p_lo: np.ndarray, p_hi: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the closed pieces [p_lo, p_hi] cover every closed interval
+    [lo, hi]: the pieces, sorted by lo, are merged into runs that each reach
+    as far as their longest piece, and each interval must lie in one run."""
+    ok = p_lo <= p_hi
+    if not ok.any():
+        return False
+    order = np.argsort(p_lo[ok])
+    starts, reach = p_lo[ok][order], np.maximum.accumulate(p_hi[ok][order])
+    new_run = np.concatenate([[True], starts[1:] > reach[:-1]])
+    run_lo, run_hi = starts[new_run], reach[np.append(new_run[1:], True)]
+    r = np.searchsorted(run_lo, lo, "right") - 1
+    return bool(np.all((r >= 0) & (hi <= run_hi[np.maximum(r, 0)])))
+
+
 def _piecewise_extreme(pieces: Sequence[LinearPiece], A: IntervalUnion, want_max: bool):
+    """Extreme value of a piecewise-linear objective over an interval union,
+    at the ends of each (interval, piece) overlap.  The intervals a piece
+    meets (hi >= p.lo and lo <= p.hi) are one run of A's sorted endpoint
+    arrays, found by binary search; the first strict improvement in
+    (interval, piece, lo-then-hi) order gives the witness."""
+    lo, hi = _endpoints(A)
+    p_lo = np.array([p.lo for p in pieces], dtype=float)
+    p_hi = np.array([p.hi for p in pieces], dtype=float)
+    if not _covers(p_lo, p_hi, lo, hi):
+        raise ValueError("piecewise descriptor does not cover the interval union")
+    first = np.searchsorted(hi, p_lo, "left")
+    count = np.maximum(np.searchsorted(lo, p_hi, "right") - first, 0)
+    k = np.repeat(np.arange(len(pieces)), count)
+    i = np.arange(len(k)) - np.repeat(np.cumsum(count) - count - first, count)
+    order = np.lexsort((k, i))
     best = NEG_INF if want_max else INF
     witness = None
-    for iv in A.intervals:
-        for p in pieces:
-            lo = max(iv.lo, p.lo)
-            hi = min(iv.hi, p.hi)
-            if lo > hi:
-                continue
-            for t in (lo, hi):
-                v = p.value(t)
-                if (want_max and v > best) or (not want_max and v < best):
-                    best, witness = v, t
+    for ii, kk in zip(i[order].tolist(), k[order].tolist()):
+        iv, p = A.intervals[ii], pieces[kk]
+        t_lo, t_hi = max(iv.lo, p.lo), min(iv.hi, p.hi)
+        if t_lo > t_hi:
+            continue
+        for t in (t_lo, t_hi):
+            v = p.value(t)
+            if (want_max and v > best) or (not want_max and v < best):
+                best, witness = v, t
     if witness is None:
         raise ValueError("piecewise descriptor does not cover the interval union")
     return best, witness
@@ -153,8 +182,9 @@ def _extreme(f: ObjectiveFn, A, budget: int, rng: Optional[np.random.Generator],
              want_max: bool) -> OptValue:
     """SUP_f(A) if ``want_max`` else INF_f(A): exact on probe lists, finite
     clouds, exact hooks and piecewise objectives over interval unions, and
-    a sampled estimate otherwise.  A NaN objective value, or a NaN from an
-    exact hook, raises ValueError."""
+    a sampled estimate otherwise.  A NaN objective value, a NaN from an
+    exact hook, or pieces that do not cover the closure of every interval
+    of an interval union raise ValueError."""
     pick = np.argmax if want_max else np.argmin
     mode = "exact"
     if isinstance(A, (list, tuple, np.ndarray)):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -342,31 +342,45 @@ def load_set(path) -> SetModel:
 # closed-form pieces
 # ---------------------------------------------------------------------------
 
-def _abs_dist_to_union(x, A: IntervalUnion) -> float:
-    best = INF
-    for iv in A.intervals:
-        if iv.lo <= x <= iv.hi:
-            return 0.0
-        best = min(best, abs(x - iv.lo), abs(x - iv.hi))
-    return best
+def _endpoints(A: IntervalUnion) -> Tuple[np.ndarray, np.ndarray]:
+    """The lower and the upper endpoints of A's intervals.  Both arrays are
+    nondecreasing, because the intervals are sorted and pairwise disjoint."""
+    return (np.array([iv.lo for iv in A.intervals]),
+            np.array([iv.hi for iv in A.intervals]))
+
+
+def _union_distances(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """|x - A| for each x of the 1-D array xs (NaN for NaN), A given by its
+    endpoint arrays (see ``_endpoints``).
+
+    The first interval with hi >= x either holds x (distance 0) or is the
+    first interval right of x; the one before it ends last left of x.  A
+    point inside A gets 0 before any subtraction, so inf - inf never occurs.
+    """
+    j = np.searchsorted(hi, xs, "left")
+    right = j < len(lo)
+    inside = right & (lo[np.minimum(j, len(lo) - 1)] <= xs)
+    left, right = ~inside & (j > 0), ~inside & right
+    out = np.where(inside, 0.0, INF)
+    out[left] = xs[left] - hi[j[left] - 1]
+    out[right] = np.minimum(out[right], lo[j[right]] - xs[right])
+    return out
+
+
+def _abs_dist_to_union(P, A: IntervalUnion) -> np.ndarray:
+    return _union_distances(np.reshape(P, len(P)), *_endpoints(A))
 
 
 def _asym_interval_union(A: IntervalUnion, B: IntervalUnion) -> float:
     # sup over a in A of dist(a, B): the distance profile is piecewise linear
     # with local maxima only at the endpoints of A's intervals and at the
-    # midpoints of B's gaps; suprema over half-open pieces go through the
-    # closure (the profile is continuous).
-    candidates: List[float] = []
-    for iv in A.intervals:
-        candidates.extend([iv.lo, iv.hi])
-    bs = B.intervals
-    for prev, nxt in zip(bs, bs[1:]):
-        mid = 0.5 * (prev.hi + nxt.lo)
-        for iv in A.intervals:
-            if iv.lo <= mid <= iv.hi:
-                candidates.append(mid)
-                break
-    return max(_abs_dist_to_union(c, B) for c in candidates)
+    # midpoints of B's gaps that lie in A; suprema over half-open pieces go
+    # through the closure (the profile is continuous).
+    a_lo, a_hi = _endpoints(A)
+    b_lo, b_hi = _endpoints(B)
+    mids = 0.5 * (b_hi[:-1] + b_lo[1:])
+    mids = mids[_union_distances(mids, a_lo, a_hi) == 0.0]
+    return float(_union_distances(np.concatenate([a_lo, a_hi, mids]), b_lo, b_hi).max())
 
 
 def _euclid_dist_to_axis_segments(x, A: AxisSegments) -> float:
@@ -411,15 +425,20 @@ def _asym_slabs(A: AffineSlab, B: AffineSlab) -> Optional[float]:
     return float(np.linalg.norm(delta))
 
 
-# Closed forms keyed by (set type, distance kernel).  "point" gives d(x, A);
-# "asym" gives D_asyH(A, B) for A and B of that same type, or None where the
-# closed form does not apply.  Only the distances built by euclidean() and
-# absolute() carry these kernels.
+def _each_point(point: Callable) -> Callable:
+    return lambda P, A: np.array([point(p, A) for p in P])
+
+
+# Closed forms keyed by (set type, distance kernel).  "point" gives d(p, A)
+# for each point p of an array P; "asym" gives D_asyH(A, B) for A and B of
+# that same type, or None where the closed form does not apply.  Only the
+# distances built by euclidean() and absolute() carry these kernels.
 _CLOSED_FORMS = {
     (IntervalUnion, _absolute): dict(point=_abs_dist_to_union, asym=_asym_interval_union),
-    (AxisSegments, _euclidean): dict(point=_euclid_dist_to_axis_segments,
+    (AxisSegments, _euclidean): dict(point=_each_point(_euclid_dist_to_axis_segments),
                                      asym=_asym_axis_segments),
-    (AffineSlab, _euclidean): dict(point=_euclid_dist_to_slab, asym=_asym_slabs),
+    (AffineSlab, _euclidean): dict(point=_each_point(_euclid_dist_to_slab),
+                                   asym=_asym_slabs),
 }
 _CDIST_METRICS = {_euclidean: "euclidean", _absolute: "cityblock"}
 _CDIST_BLOCK = 1 << 22      # matrix entries per cdist call: 32 MB of float64
@@ -468,7 +487,7 @@ def _point_distances(d: PseudoDistance, P, B: SetModel, budget: int,
         return _pairwise_min(d, P, B.points, orientation), True
     point = _closed_form(d, B, "point")
     if point is not None:
-        return np.array([point(p, B) for p in P]), True
+        return point(P, B), True
     rng = rng if rng is not None else np.random.default_rng(0)
     return _pairwise_min(d, P, B.sample(budget, rng), orientation), False
 

@@ -104,3 +104,19 @@ def test_as_magnitude():
     C = GaugeSet.from_ball(1.0, 2)
     mag = as_magnitude(C)
     assert mag(np.array([3.0, 4.0])) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("C", [
+    GaugeSet.from_halfspaces([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 1, 1]),
+    GaugeSet.from_ball(1.0, 2),
+    GaugeSet.from_vertices([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+    GaugeSet.from_oracle(lambda x: float(np.linalg.norm(x)) <= 1.0, 2, 1.0),
+], ids=["halfspaces", "ball", "vertices", "oracle"])
+@pytest.mark.parametrize("x", [[np.nan, 0.0], [[0.5, 0.0], [np.nan, 0.0]]],
+                         ids=["point", "rows"])
+def test_nan_coordinates_raise(C, x):
+    # before, the one-point box gauge of [nan, 0] was 0.0 and contains was False
+    with pytest.raises(ValueError, match="NaN"):
+        minkowski_gauge(C, x)
+    with pytest.raises(ValueError, match="NaN"):
+        C.contains(x)

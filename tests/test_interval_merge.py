@@ -1,0 +1,236 @@
+"""The interval-union closed forms against the nested loops they replaced.
+
+``optima._piecewise_extreme`` and ``sets._asym_interval_union`` /
+``sets._abs_dist_to_union`` (all query points at once) are merges over the
+sorted endpoint arrays of an interval union.  The loops below are the
+earlier implementations, kept as references: on every union the pieces
+cover, values and witnesses must be equal, not close.  Unions include
+infinite, zero-length and touching intervals; pieces may overlap.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from optstab.distances import absolute
+from optstab.extreal import INF, NEG_INF
+from optstab.instances import oscillating_blocks, oscillating_objective
+from optstab.optima import (LinearPiece, _piecewise_extreme, inf_over,
+                            piecewise_eval, piecewise_linear_objective, sup_over)
+from optstab.sets import (IntervalUnion, _abs_dist_to_union, _asym_interval_union,
+                          hausdorff, point_set_distance)
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+# ---------------------------------------------------------------------------
+# the nested loops, as references
+# ---------------------------------------------------------------------------
+
+def _ref_piecewise_extreme(pieces, A, want_max):
+    best = NEG_INF if want_max else INF
+    witness = None
+    for iv in A.intervals:
+        for p in pieces:
+            lo = max(iv.lo, p.lo)
+            hi = min(iv.hi, p.hi)
+            if lo > hi:
+                continue
+            for t in (lo, hi):
+                v = p.value(t)
+                if (want_max and v > best) or (not want_max and v < best):
+                    best, witness = v, t
+    if witness is None:
+        raise ValueError("piecewise descriptor does not cover the interval union")
+    return best, witness
+
+
+def _ref_abs_dist_to_union(x, A):
+    best = INF
+    for iv in A.intervals:
+        if iv.lo <= x <= iv.hi:
+            return 0.0
+        best = min(best, abs(x - iv.lo), abs(x - iv.hi))
+    return best
+
+
+def _ref_asym_interval_union(A, B):
+    candidates = []
+    for iv in A.intervals:
+        candidates.extend([iv.lo, iv.hi])
+    bs = B.intervals
+    for prev, nxt in zip(bs, bs[1:]):
+        mid = 0.5 * (prev.hi + nxt.lo)
+        for iv in A.intervals:
+            if iv.lo <= mid <= iv.hi:
+                candidates.append(mid)
+                break
+    return max(_ref_abs_dist_to_union(c, B) for c in candidates)
+
+
+def _brute_covers(pieces, A) -> bool:
+    """Every breakpoint of each closed interval of A, and a point between
+    each two consecutive ones, lies in some closed piece."""
+    def covered(t):
+        return any(p.lo <= t <= p.hi for p in pieces)
+    for iv in A.intervals:
+        cuts = sorted({iv.lo, iv.hi} | {e for p in pieces for e in (p.lo, p.hi)
+                                         if iv.lo < e < iv.hi})
+        between = []
+        for u, v in zip(cuts, cuts[1:]):
+            if math.isinf(u) and math.isinf(v):
+                between.append(0.0)
+            elif math.isinf(u):
+                between.append(v - 1.0)
+            elif math.isinf(v):
+                between.append(u + 1.0)
+            else:
+                between.append(0.5 * (u + v))
+        if not all(covered(t) for t in cuts + between):
+            return False
+    return True
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError:
+        return "ValueError"
+
+
+# ---------------------------------------------------------------------------
+# strategies: endpoints drawn from a coarse grid so that they collide
+# ---------------------------------------------------------------------------
+
+FINITE = st.one_of(st.integers(-8, 8).map(lambda v: v / 2.0), st.floats(-5, 5))
+ENDS = st.one_of(st.sampled_from([NEG_INF, INF]), FINITE, FINITE)
+
+
+@st.composite
+def unions(draw, ends=ENDS):
+    """Sorted endpoint lists cut into consecutive pairs: equal neighbours
+    give zero-length and touching intervals."""
+    e = sorted(draw(st.lists(ends, min_size=2, max_size=12)))
+    return IntervalUnion([(e[i], e[i + 1], draw(st.booleans()), draw(st.booleans()))
+                          for i in range(0, len(e) - 1, 2)])
+
+
+@st.composite
+def piece_lists(draw):
+    values = st.floats(-3, 3)
+    pieces = []
+    for _ in range(draw(st.integers(1, 8))):
+        lo, hi = sorted(draw(st.lists(ENDS, min_size=2, max_size=2)))
+        pieces.append(LinearPiece(lo, hi, draw(st.sampled_from([0.0, 1.0, -2.0]) | values),
+                                  draw(values), draw(st.none() | values),
+                                  draw(st.none() | values)))
+    if draw(st.booleans()):
+        wide = LinearPiece(NEG_INF, INF, draw(st.sampled_from([0.0, 0.5])), draw(values))
+        pieces.insert(draw(st.integers(0, len(pieces))), wide)
+    return pieces
+
+
+# ---------------------------------------------------------------------------
+# random unions and pieces
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(piece_lists(), unions(), st.booleans())
+def test_piecewise_extreme_equals_the_nested_loop(pieces, A, want_max):
+    got = _outcome(_piecewise_extreme, pieces, A, want_max)
+    if _brute_covers(pieces, A):
+        assert got == _outcome(_ref_piecewise_extreme, pieces, A, want_max)
+    else:
+        assert got == "ValueError"
+
+
+@SETTINGS
+@given(unions(), unions(), st.lists(ENDS, min_size=1, max_size=6))
+def test_interval_union_distances_equal_the_nested_loop(A, B, xs):
+    assert _abs_dist_to_union(np.array(xs), A).tolist() == [
+        _ref_abs_dist_to_union(x, A) for x in xs]
+    assert _asym_interval_union(A, B) == _ref_asym_interval_union(A, B)
+    assert _asym_interval_union(B, A) == _ref_asym_interval_union(B, A)
+
+
+@SETTINGS
+@given(unions(FINITE), st.lists(FINITE, min_size=1, max_size=6),
+       st.lists(st.floats(-3, 3), min_size=8, max_size=8), st.booleans())
+def test_sup_and_inf_match_a_grid_oracle(A, cuts, ys, want_max):
+    # a continuous piecewise-linear objective on [-10, 10], anchored at its
+    # breakpoints, so its extremes on A are at breakpoints or endpoints of A
+    xs = sorted({-10.0, 10.0, *cuts})
+    f = piecewise_linear_objective(
+        [LinearPiece.from_anchors(a, b, ys[i], ys[i + 1])
+         for i, (a, b) in enumerate(zip(xs, xs[1:]))])
+    grid = np.concatenate([np.linspace(iv.lo, iv.hi, 201) for iv in A.intervals]
+                          + [[x for x in xs if any(iv.lo <= x <= iv.hi for iv in A.intervals)]])
+    vals = [piecewise_eval(f.pieces, float(t)) for t in grid]
+    brute = max(vals) if want_max else min(vals)
+    out = (sup_over if want_max else inf_over)(f, A)
+    assert out.mode == "exact"
+    assert out.value == pytest.approx(brute, abs=1e-12)
+    assert f(out.witness) == out.value
+    assert any(iv.lo <= out.witness <= iv.hi for iv in A.intervals)
+
+
+# ---------------------------------------------------------------------------
+# ce33, every j
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("K", [20, 60, 120])
+def test_ce33_equals_the_nested_loop_for_every_j(K):
+    f, A = oscillating_objective(K), oscillating_blocks(K)
+    for j in [None, *range(2, K)]:
+        A_j = oscillating_blocks(K, extended_j=j)
+        for want_max in (True, False):
+            assert (repr(_piecewise_extreme(f.pieces, A_j, want_max))
+                    == repr(_ref_piecewise_extreme(f.pieces, A_j, want_max)))
+        assert _asym_interval_union(A, A_j) == _ref_asym_interval_union(A, A_j)
+        assert _asym_interval_union(A_j, A) == _ref_asym_interval_union(A_j, A)
+
+
+# ---------------------------------------------------------------------------
+# regressions
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ivs", [[(0.0, 1.0), (5.0, 6.0)], [(0.0, 2.0)]])
+def test_intervals_outside_the_pieces_raise(ivs):
+    # before, the uncovered part was skipped and (1.0, 1.0, "exact") returned
+    f = piecewise_linear_objective([LinearPiece(0.0, 1.0, 1.0, 0.0)])
+    A = IntervalUnion(ivs)
+    with pytest.raises(ValueError, match="cover"):
+        sup_over(f, A)
+    with pytest.raises(ValueError, match="cover"):
+        inf_over(f, A)
+
+
+def test_pieces_that_only_touch_still_cover():
+    f = piecewise_linear_objective([LinearPiece.from_anchors(0.0, 1.0, 0.0, 1.0),
+                                    LinearPiece.from_anchors(1.0, 2.0, 1.0, -1.0)])
+    A = IntervalUnion([(0.5, 2.0), (2.0, 2.0)])
+    assert sup_over(f, A).value == 1.0 and sup_over(f, A).witness == 1.0
+    assert inf_over(f, A).value == -1.0 and inf_over(f, A).witness == 2.0
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    ([(0.0, INF)], [(1.0, INF)], 1.0),
+    ([(NEG_INF, 0.0)], [(NEG_INF, 1.0)], 1.0),
+    ([(NEG_INF, INF)], [(0.0, 1.0)], INF),
+    ([(NEG_INF, INF)], [(NEG_INF, INF)], 0.0),
+    ([(1.0, 1.0)], [(0.0, 2.0)], 1.0),                    # zero-length
+    ([(0.0, 1.0), (1.0, 2.0)], [(0.0, 2.0)], 0.0),        # touching: b.lo == a.hi
+    ([(0.0, 1.0), (1.0, 1.0), (1.0, 3.0)], [(0.0, 0.0), (3.0, 3.0)], 1.5),
+])
+def test_infinite_zero_length_and_touching_intervals(a, b, expected):
+    rep = hausdorff(absolute(), IntervalUnion(a), IntervalUnion(b))
+    assert rep.mode == "exact"
+    assert rep.value == expected
+
+
+@pytest.mark.parametrize("x, expected", [(INF, 0.0), (NEG_INF, INF), (5.0, 0.0), (-2.0, 2.0)])
+def test_point_distance_to_a_union_with_an_infinite_end(x, expected):
+    assert point_set_distance(absolute(), x, IntervalUnion([(0.0, INF)])).value == expected
