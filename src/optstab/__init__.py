@@ -7,7 +7,7 @@ gradient-Lipschitz ladders, and a bracketed convergence scheme for optimal
 values over approximating sets.
 """
 
-from .extreal import INF, NEG_INF, inf_of, scale, sup_of
+from .extreal import INF, NEG_INF, inf_of, row_form, scale, sup_of
 from .distances import (PseudoDistance, absolute, energy_ladder, euclidean,
                         eval_distance, gauge_distance)
 from .gauges import GaugeSet, InvalidGaugeError, conjugate_gauge, minkowski_gauge

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .extreal import INF, check_extended_real
+from .extreal import INF, call_one, check_extended_real, is_row_form, row_form
 from .gauges import GaugeSet, minkowski_gauge
 
 SYMMETRIC = "symmetric"
@@ -42,6 +42,8 @@ def eval_distance(d: PseudoDistance, x, y) -> float:
         for p in (x, y):
             p = np.asarray(p, dtype=float)
             _check_dim(d, 1 if p.ndim == 0 else p.shape[-1])
+    if is_row_form(d.fn):
+        return check_extended_real(call_one(d.fn, x, y))
     return check_extended_real(d.fn(x, y))
 
 
@@ -96,11 +98,12 @@ def energy_ladder() -> PseudoDistance:
 
 
 def gauge_distance(C: GaugeSet, name: Optional[str] = None) -> PseudoDistance:
-    """d(x, y) = M_C(y - x): the (possibly asymmetric) gauge pseudo-distance."""
+    """d(x, y) = M_C(y - x): the (possibly asymmetric) gauge pseudo-distance,
+    in row form: ``fn(X, Y)`` gives the gauges of the rows of Y - X."""
     props = {NONNEGATIVE, TRIANGLE, IDENTITY}
     return PseudoDistance(
         name=name or f"gauge[{C.kind}]",
-        fn=lambda x, y: minkowski_gauge(C, np.asarray(y, float) - np.asarray(x, float)),
+        fn=row_form(lambda X, Y: minkowski_gauge(C, np.asarray(Y, float) - np.asarray(X, float))),
         ambient_dim=C.dim,
         properties=frozenset(props),
     )

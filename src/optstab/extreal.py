@@ -5,12 +5,17 @@ Extended reals are represented as plain IEEE floats: ``math.inf`` and
 the extended-real order (-inf < r < inf for every finite r).  NaN is never
 a legal value; the helpers below guard the two places where IEEE and
 extended-real arithmetic disagree (0 * inf, empty sup/inf).
+
+The module also holds :func:`row_form`, the mark of callables that take
+one point per row, which the distance, set and optimum layers all read.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable
+
+import numpy as np
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -50,6 +55,40 @@ def inf_of(values: Iterable[float]) -> float:
         if v < best:
             best = v
     return best
+
+
+def row_form(fn):
+    """Mark ``fn`` as a row-form callable and return it.
+
+    A row-form callable takes float (n, dim) arrays, one point per row, and
+    returns n values: one per row for a membership oracle or an objective,
+    d(x_i, y_i) for a pseudo-distance called as fn(X, Y) on two arrays of
+    the same shape.  The library calls a marked callable only this way, a
+    single point as a row of one.  Unmarked callables are called per point.
+    The mark is a declaration: many one-point callables run on an array
+    without error and return a wrong array of the right shape.
+    """
+    fn._row_form = True
+    return fn
+
+
+def is_row_form(fn) -> bool:
+    return getattr(fn, "_row_form", False) is True
+
+
+def call_rows(fn, n: int, *rows, dtype=float) -> np.ndarray:
+    """fn(*rows) for a row-form ``fn`` on n rows; any other result shape
+    than (n,) raises ValueError."""
+    out = np.asarray(fn(*rows), dtype=dtype)
+    if out.shape != (n,):
+        raise ValueError(f"a row-form callable returned shape {out.shape} for {n} rows")
+    return out
+
+
+def call_one(fn, *points, dtype=float):
+    """A row-form ``fn`` at single points, each passed as a row of one."""
+    return call_rows(fn, 1, *(np.reshape(np.asarray(p, dtype=float), (1, -1))
+                              for p in points), dtype=dtype)[0]
 
 
 def scale(alpha: float, x: float) -> float:

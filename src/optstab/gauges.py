@@ -116,8 +116,9 @@ def _as_points(x) -> np.ndarray:
 
     One point is tested by its sum of squares, which is NaN exactly when a
     coordinate is (no term is negative, so inf - inf cannot occur): one dot
-    product, the cheapest test for a form that the gauge distances call per
-    pair.  Rows are tested elementwise, which starts no BLAS threads.
+    product, the cheapest test for a form that the vertex and oracle row
+    forms call per row.  Rows are tested elementwise, which starts no BLAS
+    threads.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
@@ -157,7 +158,7 @@ def minkowski_gauge(C: GaugeSet, x, tol: float = DEFAULT_GAUGE_TOL):
         # For C = {x : a_i . x <= b_i} with all b_i >= 0:
         # rows with b_i > 0 contribute a_i.x / b_i; rows with b_i = 0 force
         # +inf when a_i.x > 0 and are ignored otherwise.
-        # (Python floats: this loop runs once per pair in a gauge distance)
+        # (Python floats: the one-point gauges of the linear layer run it)
         value = 0.0
         for axi, bi in zip((C.halfspace_A @ x).tolist(), C.halfspace_b.tolist()):
             if bi == 0.0:

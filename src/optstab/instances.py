@@ -18,7 +18,7 @@ import numpy as np
 
 from .distances import (absolute, binding_energy, energy_ladder, euclidean,
                         gauge_distance)
-from .extreal import INF, NEG_INF
+from .extreal import INF, NEG_INF, row_form
 from .gauges import GaugeSet, minkowski_gauge
 from .ladder import SmoothProblem
 from .linear import decompose, pseudo_inverse
@@ -315,7 +315,7 @@ def _build_mixed_box() -> InstanceCatalogEntry:
         [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
         [1.0, 1.0, 1.0, 1.0])
     L = np.array([[1.0, 0.0]])
-    f = ObjectiveFn(fn=lambda x: float(x[1]) ** 2 + float(x[0]),
+    f = ObjectiveFn(fn=row_form(lambda X: X[:, 1] ** 2 + X[:, 0]),
                     regularity=Lipschitz(3.0), bounded_below=True,
                     name="x2^2 + x1")
     # phi(t) = inf over the vertical segment {t} x [-1,1]: attained at x2 = 0
@@ -332,9 +332,18 @@ def _build_mixed_box() -> InstanceCatalogEntry:
 
 
 def target_distance_objective(target) -> ObjectiveFn:
+    """f(x) = ||target - x||, 1-Lipschitz, in row form."""
     target = np.asarray(target, dtype=float)
+
+    @row_form
+    def fn(X):
+        # the stacked row products round as np.linalg.norm of one point
+        # does; norm(axis=1) and einsum sum in another order
+        D = target - X
+        return np.sqrt(D[:, None, :] @ D[:, :, None]).reshape(len(D))
+
     return ObjectiveFn(
-        fn=lambda x: float(np.linalg.norm(target - np.atleast_1d(x))),
+        fn=fn,
         regularity=Lipschitz(1.0), bounded_below=True,
         name="distance-to-target")
 

@@ -165,16 +165,20 @@ def _verify_level(P: SmoothProblem, t: float, lam: float,
     """Sampled gradient-difference check: ||g(x)-g(y)|| <= lam ||x-y|| for
     x, y in (ball of radius t) within the feasible region.  Points are drawn
     one at a time, in chunks of the number still needed, so the generator
-    stream does not depend on the chunking.  A NaN ratio raises ValueError."""
+    stream does not depend on the chunking; scalar draws give the stream of
+    ``standard_normal(dim)`` then ``uniform()`` per point, at less cost per
+    call.  A NaN ratio raises ValueError."""
     need, tries_left = 2 * n_pairs, 40 * n_pairs
     chunks, n_pts = [np.empty((0, P.dim))], 0
+    normal, uniform, dims, power = rng.standard_normal, rng.random, range(P.dim), 1.0 / P.dim
     while n_pts < need and tries_left > 0:
         k = min(need - n_pts, tries_left)
         tries_left -= k
-        U, r = np.empty((k, P.dim)), np.empty(k)
-        for j in range(k):
-            U[j] = rng.standard_normal(P.dim)
-            r[j] = t * rng.uniform() ** (1.0 / P.dim)
+        u, r = [], []
+        for _ in range(k):
+            u.extend([normal() for _ in dims])
+            r.append(t * uniform() ** power)
+        U, r = np.array(u).reshape(k, P.dim), np.array(r)
         U /= np.maximum(np.linalg.norm(U, axis=1), 1e-30)[:, None]
         X = P.y0 + r[:, None] * U
         chunks.append(X[P.feasible(X)])

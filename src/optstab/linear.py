@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .distances import PseudoDistance, euclidean
-from .extreal import INF
+from .extreal import INF, row_form
 from .gauges import GaugeSet, as_magnitude, minkowski_gauge
 from .optima import Lipschitz, ObjectiveFn, VerdictReport
 from .parametric import (ParamFamily, ValueFunction, _delta_search,
@@ -395,6 +395,16 @@ def _interior_point_in_slice(A_hs, b_hs, L, t):
     return res.x[:n], float(res.x[-1])
 
 
+def _slice_member(lm: LinearMap, t, A_hs, b_hs) -> Callable:
+    """Row-form membership in {x : L x = t} (to 10 tol_lin) within
+    {x : A_hs x <= b_hs} (to 1e-9)."""
+    @row_form
+    def member(X):
+        ok_eq = np.linalg.norm(X @ lm.matrix.T - t, axis=1) <= lm.tol_lin * 10
+        return ok_eq & np.all(X @ A_hs.T <= b_hs + 1e-9, axis=1)
+    return member
+
+
 def example_mixed_constraints(f: ObjectiveFn, L, C: GaugeSet,
                               probe_params: Sequence, s0,
                               eps_grid: Sequence[float] = (0.5, 0.1),
@@ -424,16 +434,12 @@ def example_mixed_constraints(f: ObjectiveFn, L, C: GaugeSet,
             return None
         K = lm.kernel_basis
 
-        def member(x):
-            x = np.asarray(x, float).ravel()
-            ok_eq = np.linalg.norm(lm.matrix @ x - t_arr) <= lm.tol_lin * 10
-            return bool(ok_eq and np.all(A_hs @ x <= b_hs + 1e-9))
-
         def sampler(n, rg):
             z = rg.uniform(-bound_r, bound_r, size=(n, K.shape[1]))
             return x0 + z @ K.T
 
-        return ImplicitSampled(member=member, sampler=sampler, dim=lm.matrix.shape[1],
+        return ImplicitSampled(member=_slice_member(lm, t_arr, A_hs, b_hs),
+                               sampler=sampler, dim=lm.matrix.shape[1],
                                witness=x0)
 
     admissible, excluded = [], []

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .distances import PseudoDistance
-from .extreal import INF, NEG_INF, scale
+from .extreal import INF, NEG_INF, call_one, call_rows, is_row_form, row_form, scale
 from .sets import (DEFAULT_BUDGET, FiniteCloud, Interval, IntervalUnion,
                    SetModel, _endpoints, asym_hausdorff, hausdorff)
 
@@ -48,9 +48,10 @@ class ContinuousOnly:
 
 @dataclass(frozen=True)
 class LinearPiece:
-    """Linear piece on [lo, hi].  Optional endpoint anchors ``val_lo`` /
-    ``val_hi`` pin the exact values at the breakpoints (float evaluation of
-    slope*t + intercept can miss a breakpoint value by rounding)."""
+    """Linear piece on [lo, hi], which may reach +/-inf.  Optional endpoint
+    anchors ``val_lo`` / ``val_hi`` pin the exact values at the breakpoints
+    (float evaluation of slope*t + intercept can miss a breakpoint value by
+    rounding).  A NaN endpoint or lo > hi raises ValueError."""
     lo: float
     hi: float
     slope: float
@@ -58,17 +59,30 @@ class LinearPiece:
     val_lo: Optional[float] = None
     val_hi: Optional[float] = None
 
+    def __post_init__(self):
+        if not self.lo <= self.hi:
+            raise ValueError(f"linear piece [{self.lo}, {self.hi}] is empty or NaN")
+
     def value(self, t: float) -> float:
         if self.val_lo is not None and t == self.lo:
             return self.val_lo
         if self.val_hi is not None and t == self.hi:
             return self.val_hi
-        return self.slope * t + self.intercept
+        st = self.slope * t   # NaN only for 0 * (+/-inf) or a NaN slope
+        return (st if st == st else _times(self.slope, t)) + self.intercept
 
     @staticmethod
     def from_anchors(lo: float, hi: float, val_lo: float, val_hi: float) -> "LinearPiece":
         slope = 0.0 if hi == lo else (val_hi - val_lo) / (hi - lo)
-        return LinearPiece(lo, hi, slope, val_lo - slope * lo, val_lo, val_hi)
+        return LinearPiece(lo, hi, slope, val_lo - _times(slope, lo), val_lo, val_hi)
+
+
+def _times(a: float, t: float) -> float:
+    """a * t with 0 * (+/-inf) = (+/-inf) * 0 = 0, for a factor of either
+    sign (``scale`` takes nonnegative ones); IEEE, signed zeros included,
+    everywhere else."""
+    p = a * t
+    return 0.0 if math.isnan(p) and (a == 0.0 or t == 0.0) else p
 
 
 def piecewise_eval(pieces: Sequence[LinearPiece], t: float) -> float:
@@ -89,6 +103,8 @@ class ObjectiveFn:
     name: str = "f"
 
     def __call__(self, x) -> float:
+        if is_row_form(self.fn):
+            return float(call_one(self.fn, x))
         return float(self.fn(x))
 
     def negated(self) -> "ObjectiveFn":
@@ -100,7 +116,8 @@ class ObjectiveFn:
                             None if p.val_hi is None else -p.val_hi)
                 for p in self.pieces)
         return ObjectiveFn(
-            fn=lambda x: -float(self.fn(x)),
+            fn=(row_form(lambda X: -np.asarray(self.fn(X), dtype=float))
+                if is_row_form(self.fn) else lambda x: -float(self.fn(x))),
             regularity=self.regularity,
             pieces=pieces,
             exact_sup=(None if self.exact_inf is None
@@ -182,9 +199,10 @@ def _extreme(f: ObjectiveFn, A, budget: int, rng: Optional[np.random.Generator],
              want_max: bool) -> OptValue:
     """SUP_f(A) if ``want_max`` else INF_f(A): exact on probe lists, finite
     clouds, exact hooks and piecewise objectives over interval unions, and
-    a sampled estimate otherwise.  A NaN objective value, a NaN from an
-    exact hook, or pieces that do not cover the closure of every interval
-    of an interval union raise ValueError."""
+    a sampled estimate otherwise.  A row-form objective is called once on
+    all the points, any other once per point.  A NaN objective value, a NaN
+    from an exact hook, or pieces that do not cover the closure of every
+    interval of an interval union raise ValueError."""
     pick = np.argmax if want_max else np.argmin
     mode = "exact"
     if isinstance(A, (list, tuple, np.ndarray)):
@@ -206,12 +224,14 @@ def _extreme(f: ObjectiveFn, A, budget: int, rng: Optional[np.random.Generator],
             return OptValue(v, w, "exact")
         rng = rng if rng is not None else np.random.default_rng(0)
         pts, mode = A.sample(budget, rng), "sampled"
-    vals = [f(p) for p in pts]
-    arr = np.asarray(vals)
-    if np.isnan(arr).any():
+    if is_row_form(f.fn):
+        vals = call_rows(f.fn, len(pts), np.asarray(pts, dtype=float).reshape(len(pts), -1))
+    else:
+        vals = np.asarray([float(f.fn(p)) for p in pts])
+    if np.isnan(vals).any():
         raise ValueError(f"{f.name} is NaN on a point of the set")
-    i = int(pick(arr))
-    return OptValue(vals[i], pts[i], mode)
+    i = int(pick(vals))
+    return OptValue(float(vals[i]), pts[i], mode)
 
 
 def sup_over(f: ObjectiveFn, A, budget: int = DEFAULT_BUDGET,

@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .distances import PseudoDistance, _absolute, _check_dim, _euclidean
-from .extreal import INF, check_extended_real
+from .extreal import INF, call_one, call_rows, check_extended_real, is_row_form
 
 DEFAULT_BUDGET = 2048
 
@@ -239,7 +239,8 @@ class ImplicitSampled(SetModel):
 
     def __init__(self, member, sampler, dim, witness, budget=DEFAULT_BUDGET):
         witness = np.asarray(witness, dtype=float)
-        if not member(witness):
+        if not (call_one(member, witness, dtype=bool) if is_row_form(member)
+                else member(witness)):
             raise ValueError("witness point fails the membership oracle")
         object.__setattr__(self, "member", member)
         object.__setattr__(self, "sampler", sampler)
@@ -251,10 +252,16 @@ class ImplicitSampled(SetModel):
         return self._witness
 
     def sample(self, n, rng):
-        pts = np.atleast_2d(np.asarray(self.sampler(n, rng), dtype=float))
-        keep = [p for p in pts if self.member(p)]
-        keep.append(self._witness)
-        return np.asarray(keep)
+        """The sampled points that pass the membership oracle, then the
+        witness, one point per row; a 1-D sampler output in dimension 1
+        holds one point per entry."""
+        pts = np.asarray(self.sampler(n, rng), dtype=float)
+        pts = pts[:, None] if pts.ndim == 1 and self.dim == 1 else np.atleast_2d(pts)
+        if is_row_form(self.member):
+            keep = call_rows(self.member, len(pts), pts, dtype=bool)
+        else:
+            keep = np.array([bool(self.member(p)) for p in pts], dtype=bool)
+        return np.concatenate([pts[keep], self._witness.reshape(1, -1)])
 
 
 @dataclass(frozen=True)
@@ -456,6 +463,9 @@ def _pairwise_min(d: PseudoDistance, P, Q, orientation: str) -> np.ndarray:
     """min over q in Q of d(p, q) (of d(q, p) if "to_point"), for each p in P.
 
     P and Q hold one point per row, or one scalar per entry in dimension 1.
+    The kernels of euclidean() and absolute() go to ``cdist`` and a row-form
+    d to one call per block of pairs, each call with at most _CDIST_BLOCK
+    entries; any other d is called once per pair.  NaN raises ValueError.
     """
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     rows_p, rows_q = P.reshape(len(P), -1), Q.reshape(len(Q), -1)
@@ -465,13 +475,25 @@ def _pairwise_min(d: PseudoDistance, P, Q, orientation: str) -> np.ndarray:
     if metric is not None:
         from scipy.spatial.distance import cdist
         step = max(1, _CDIST_BLOCK // max(1, len(rows_q)))
-        out = np.concatenate([cdist(rows_p[i:i + step], rows_q, metric).min(axis=1)
-                              for i in range(0, max(1, len(rows_p)), step)])
-        if np.isnan(out).any():
-            raise ValueError("NaN is not an extended real")
-        return out
-    fn = d.fn if orientation == "from_point" else (lambda p, q: d.fn(q, p))
-    return np.array([min(check_extended_real(fn(p, q)) for q in Q) for p in P])
+
+        def block(rows):
+            return cdist(rows, rows_q, metric)
+    elif is_row_form(d.fn):
+        step = max(1, _CDIST_BLOCK // max(1, rows_q.size))
+
+        def block(rows):
+            X, Y = np.repeat(rows, len(rows_q), axis=0), np.tile(rows_q, (len(rows), 1))
+            if orientation == "to_point":
+                X, Y = Y, X
+            return call_rows(d.fn, len(X), X, Y).reshape(len(rows), len(rows_q))
+    else:
+        fn = d.fn if orientation == "from_point" else (lambda p, q: d.fn(q, p))
+        return np.array([min(check_extended_real(fn(p, q)) for q in Q) for p in P])
+    out = np.concatenate([block(rows_p[i:i + step]).min(axis=1)
+                          for i in range(0, max(1, len(rows_p)), step)])
+    if np.isnan(out).any():
+        raise ValueError("NaN is not an extended real")
+    return out
 
 
 def _point_distances(d: PseudoDistance, P, B: SetModel, budget: int,

@@ -255,13 +255,17 @@ def test_first_strict_maximum_starts_the_refinement():
 
 
 class _ConstantDraws:
-    """Every direction (1, ..., 1) and every uniform 0.5: all points coincide."""
+    """Every direction (1, ..., 1) and every uniform 0.5: all points coincide.
+    Both the array draws of the reference loop and the scalar draws of
+    ``_verify_level`` are served."""
 
-    def standard_normal(self, size):
-        return np.ones(size)
+    def standard_normal(self, size=None):
+        return 1.0 if size is None else np.ones(size)
 
     def uniform(self):
         return 0.5
+
+    random = uniform
 
 
 def test_coincident_pairs_are_skipped():

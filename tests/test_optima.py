@@ -250,3 +250,24 @@ def test_nan_from_an_exact_hook_raises(hook):
     op = sup_over if hook == "exact_sup" else inf_over
     with pytest.raises(ValueError, match="NaN"):
         op(f, IntervalUnion([(0.0, 1.0)]))
+
+
+def test_zero_slope_at_an_infinite_endpoint_is_zero():
+    # 0 * (+/-inf) = 0: the piece covers the union, so its value is 5
+    f = piecewise_linear_objective([LinearPiece(-INF, INF, 0.0, 5.0)])
+    for A in (IntervalUnion([(INF, INF)]), IntervalUnion([(-INF, -INF)]),
+              IntervalUnion([(-INF, INF)])):
+        for op in (sup_over, inf_over):
+            out = op(f, A)
+            assert (out.value, out.mode) == (5.0, "exact")
+    assert LinearPiece(-INF, 0.0, -0.0, 1.0).value(-INF) == 1.0
+    assert LinearPiece(0.0, INF, -2.0, 1.0).value(INF) == -INF
+    # an anchored piece with an infinite end keeps a finite intercept
+    p = LinearPiece.from_anchors(-INF, 1.0, 3.0, 3.0)
+    assert (p.slope, p.intercept, p.value(-INF), p.value(0.0)) == (0.0, 3.0, 3.0, 3.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.nan), (INF, -INF)])
+def test_empty_or_nan_pieces_are_refused(lo, hi):
+    with pytest.raises(ValueError):
+        LinearPiece(lo, hi, 1.0, 0.0)
