@@ -87,14 +87,23 @@ def energy_ladder() -> PseudoDistance:
     The energy one invests to move an electron from level x to level y;
     negative values mean energy is gained.  Asymmetric (d(y,x) = -d(x,y))
     and satisfies d(x,x) = 0 and the (degenerate, additive) triangle
-    equality, but is not nonnegative.
+    equality, but is not nonnegative.  In row form: ``fn(X, Y)`` gives
+    E(y_i) - E(x_i) for the rows of two (n, 1) arrays of levels, each level
+    truncated to an integer; a level below 1 raises ValueError.
     """
     return PseudoDistance(
         name="energy-ladder",
-        fn=lambda x, y: binding_energy(int(y)) - binding_energy(int(x)),
-        ambient_dim=None,
+        fn=row_form(_energy_gaps),
+        ambient_dim=1,
         properties=frozenset({IDENTITY, TRIANGLE}),
     )
+
+
+def _energy_gaps(X, Y) -> np.ndarray:
+    nx, ny = np.trunc(X[:, 0]), np.trunc(Y[:, 0])
+    if not (nx >= 1.0).all() or not (ny >= 1.0).all():
+        raise ValueError("energy levels are the integers 1, 2, ...")
+    return -13.6 / ny ** 2 - (-13.6 / nx ** 2)      # binding_energy, per row
 
 
 def gauge_distance(C: GaugeSet, name: Optional[str] = None) -> PseudoDistance:

@@ -12,9 +12,8 @@ which may be asymmetric and may attain +inf.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -87,115 +86,85 @@ class GaugeSet:
     def contains(self, x, tol: float = 1e-9):
         """Membership of one point, or a boolean array over the rows of an
         (n, dim) array.  A NaN coordinate raises ValueError."""
-        x = _as_points(x)
-        if x.ndim == 2:
-            _check_dim(x.shape[1], self.dim)
-            if self.kind == "halfspaces":
-                return np.all(x @ self.halfspace_A.T <= self.halfspace_b + tol, axis=1)
-            if self.kind == "ball":
-                return np.linalg.norm(x, axis=1) <= self.radius + tol
-            return np.array([self.contains(p, tol) for p in x], dtype=bool)
-        x = x.ravel()
-        _check_dim(x.shape[0], self.dim)
+        X, one = _as_rows(x, self.dim)
         if self.kind == "halfspaces":
-            return bool(np.all(self.halfspace_A @ x <= self.halfspace_b + tol))
-        if self.kind == "ball":
-            return bool(np.linalg.norm(x) <= self.radius + tol)
-        if self.kind == "vertices":
-            nv = self.vertices.shape[0]
-            A_eq = np.vstack([self.vertices.T, np.ones((1, nv))])
-            b_eq = np.concatenate([x, [1.0]])
-            res = linprog(np.zeros(nv), A_eq=A_eq, b_eq=b_eq,
-                          bounds=[(0, None)] * nv, method="highs")
-            return bool(res.status == 0)
-        return bool(self.member(x))
+            inside = np.all(X @ self.halfspace_A.T <= self.halfspace_b + tol, axis=1)
+        elif self.kind == "ball":
+            inside = np.linalg.norm(X, axis=1) <= self.radius + tol
+        else:
+            member = self.member if self.kind == "oracle" else self._in_hull
+            inside = np.array([bool(member(p)) for p in X], dtype=bool)
+        return bool(inside[0]) if one else inside
+
+    def _in_hull(self, x) -> bool:
+        nv = self.vertices.shape[0]
+        A_eq = np.vstack([self.vertices.T, np.ones((1, nv))])
+        b_eq = np.concatenate([x, [1.0]])
+        res = linprog(np.zeros(nv), A_eq=A_eq, b_eq=b_eq,
+                      bounds=[(0, None)] * nv, method="highs")
+        return res.status == 0
 
 
-def _as_points(x) -> np.ndarray:
-    """x as a float array; a NaN coordinate raises ValueError.
-
-    One point is tested by its sum of squares, which is NaN exactly when a
-    coordinate is (no term is negative, so inf - inf cannot occur): one dot
-    product, the cheapest test for a form that the vertex and oracle row
-    forms call per row.  Rows are tested elementwise, which starts no BLAS
-    threads.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        has_nan = bool(np.isnan(x).any())
-    else:
-        flat = x.ravel()
-        has_nan = math.isnan(flat.dot(flat))
-    if has_nan:
+def _as_rows(x, dim: int) -> Tuple[np.ndarray, bool]:
+    """x as an (n, dim) float array, and whether x is one point: anything
+    but a 2-D array is raveled to a row of one.  A NaN coordinate or a
+    wrong dim raises ValueError."""
+    X = np.asarray(x, dtype=float)
+    one = X.ndim != 2
+    if one:
+        X = X.reshape(1, -1)
+    if np.isnan(X).any():
         raise ValueError("NaN is not a coordinate of a point")
-    return x
-
-
-def _check_dim(got: int, dim: int) -> None:
-    if got != dim:
-        raise ValueError(f"point has dim {got}, gauge set has dim {dim}")
+    if X.shape[1] != dim:
+        raise ValueError(f"point has dim {X.shape[1]}, gauge set has dim {dim}")
+    return X, one
 
 
 def minkowski_gauge(C: GaugeSet, x, tol: float = DEFAULT_GAUGE_TOL):
     """Gauge value M_C(x) in [0, inf] of one point, or an array of the
     gauges of the rows of an (n, dim) array.  A NaN coordinate raises
     ValueError."""
-    x = _as_points(x)
-    if x.ndim == 2:
-        _check_dim(x.shape[1], C.dim)
-        if C.kind == "halfspaces":
-            # the rule below, row-wise: rows with b_i = 0 give 0 or +inf
-            ax, b = x @ C.halfspace_A.T, C.halfspace_b
-            ratio = np.divide(ax, b, out=np.where(ax > tol, INF, 0.0), where=b > 0.0)
-            return ratio.max(axis=1, initial=0.0)
-        if C.kind == "ball":
-            return np.linalg.norm(x, axis=1) / C.radius
-        return np.array([minkowski_gauge(C, p, tol) for p in x])
-    x = x.ravel()
-    _check_dim(x.shape[0], C.dim)
-
+    X, one = _as_rows(x, C.dim)
     if C.kind == "halfspaces":
         # For C = {x : a_i . x <= b_i} with all b_i >= 0:
         # rows with b_i > 0 contribute a_i.x / b_i; rows with b_i = 0 force
         # +inf when a_i.x > 0 and are ignored otherwise.
-        # (Python floats: the one-point gauges of the linear layer run it)
-        value = 0.0
-        for axi, bi in zip((C.halfspace_A @ x).tolist(), C.halfspace_b.tolist()):
-            if bi == 0.0:
-                if axi > tol:
-                    return INF
-            else:
-                value = max(value, axi / bi)
-        return max(0.0, value)
+        ax, b = X @ C.halfspace_A.T, C.halfspace_b
+        ratio = np.divide(ax, b, out=np.where(ax > tol, INF, 0.0), where=b > 0.0)
+        g = ratio.max(axis=1, initial=0.0)
+    elif C.kind == "ball":
+        g = np.linalg.norm(X, axis=1) / C.radius
+    else:
+        # per row, on the unit direction: M_C(x) = ||x|| M_C(x / ||x||), so
+        # the absolute tolerances of the LP and the bisection are relative
+        # to ||x||, and a small x is not rounded to the origin
+        unit = _hull_gauge if C.kind == "vertices" else _ray_gauge
+        norms = np.linalg.norm(X, axis=1)
+        g = np.array([n * unit(C, p / n, tol) if n > 0.0 else 0.0
+                      for p, n in zip(X, norms.tolist())])
+    return float(g[0]) if one else g
 
-    if C.kind == "ball":
-        return float(np.linalg.norm(x)) / C.radius
 
-    if C.kind == "vertices":
-        # x in mu*C  iff  x = sum c_i v_i with c >= 0, sum c_i = mu.
-        if np.allclose(x, 0.0):
-            return 0.0
-        nv = C.vertices.shape[0]
-        res = linprog(np.ones(nv), A_eq=C.vertices.T, b_eq=x,
-                      bounds=[(0, None)] * nv, method="highs")
-        if res.status != 0:
-            return INF
-        return float(res.fun)
+def _hull_gauge(C: GaugeSet, u, tol: float) -> float:
+    # u in mu*C  iff  u = sum c_i v_i with c >= 0, sum c_i = mu.
+    nv = C.vertices.shape[0]
+    res = linprog(np.ones(nv), A_eq=C.vertices.T, b_eq=u,
+                  bounds=[(0, None)] * nv, method="highs")
+    return float(res.fun) if res.status == 0 else INF
 
-    # Oracle representation: membership along the ray is monotone in mu
-    # (convexity plus 0 in C), so bracket and bisect.
-    if np.allclose(x, 0.0):
-        return 0.0
-    norm_x = float(np.linalg.norm(x))
-    mu_max = max(1.0, norm_x) * max(1.0, C.bounding_radius) * 1e6
-    if not C.member(x / mu_max):
+
+def _ray_gauge(C: GaugeSet, u, tol: float) -> float:
+    # Membership along the ray is monotone in mu (convexity plus 0 in C),
+    # so bracket and bisect.
+    mu_max = max(1.0, C.bounding_radius) * 1e6
+    if not C.member(u / mu_max):
         return INF
     lo, hi = 0.0, mu_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if C.member(x / mid):
+        if C.member(u / mid):
             hi = mid
         else:
             lo = mid

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .distances import (absolute, binding_energy, energy_ladder, euclidean,
-                        gauge_distance)
+                        eval_distance, gauge_distance)
 from .extreal import INF, NEG_INF, row_form
 from .gauges import GaugeSet, minkowski_gauge
 from .ladder import SmoothProblem
@@ -129,20 +129,21 @@ def _seg_sine_extremes(k: int, u: float) -> Tuple[float, float, float, float]:
     1 + 1/k, together with attaining arguments, via stationary points
     2*pi/(1 + 1/k - t) = pi/2 + pi*l.  Returns (inf, t_inf, sup, t_sup)."""
     c = 1.0 + 1.0 / k
-    vals = [(math.sin(2 * math.pi / (c - 1.0)), 1.0)]  # endpoint t = 1 (value 0)
+    vals = [(0.0, 1.0)]  # endpoint t = 1, where f is 0
     # stationary arguments t_l = c - 4/(1 + 2l) with value (-1)^l
     l = max(0, math.ceil((4.0 / (c - 1.0) - 1.0) / 2.0) - 1)
+    # t_l increases with l, so the scan stops at u or at a max and a min
     found_pos = found_neg = False
     while not (found_pos and found_neg):
         t_l = c - 4.0 / (1.0 + 2.0 * l)
-        if 1.0 <= t_l < u:
+        if t_l >= u:
+            break
+        if t_l >= 1.0:
             v = 1.0 if l % 2 == 0 else -1.0
             vals.append((v, t_l))
             found_pos = found_pos or v > 0
             found_neg = found_neg or v < 0
         l += 1
-        if l > 10 ** 9:
-            break
     lo = min(vals, key=lambda p: p[0])
     hi = max(vals, key=lambda p: p[0])
     return lo[0], lo[1], hi[0], hi[1]
@@ -183,7 +184,8 @@ def segment_sine_objective(K: int) -> ObjectiveFn:
                 u_eff = min(u, 1.0 + 1.0 / k)
                 lo, _, hi, _ = _seg_sine_extremes(k, u_eff)
                 cand.extend([lo, hi])
-                if closed and u < 1.0 + 1.0 / k:
+                if u < 1.0 + 1.0 / k:
+                    # f is continuous up to u: an open end's limit bounds the extremes too
                     cand.append(math.sin(2.0 * math.pi / (1.0 + 1.0 / k - u)))
             v = max(cand) if want_max else min(cand)
             if (want_max and v > best) or (not want_max and v < best):
@@ -412,8 +414,8 @@ def _build_energy_ladder() -> InstanceCatalogEntry:
     A = FiniteCloud([2.0])
     B = FiniteCloud([1.0])
     goldens = [
-        ("d(1, 2)", binding_energy(2) - binding_energy(1), d.fn(1, 2)),
-        ("d(2, 1)", binding_energy(1) - binding_energy(2), d.fn(2, 1)),
+        ("d(1, 2)", binding_energy(2) - binding_energy(1), eval_distance(d, 1, 2)),
+        ("d(2, 1)", binding_energy(1) - binding_energy(2), eval_distance(d, 2, 1)),
         ("D_H({2}, {1})", 10.2, hausdorff(d, A, B).value),
     ]
     return InstanceCatalogEntry(

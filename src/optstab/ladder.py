@@ -66,6 +66,20 @@ def _hess_values(P: SmoothProblem, X) -> np.ndarray:
     return v
 
 
+def _on_sphere(y0: np.ndarray, t: float, dirs: np.ndarray) -> np.ndarray:
+    """y0 + t u for each unit row u of dirs, each pulled toward y0 until its
+    rounded distance from y0 is at most t: rounding would otherwise put
+    some of the sphere outside the closed ball."""
+    S = t * dirs
+    X = y0 + S
+    r = np.linalg.norm(X - y0, axis=1)
+    while (out := r > t).any():
+        S[out] *= ((t / r[out]) * (1.0 - np.finfo(float).eps))[:, None]
+        X[out] = y0 + S[out]
+        r[out] = np.linalg.norm(X[out] - y0, axis=1)
+    return X
+
+
 def hessian_sup(P: SmoothProblem, t: float,
                 rng: Optional[np.random.Generator] = None) -> tuple:
     """sup of the Hessian norm over (ball of radius t around y0) within the
@@ -99,7 +113,7 @@ def hessian_sup(P: SmoothProblem, t: float,
     # boundary then interior samples, then local coordinate refinement
     dirs = rng.standard_normal((HESSIAN_SAMPLES, P.dim))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1)[:, None], 1e-30)
-    consider(P.y0 + t * dirs)
+    consider(_on_sphere(P.y0, t, dirs))
     radii = t * rng.uniform(0, 1, size=HESSIAN_SAMPLES) ** (1.0 / P.dim)
     dirs = rng.standard_normal((HESSIAN_SAMPLES, P.dim))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1)[:, None], 1e-30)

@@ -127,14 +127,6 @@ class IntervalUnion(SetModel):
     def witness(self):
         return np.float64(self.intervals[0].lo)
 
-    def contains(self, x: float) -> bool:
-        for iv in self.intervals:
-            lo_ok = x >= iv.lo if iv.closed_lo else x > iv.lo
-            hi_ok = x <= iv.hi if iv.closed_hi else x < iv.hi
-            if lo_ok and hi_ok:
-                return True
-        return False
-
     def sample(self, n, rng):
         lengths = np.array([iv.hi - iv.lo for iv in self.intervals])
         total = lengths.sum()
@@ -190,20 +182,6 @@ class AxisSegments(SetModel):
         p = np.zeros(self.dim)
         p[k] = t
         return p
-
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        x = np.asarray(x, dtype=float).ravel()
-        nz = np.flatnonzero(np.abs(x) > tol)
-        if nz.size == 0:
-            return True
-        if nz.size > 1:
-            return False
-        k = int(nz[0])
-        t = x[k]
-        if k not in self.extents or t < -tol:
-            return False
-        u, closed = self.extents[k]
-        return t <= u + tol if closed else t < u - tol
 
     def sample(self, n, rng):
         axes = sorted(self.extents)
@@ -496,22 +474,50 @@ def _pairwise_min(d: PseudoDistance, P, Q, orientation: str) -> np.ndarray:
     return out
 
 
-def _point_distances(d: PseudoDistance, P, B: SetModel, budget: int,
-                     rng: Optional[np.random.Generator],
+def _draws(budget: int, rng: Optional[np.random.Generator]) -> Callable:
+    """S -> (points of S, whether they are all of S): a finite cloud's own
+    points, else ``budget`` sampled points, drawn at the first request for S
+    and reused after, so that one distance call samples each set at most
+    once."""
+    drawn = {}
+
+    def points(S: SetModel) -> Tuple[np.ndarray, bool]:
+        nonlocal rng
+        if isinstance(S, FiniteCloud):
+            return S.points, True
+        if id(S) not in drawn:
+            rng = rng if rng is not None else np.random.default_rng(0)
+            drawn[id(S)] = S.sample(budget, rng)
+        return drawn[id(S)], False
+    return points
+
+
+def _point_distances(d: PseudoDistance, P, B: SetModel, points: Callable,
                      orientation: str) -> Tuple[np.ndarray, bool]:
-    """d(p, B) for each point p of P, and whether the values are exact; B is
-    sampled at most once."""
+    """d(p, B) for each point p of P, and whether the values are exact: the
+    closed form for B if one applies, else the min over ``points(B)``."""
     if orientation not in ("from_point", "to_point"):
         raise ValueError(f"unknown orientation {orientation!r}")
     if np.isnan(P).any():
         raise ValueError("NaN is not an extended real")
-    if isinstance(B, FiniteCloud):
-        return _pairwise_min(d, P, B.points, orientation), True
     point = _closed_form(d, B, "point")
     if point is not None:
         return point(P, B), True
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return _pairwise_min(d, P, B.sample(budget, rng), orientation), False
+    Q, exact = points(B)
+    return _pairwise_min(d, P, Q, orientation), exact
+
+
+def _asym(d: PseudoDistance, A: SetModel, B: SetModel, points: Callable) -> Tuple[float, bool]:
+    """D_asyH(A, B) and whether it is exact: the closed form for A and B if
+    one applies, else the max of d(a, B) over ``points(A)``."""
+    if type(A) is type(B):
+        closed = _closed_form(d, A, "asym")
+        value = closed(A, B) if closed is not None else None
+        if value is not None:
+            return value, True
+    P, exact_a = points(A)
+    values, exact_b = _point_distances(d, P, B, points, "from_point")
+    return float(values.max()), exact_a and exact_b
 
 
 def _report(value, exact: bool, budget: int) -> DistanceReport:
@@ -534,8 +540,8 @@ def point_set_distance(d: PseudoDistance, x, A: SetModel,
     "from_point" evaluates d(x, a) (the default convention) and
     "to_point" evaluates d(a, x).
     """
-    values, exact = _point_distances(d, np.asarray([x], dtype=float), A, budget,
-                                     rng, orientation)
+    values, exact = _point_distances(d, np.asarray([x], dtype=float), A,
+                                     _draws(budget, rng), orientation)
     return _report(float(values.min()), exact, budget)
 
 
@@ -547,28 +553,20 @@ def asym_hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
     The closed form for A and B if one applies; otherwise the max of d(a, B)
     over the points of A, sampled if A is not a finite cloud.
     """
-    if type(A) is type(B):
-        closed = _closed_form(d, A, "asym")
-        value = closed(A, B) if closed is not None else None
-        if value is not None:
-            return DistanceReport(value, "exact")
-    if isinstance(A, FiniteCloud):
-        pts, exact = A.points, True
-    else:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        pts, exact = A.sample(budget, rng), False
-    values, exact_b = _point_distances(d, pts, B, budget, rng, "from_point")
-    return _report(float(values.max()), exact and exact_b, budget)
+    return _report(*_asym(d, A, B, _draws(budget, rng)), budget)
 
 
 def hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
               budget: int = DEFAULT_BUDGET,
               rng: Optional[np.random.Generator] = None) -> DistanceReport:
-    """D_H(A, B) = max(D_asyH(A, B), D_asyH(B, A))."""
-    r1 = asym_hausdorff(d, A, B, budget=budget, rng=rng)
-    r2 = asym_hausdorff(d, B, A, budget=budget, rng=rng)
-    return _report(max(r1.value, r2.value),
-                   r1.mode == "exact" and r2.mode == "exact", budget)
+    """D_H(A, B) = max(D_asyH(A, B), D_asyH(B, A)).
+
+    Each set that is not a finite cloud is sampled at most once, and both
+    directions use that draw.
+    """
+    points = _draws(budget, rng)
+    (v1, e1), (v2, e2) = _asym(d, A, B, points), _asym(d, B, A, points)
+    return _report(max(v1, v2), e1 and e2, budget)
 
 
 def ball_around_set(d: PseudoDistance, A: SetModel, r: float, probe,

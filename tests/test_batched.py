@@ -2,11 +2,13 @@
 and against the scalar loops they replaced.
 
 ``GaugeSet.contains``, ``minkowski_gauge`` and ``SmoothProblem.feasible``
-answer per row for an (n, dim) array.  ``hessian_sup``, ``_verify_level``
-and ``_eta_for_gauge`` use those row forms; the per-point loops they
-replaced are kept below as references.  In 1-D the arithmetic is the same
-and the values must be equal; at dim >= 2 sums of squares and matrix
-products accumulate in another order, so values may differ by rounding.
+answer per row for an (n, dim) array; the first two answer one point as a
+row of one.  ``hessian_sup``, ``_verify_level`` and ``_eta_for_gauge`` use
+those row forms; the one-point halfspace and ball code and the per-point
+loops they replaced are kept below as references.  In 1-D the arithmetic
+is the same and the values must be equal; at dim >= 2 sums of squares and
+matrix products accumulate in another order, so values may differ by
+rounding.
 """
 
 import math
@@ -65,6 +67,34 @@ def _rows(C, pts, rays) -> np.ndarray:
     return np.array(X)
 
 
+def _ref_contains(C, x, tol=1e-9) -> bool:
+    """The one-point halfspace and ball membership that the row form
+    replaced; the vertex and oracle kinds had no separate one-point code."""
+    x = np.asarray(x, dtype=float).ravel()
+    if C.kind == "halfspaces":
+        return bool(np.all(C.halfspace_A @ x <= C.halfspace_b + tol))
+    if C.kind == "ball":
+        return bool(np.linalg.norm(x) <= C.radius + tol)
+    return C.contains(x, tol)
+
+
+def _ref_gauge(C, x, tol=1e-10) -> float:
+    """The one-point halfspace and ball gauges that the row form replaced."""
+    x = np.asarray(x, dtype=float).ravel()
+    if C.kind == "halfspaces":
+        value = 0.0
+        for axi, bi in zip((C.halfspace_A @ x).tolist(), C.halfspace_b.tolist()):
+            if bi == 0.0:
+                if axi > tol:
+                    return INF
+            else:
+                value = max(value, axi / bi)
+        return max(0.0, value)
+    if C.kind == "ball":
+        return float(np.linalg.norm(x)) / C.radius
+    return minkowski_gauge(C, x, tol)
+
+
 @SETTINGS
 @given(kind=st.sampled_from(sorted(GAUGES)), pts=points, rays=near)
 def test_gauge_rows_match_one_point_form(kind, pts, rays):
@@ -73,11 +103,12 @@ def test_gauge_rows_match_one_point_form(kind, pts, rays):
     assume(all(_margin(C, x) >= MARGIN for x in X))
     inside = C.contains(X)
     assert inside.shape == (len(X),) and inside.dtype == bool
-    assert inside.tolist() == [C.contains(x) for x in X]
+    assert inside.tolist() == [_ref_contains(C, x) for x in X] == [C.contains(x) for x in X]
     g = minkowski_gauge(C, X)
     assert g.shape == (len(X),)
     for gi, x in zip(g, X):
-        one = minkowski_gauge(C, x)
+        assert minkowski_gauge(C, x) == pytest.approx(gi, rel=1e-12, abs=1e-15)
+        one = _ref_gauge(C, x)
         assert (gi == INF) == (one == INF)
         if one != INF:
             assert gi == pytest.approx(one, rel=1e-12, abs=1e-15)
@@ -148,7 +179,15 @@ def _ref_hessian_sup(P, t, rng=None):
     dirs = rng.standard_normal((n, P.dim))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1)[:, None], 1e-30)
     for u in dirs:
-        consider(P.y0 + t * u)
+        # the sphere point, pulled toward y0 until the ball filter keeps it
+        s = t * u
+        x = P.y0 + s
+        r = np.linalg.norm(x - P.y0)
+        while r > t:
+            s = s * ((t / r) * (1.0 - np.finfo(float).eps))
+            x = P.y0 + s
+            r = np.linalg.norm(x - P.y0)
+        consider(x)
     radii = t * rng.uniform(0, 1, size=n) ** (1.0 / P.dim)
     dirs = rng.standard_normal((n, P.dim))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1)[:, None], 1e-30)

@@ -8,8 +8,8 @@ from optstab.gauges import (GaugeSet, InvalidGaugeError, as_magnitude,
 
 def test_segment_gauge_goldens():
     C = GaugeSet.from_vertices([[-2.0, 0.0], [1.0, 0.0]])
-    assert minkowski_gauge(C, [3.0, 0.0]) == pytest.approx(3.0, abs=1e-10)
-    assert minkowski_gauge(C, [-4.0, 0.0]) == pytest.approx(2.0, abs=1e-10)
+    assert minkowski_gauge(C, [3.0, 0.0]) == 3.0
+    assert minkowski_gauge(C, [-4.0, 0.0]) == 2.0
     assert minkowski_gauge(C, [1.0, 1.0]) == INF
 
 
@@ -18,6 +18,22 @@ def test_segment_gauge_is_asymmetric():
     x = np.array([1.0, 0.0])
     assert minkowski_gauge(C, x) == pytest.approx(1.0, abs=1e-10)
     assert minkowski_gauge(C, -x) == pytest.approx(0.5, abs=1e-10)
+
+
+SEGMENT = GaugeSet.from_vertices([[-2.0, 0.0], [1.0, 0.0]])
+UNIT_DISK = GaugeSet.from_oracle(lambda x: float(np.linalg.norm(x)) <= 1.0, 2, 1.0)
+
+
+@pytest.mark.parametrize("C, x, expected", [
+    (SEGMENT, [0.0, 1e-9], INF),
+    (SEGMENT, [0.0, 1e-7], INF),
+    (UNIT_DISK, [3e-9, 4e-9], 5e-9),
+    (UNIT_DISK, [3e-6, 4e-6], 5e-6),
+], ids=["segment-1e-9", "segment-1e-7", "disk-5e-9", "disk-5e-6"])
+def test_gauges_near_the_origin(C, x, expected):
+    # before, the segment gave 0.0 at both points, the disk 0.0 and 5.0000004e-6
+    assert minkowski_gauge(C, x) == pytest.approx(expected, rel=1e-9, abs=0.0)
+    assert minkowski_gauge(C, np.array([x])).tolist() == [minkowski_gauge(C, x)]
 
 
 def test_ball_gauge_is_scaled_norm():

@@ -5,9 +5,9 @@ import pytest
 
 from optstab.extreal import INF
 from optstab.instances import (CatalogError, build, catalog_names, describe,
-                               segment_sine_objective, axis_segment_family)
+                               norm_objective, segment_sine_objective, axis_segment_family)
 from optstab.optima import inf_over, sup_over
-from optstab.sets import hausdorff
+from optstab.sets import AffineSlab, AxisSegments, hausdorff
 
 
 def test_catalog_lists_all_names():
@@ -89,6 +89,63 @@ def test_ce34_witnesses_attain_extremes():
     assert f(x) == pytest.approx(1.0, abs=1e-12)
     x[j - 1] = t_inf
     assert f(x) == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("extents", [
+    {1: (1.5, False)},                          # the open tip of axis 2
+    {0: (1.0, True), 2: (4.0 / 3.0, False)},
+    {1: (1.2, True)},
+    {1: (1.2, False)},
+    {0: (0.5, True), 3: (1.1, False)},
+    {0: (1.01, True)},                          # no stationary point before u
+    {2: (1.02, False)},                         # the sup is the open end's limit
+], ids=["tip", "unit-and-tip", "closed", "open", "short-and-open", "rising-closed",
+        "rising-open"])
+def test_segment_sine_hooks_match_a_dense_grid(extents):
+    K = 4
+    f = segment_sine_objective(K)
+    A = AxisSegments(extents, dim=K)
+    sup, inf = sup_over(f, A), inf_over(f, A)
+    assert sup.mode == inf.mode == "exact"
+    values = []
+    for k0, (u, closed) in extents.items():
+        c = 1.0 + 1.0 / (k0 + 1)
+        # a uniform grid, and points at 1e-1 ... 1e-13 below the end
+        t = np.concatenate([np.linspace(0.0, u, 2_000_001), u - np.logspace(-1, -13, 300)])
+        t = t[(t >= 0.0) & ((t <= u) if closed else (t < u))]
+        g = np.where(t <= 1.0, 0.0, np.sin(2.0 * np.pi / (c - t)))
+        for i in range(0, len(t), len(t) // 40):
+            x = np.zeros(K)
+            x[k0] = t[i]
+            assert f.fn(x) == pytest.approx(g[i], abs=1e-9)
+        values.append(g)
+    values = np.concatenate(values)
+    assert sup.value - 1e-6 <= values.max() <= sup.value + 1e-12
+    assert inf.value - 1e-12 <= values.min() <= inf.value + 1e-6
+
+
+@pytest.mark.parametrize("p, K", [
+    ([3.0, 4.0], np.zeros((2, 0))),
+    ([1.0, 2.0, 2.0], [[1.0], [1.0], [0.0]]),
+    ([1.0, -2.0, 0.5], [[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]),
+], ids=["point", "line", "plane"])
+def test_norm_objective_hooks_match_brute_force(p, K):
+    f = norm_objective(len(p))
+    A = AffineSlab(p, K)
+    K = np.asarray(K, dtype=float).reshape(len(p), -1)
+    sup, inf = sup_over(f, A), inf_over(f, A)
+    assert sup.mode == inf.mode == "exact"
+    if K.shape[1] == 0:
+        assert sup.value == inf.value == 5.0
+        return
+    # the slab's points over a grid of coefficients (the nearest one lies inside)
+    axis = np.linspace(-4.0, 4.0, 801 if K.shape[1] == 1 else 401)
+    coeffs = np.stack(np.meshgrid(*[axis] * K.shape[1]), axis=-1).reshape(-1, K.shape[1])
+    norms = np.linalg.norm(np.asarray(p) + coeffs @ K.T, axis=1)
+    assert inf.value - 1e-12 <= norms.min() <= inf.value + 1e-3
+    assert sup.value == INF
+    far = [np.linalg.norm(np.asarray(p) + r * K[:, 0]) for r in (1e2, 1e4, 1e6)]
+    assert far[0] < far[1] < far[2] and far[2] > 1e5
 
 
 def test_gauge_segment_goldens():

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from optstab import ladder
 from optstab.cli import main
 from optstab.extreal import INF
 from optstab.gauges import GaugeSet
@@ -42,6 +44,28 @@ def test_hessian_sup_monotone_in_radius_sampled():
         assert v <= t * t + 1e-9  # sampled sup is a lower bound on the true sup
         assert v >= t * t * 0.95  # and close after local refinement
         prev = v
+
+
+@pytest.mark.parametrize("y0", [[0.2], [0.3, -1.7], [1e3, 0.0, -2.5]], ids=["1d", "2d", "3d"])
+def test_every_boundary_sample_is_in_the_ball(monkeypatch, y0):
+    # before, the ball filter dropped up to half of the sphere samples to rounding
+    seen = []
+    hess_values = ladder._hess_values
+    monkeypatch.setattr(ladder, "_hess_values",
+                        lambda P, X: seen.append(np.array(X)) or hess_values(P, X))
+    free = SmoothProblem(f=lambda x: 0.0, grad=lambda x: np.zeros(len(y0)),
+                         hess_norm=lambda x: float(np.dot(x, x)), dim=len(y0), y0=y0)
+    boxed = dataclasses.replace(free, U_box=(np.array(y0) - 0.5, np.array(y0) + 10.0))
+    for t in (0.1, 0.7, 1.7, 3.3):
+        seen.clear()
+        hessian_sup(free, t, rng=np.random.default_rng(0))
+        sphere = seen[1]                      # seen[0] is y0 alone
+        assert len(sphere) == ladder.HESSIAN_SAMPLES
+        r = np.linalg.norm(sphere - free.y0, axis=1)
+        assert (r <= t).all() and (r >= t * (1.0 - 1e-9)).all()
+        seen.clear()
+        hessian_sup(boxed, t, rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(seen[1], sphere[boxed.feasible(sphere)])
 
 
 def test_solve_radius_quartic():

@@ -6,7 +6,7 @@ import pytest
 from optstab.distances import absolute, euclidean
 from optstab.gauges import GaugeSet
 from optstab.instances import norm_objective, random_rank_deficient_matrix
-from optstab.linear import (EGI, affine_family, check_gauge_subadditivity,
+from optstab.linear import (EGI, TOL_HOFFMAN, affine_family, check_gauge_subadditivity,
                             decompose, example_mixed_constraints,
                             example_whole_space, hoffman_check,
                             kernel_projector_identity_residual,
@@ -141,6 +141,18 @@ def test_restricted_inverse_rejects_vanishing_gauge():
     with pytest.raises(ValueError):
         restricted_inverse_egi(lm, GaugeSet.from_ball(1.0, 2),
                                lambda y: 0.0)
+
+
+def test_rank_zero_map():
+    # the range is {0}: the only parameter pair is (0, 0), both sets are R^3
+    lm = decompose(np.zeros((2, 3)))
+    E = pseudo_inverse(lm)
+    rep = hoffman_check(affine_family(lm, E), E, GaugeSet.from_ball(1.0, 2),
+                        [(np.zeros(2), np.zeros(2))])
+    row, = rep.rows
+    assert row["D_H"] == 0.0 and row["bound"] == TOL_HOFFMAN and row["verdict"] == "pass"
+    with pytest.raises(ValueError, match="range"):
+        restricted_inverse_egi(lm, GaugeSet.from_ball(1.0, 3), GaugeSet.from_ball(1.0, 2))
 
 
 def test_gauge_subadditivity_spot_check():

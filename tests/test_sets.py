@@ -7,8 +7,8 @@ from scipy.spatial.distance import cdist
 from optstab.distances import absolute, energy_ladder, euclidean
 from optstab.extreal import INF
 from optstab.sets import (AffineSlab, AxisSegments, DistanceReport,
-                          FiniteCloud, Interval, IntervalUnion, asym_hausdorff,
-                          ball_around_set, hausdorff, load_set,
+                          FiniteCloud, ImplicitSampled, Interval, IntervalUnion,
+                          asym_hausdorff, ball_around_set, hausdorff, load_set,
                           point_set_distance, save_set)
 
 
@@ -126,7 +126,6 @@ def test_point_to_affine_slab_is_exact_projection():
 
 
 def test_sampled_distance_monotone_in_budget():
-    from optstab.sets import ImplicitSampled
     d = euclidean(2)
     A = ImplicitSampled(
         member=lambda x: bool(np.linalg.norm(x) <= 1.0),
@@ -141,6 +140,65 @@ def test_sampled_distance_monotone_in_budget():
         assert rep.value <= prev + 1e-12
         prev = rep.value
     assert prev == pytest.approx(2.0, abs=0.05)
+
+
+def _counted_disk(center, calls):
+    center = np.asarray(center, float)
+
+    def member(x):
+        calls[0] += 1
+        return bool(np.linalg.norm(x - center) <= 1.0)
+    A = ImplicitSampled(member=member, dim=2, witness=center,
+                        sampler=lambda n, rg: center + rg.uniform(-1, 1, size=(n, 2)))
+    calls[0] = 0
+    return A
+
+
+def test_hausdorff_samples_each_set_once():
+    # before, each direction drew both sets: D_H(A, A) was 0.17 at budget
+    # 256, and each oracle ran 2 * budget times
+    d, budget = euclidean(2), 256
+    calls_a, calls_b = [0], [0]
+    A = _counted_disk([0.0, 0.0], calls_a)
+    B = _counted_disk([0.5, 0.0], calls_b)
+    same = hausdorff(d, A, A, budget=budget, rng=np.random.default_rng(1))
+    assert same.mode == "sampled" and same.value == 0.0
+    assert calls_a == [budget]
+    calls_a[0] = 0
+    for C in (FiniteCloud([[3.0, 0.0]]), AxisSegments({0: (1.0, True)}, dim=2), B):
+        hausdorff(d, A, C, budget=budget, rng=np.random.default_rng(1))
+        assert calls_a == [budget]
+        calls_a[0] = 0
+    assert calls_b == [budget]
+
+
+def _levels(lo, hi):
+    return ImplicitSampled(member=lambda x: lo <= x[0] <= hi, dim=1, witness=[float(lo)],
+                           sampler=lambda n, rg: rg.integers(1, 12, size=(n, 1)).astype(float))
+
+
+@pytest.mark.parametrize("path", ["cloud-sampled", "sampled-sampled"])
+def test_energy_ladder_hausdorff_matches_brute_force(path):
+    # before, a sampled set of levels raised TypeError: its points are rows
+    d, budget = energy_ladder(), 40
+    A = FiniteCloud([2.0, 5.0, 9.0]) if path == "cloud-sampled" else _levels(1, 4)
+    B = _levels(3, 7)
+    energy = lambda n: -13.6 / n ** 2  # noqa: E731
+    for seed in range(5):
+        draws = np.random.default_rng(seed)
+        a = A.points if path == "cloud-sampled" else A.sample(budget, draws)[:, 0]
+        b = B.sample(budget, draws)[:, 0]
+        fwd = (energy(b)[None, :] - energy(a)[:, None]).min(axis=1).max()
+        bwd = (energy(a)[None, :] - energy(b)[:, None]).min(axis=1).max()
+        out = hausdorff(d, A, B, budget=budget, rng=np.random.default_rng(seed))
+        assert out.mode == "sampled" and out.value == max(fwd, bwd)
+        one_sided = asym_hausdorff(d, A, B, budget=budget, rng=np.random.default_rng(seed))
+        assert one_sided.value == fwd
+
+
+def test_energy_levels_below_one_raise():
+    with pytest.raises(ValueError, match="levels"):
+        hausdorff(energy_ladder(), FiniteCloud([0.0, 2.0]), FiniteCloud([1.0]))
 
 
 def test_distance_report_exact_requires_zero_error():
