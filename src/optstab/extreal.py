@@ -13,7 +13,7 @@ one point per row, which the distance, set and optimum layers all read.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -61,10 +61,11 @@ def row_form(fn):
     """Mark ``fn`` as a row-form callable and return it.
 
     A row-form callable takes float (n, dim) arrays, one point per row, and
-    returns n values: one per row for a membership oracle or an objective,
-    d(x_i, y_i) for a pseudo-distance called as fn(X, Y) on two arrays of
-    the same shape.  The library calls a marked callable only this way, a
-    single point as a row of one.  Unmarked callables are called per point.
+    returns n values: one per row for a membership oracle, an objective or
+    a Hessian norm, d(x_i, y_i) for a pseudo-distance called as fn(X, Y) on
+    two arrays of the same shape.  A gradient returns an (n, dim) array.
+    The library calls a marked callable only this way, a single point as a
+    row of one.  Unmarked callables are called per point.
     The mark is a declaration: many one-point callables run on an array
     without error and return a wrong array of the right shape.
     """
@@ -76,11 +77,11 @@ def is_row_form(fn) -> bool:
     return getattr(fn, "_row_form", False) is True
 
 
-def call_rows(fn, n: int, *rows, dtype=float) -> np.ndarray:
+def call_rows(fn, n: int, *rows, dtype=float, width: Optional[int] = None) -> np.ndarray:
     """fn(*rows) for a row-form ``fn`` on n rows; any other result shape
-    than (n,) raises ValueError."""
+    than (n,), or (n, width) for a vector-valued ``fn``, raises ValueError."""
     out = np.asarray(fn(*rows), dtype=dtype)
-    if out.shape != (n,):
+    if out.shape != ((n,) if width is None else (n, width)):
         raise ValueError(f"a row-form callable returned shape {out.shape} for {n} rows")
     return out
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .distances import (absolute, binding_energy, energy_ladder, euclidean,
                         eval_distance, gauge_distance)
-from .extreal import INF, NEG_INF, row_form
+from .extreal import INF, NEG_INF, call_one, row_form
 from .gauges import GaugeSet, minkowski_gauge
 from .ladder import SmoothProblem
 from .linear import decompose, pseudo_inverse
@@ -372,10 +372,13 @@ def _build_disk_polygon(m_seq=(3, 4, 8, 16)) -> InstanceCatalogEntry:
 
 
 def quartic_problem() -> SmoothProblem:
+    # The row forms raise Python floats to their powers: numpy's power
+    # rounds x ** 3 differently at some points, and the ladder table would
+    # change.
     return SmoothProblem(
         f=lambda x: float(np.atleast_1d(x)[0]) ** 4 / 12.0,
-        grad=lambda x: np.array([float(np.atleast_1d(x)[0]) ** 3 / 3.0]),
-        hess_norm=lambda x: float(np.atleast_1d(x)[0]) ** 2,
+        grad=row_form(lambda X: np.array([v ** 3 / 3.0 for v in X[:, 0].tolist()])[:, None]),
+        hess_norm=row_form(lambda X: [v ** 2 for v in X[:, 0].tolist()]),
         dim=1, y0=[0.0],
         hessian_sup_closed_form=lambda t: t * t)
 
@@ -400,7 +403,7 @@ def _build_quartic_ladder() -> InstanceCatalogEntry:
     goldens = [
         ("hessian_sup(2)", 4.0, P.hessian_sup_closed_form(2.0)),
         ("hessian_sup(0)", 0.0, P.hessian_sup_closed_form(0.0)),
-        ("h(1.5)", 2.25, P.hess_norm([1.5])),
+        ("h(1.5)", 2.25, float(call_one(P.hess_norm, [1.5]))),
     ]
     return InstanceCatalogEntry(
         name="quartic_ladder",

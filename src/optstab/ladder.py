@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .extreal import INF
+from .extreal import INF, call_rows, is_row_form
 from .gauges import GaugeSet
 
 TOL_LADDER = 1e-6
@@ -28,7 +28,11 @@ REFINE_ROUNDS = 5           # coordinate refinement rounds around the best sampl
 @dataclass(frozen=True)
 class SmoothProblem:
     """Twice-differentiable objective with feasible region C (a gauge-set
-    body) intersected with an open box U, and a base point y0 in both."""
+    body) intersected with an open box U, and a base point y0 in both.
+
+    ``grad`` and ``hess_norm`` are called once per point unless marked with
+    ``extreal.row_form``; then each takes an (n, dim) array and returns an
+    (n, dim) array of gradients or n Hessian norms."""
     f: Callable = field(repr=False)
     grad: Callable = field(repr=False)
     hess_norm: Callable = field(repr=False)      # h(x) = ||f''(x)||
@@ -60,7 +64,10 @@ class SmoothProblem:
 
 def _hess_values(P: SmoothProblem, X) -> np.ndarray:
     """hess_norm at each row of X, in order; a NaN value raises ValueError."""
-    v = np.array([float(P.hess_norm(x)) for x in X])
+    if is_row_form(P.hess_norm):
+        v = call_rows(P.hess_norm, len(X), np.asarray(X, dtype=float))
+    else:
+        v = np.array([float(P.hess_norm(x)) for x in X])
     if np.isnan(v).any():
         raise ValueError("hess_norm is NaN at a point of the feasible region")
     return v
@@ -201,8 +208,12 @@ def _verify_level(P: SmoothProblem, t: float, lam: float,
     pairs = pts[:n_pts - n_pts % 2].reshape(-1, 2, P.dim)
     dx = np.linalg.norm(pairs[:, 0] - pairs[:, 1], axis=1)
     pairs, dx = pairs[dx != 0.0], dx[dx != 0.0]
-    g = [np.atleast_1d(np.asarray(P.grad(x), float)) for x in pairs.reshape(-1, P.dim)]
-    ratios = np.linalg.norm(np.array(g[0::2]) - np.array(g[1::2]), axis=-1) / dx
+    X = pairs.reshape(-1, P.dim)
+    if is_row_form(P.grad):
+        g = call_rows(P.grad, len(X), X, width=P.dim)
+    else:
+        g = np.array([np.atleast_1d(np.asarray(P.grad(x), float)) for x in X])
+    ratios = np.linalg.norm(g[0::2] - g[1::2], axis=-1) / dx
     if np.isnan(ratios).any():
         raise ValueError("gradient difference ratio is NaN at a sampled pair")
     worst = float(np.max(ratios, initial=0.0))

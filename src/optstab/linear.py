@@ -252,9 +252,18 @@ def sampled_worst_ratio(E: EGI, S_X, S_Y, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class AffineFamily:
-    """t -> {x : L x = t}, box-truncated for sampling."""
+    """t -> {x : L x = t}, box-truncated for sampling.
+
+    Every member is a translate A_t = A_0 + apply(t) of the kernel slab A_0,
+    whose basis is orthonormalized once, here, and shared by all members.
+    """
     linmap: LinearMap
     egi: EGI
+    kernel_slab: AffineSlab = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "kernel_slab", AffineSlab(
+            np.zeros(self.linmap.matrix.shape[1]), self.linmap.kernel_basis))
 
     def member(self, t) -> AffineSlab:
         t = np.asarray(t, dtype=float).ravel()
@@ -262,8 +271,7 @@ class AffineFamily:
             raise ValueError("parameter is outside the range of the map")
         particular = self.egi.apply(t)
         half = BOX_SCALE * (1.0 + float(np.linalg.norm(particular)))
-        return AffineSlab(particular, self.linmap.kernel_basis,
-                          box_halfwidth=half)
+        return self.kernel_slab.translated(particular, box_halfwidth=half)
 
     def as_param_family(self, index_distance: PseudoDistance,
                         alpha: Optional[float] = None) -> ParamFamily:
@@ -312,12 +320,9 @@ def hoffman_check(F: AffineFamily, E: EGI, S_Yt, pairs: Sequence,
             bound = alpha * max(mag(s - t), mag(t - s)) + tol
 
         # translation structure: x - apply(t) lies in the kernel slab A_0
-        shift = E.apply(t)
-        ok = True
-        for x in At.sample(8, rng):
-            resid = lm.matrix @ (np.asarray(x) - shift)
-            if np.linalg.norm(resid) > lm.tol_lin * max(1.0, np.linalg.norm(x)):
-                ok = False
+        X = At.sample(8, rng)
+        resid = np.linalg.norm((X - E.apply(t)) @ lm.matrix.T, axis=1)
+        ok = bool(np.all(resid <= lm.tol_lin * np.maximum(1.0, np.linalg.norm(X, axis=1))))
         slack = bound - dh
         rows.append(dict(pair_id=i, D_H=dh, bound=bound, slack=slack,
                          translation_ok=ok,

@@ -273,6 +273,19 @@ class AffineSlab(SetModel):
     def dim(self) -> int:
         return self.particular.shape[0]
 
+    def translated(self, particular, box_halfwidth: float) -> "AffineSlab":
+        """The parallel slab through ``particular``.  It carries this slab's
+        kernel basis array as it is, without a second orthonormalization."""
+        particular = np.asarray(particular, dtype=float).ravel()
+        if particular.shape != self.particular.shape:
+            raise ValueError(f"a point of dim {particular.shape[0]} cannot "
+                             f"translate a slab of dim {self.dim}")
+        slab = object.__new__(AffineSlab)
+        object.__setattr__(slab, "particular", particular)
+        object.__setattr__(slab, "kernel_basis", self.kernel_basis)
+        object.__setattr__(slab, "box_halfwidth", float(box_halfwidth))
+        return slab
+
     def witness(self):
         return self.particular
 
@@ -418,12 +431,17 @@ def _each_point(point: Callable) -> Callable:
 # for each point p of an array P; "asym" gives D_asyH(A, B) for A and B of
 # that same type, or None where the closed form does not apply.  Only the
 # distances built by euclidean() and absolute() carry these kernels.
+# absolute() is pinned to dimension 1, where |x - y| = ||x - y||, so it
+# shares the Euclidean forms of axis segments and slabs.
+_AXIS_SEGMENT_FORMS = dict(point=_each_point(_euclid_dist_to_axis_segments),
+                           asym=_asym_axis_segments)
+_SLAB_FORMS = dict(point=_each_point(_euclid_dist_to_slab), asym=_asym_slabs)
 _CLOSED_FORMS = {
     (IntervalUnion, _absolute): dict(point=_abs_dist_to_union, asym=_asym_interval_union),
-    (AxisSegments, _euclidean): dict(point=_each_point(_euclid_dist_to_axis_segments),
-                                     asym=_asym_axis_segments),
-    (AffineSlab, _euclidean): dict(point=_each_point(_euclid_dist_to_slab),
-                                   asym=_asym_slabs),
+    (AxisSegments, _euclidean): _AXIS_SEGMENT_FORMS,
+    (AxisSegments, _absolute): _AXIS_SEGMENT_FORMS,
+    (AffineSlab, _euclidean): _SLAB_FORMS,
+    (AffineSlab, _absolute): _SLAB_FORMS,
 }
 _CDIST_METRICS = {_euclidean: "euclidean", _absolute: "cityblock"}
 _CDIST_BLOCK = 1 << 22      # matrix entries per cdist call: 32 MB of float64

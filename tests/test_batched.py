@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optstab import ladder, linear
-from optstab.extreal import INF
+from optstab.extreal import INF, is_row_form
 from optstab.gauges import GaugeSet, as_magnitude, minkowski_gauge
 from optstab.instances import quartic_problem
 from optstab.ladder import SmoothProblem, build_ladder, hessian_sup
@@ -204,6 +204,13 @@ def _ref_hessian_sup(P, t, rng=None):
     return best, "sampled"
 
 
+def _ref_grad(P, x):
+    # a marked grad takes rows: one point goes in as a row of one
+    if is_row_form(P.grad):
+        return np.asarray(P.grad(np.reshape(x, (1, -1))), float)[0]
+    return np.atleast_1d(np.asarray(P.grad(x), float))
+
+
 def _ref_verify_level(P, t, lam, rng, n_pairs, inflation):
     pts = []
     tries = 0
@@ -221,8 +228,7 @@ def _ref_verify_level(P, t, lam, rng, n_pairs, inflation):
         dx = float(np.linalg.norm(x - y))
         if dx == 0.0:
             continue
-        dg = float(np.linalg.norm(np.atleast_1d(np.asarray(P.grad(x), float))
-                                  - np.atleast_1d(np.asarray(P.grad(y), float))))
+        dg = float(np.linalg.norm(_ref_grad(P, x) - _ref_grad(P, y)))
         worst = max(worst, dg / dx)
     return dict(t=t, **{"lambda": lam}, worst_ratio=worst,
                 verified=bool(worst <= lam * inflation and len(pts) >= 2),

@@ -87,6 +87,24 @@ def test_run_hausdorff_kind(tmp_path):
     assert summary["D_H"] == 0.5
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "axis_segments", "dim": 1, "extents": {"0": [1.5, True]}},
+    {"kind": "affine_slab", "particular": [0.5], "kernel_basis": [[1.0]], "box_halfwidth": 1e3},
+], ids=["axis_segments", "affine_slab"])
+def test_hausdorff_kind_is_exact_on_one_dimensional_sets(tmp_path, doc):
+    # absolute() measures 1-D sets: the Euclidean closed forms apply, so two
+    # copies of a set are 0 apart, exactly
+    for name in ("a.json", "b.json"):
+        (tmp_path / name).write_text(json.dumps(doc))
+    cfg = _write(tmp_path, "h.json",
+                 {"kind": "hausdorff", "set_a": str(tmp_path / "a.json"),
+                  "set_b": str(tmp_path / "b.json"), "seed": 5,
+                  "out_dir": str(tmp_path / "out")})
+    assert main(["run", cfg]) == 0
+    table = (tmp_path / "out" / "hausdorff.csv").read_text()
+    assert table.splitlines() == ["quantity,value,mode", "D_H,0.0,exact"]
+
+
 def test_run_ladder_and_parametric(tmp_path):
     cfg = _write(tmp_path, "l.json",
                  {"kind": "ladder", "seed": 0, "n_levels": 3,

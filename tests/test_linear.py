@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optstab.distances import absolute, euclidean
 from optstab.gauges import GaugeSet
 from optstab.instances import norm_objective, random_rank_deficient_matrix
-from optstab.linear import (EGI, TOL_HOFFMAN, affine_family, check_gauge_subadditivity,
+from optstab.linear import (BOX_SCALE, EGI, TOL_HOFFMAN, affine_family, check_gauge_subadditivity,
                             decompose, example_mixed_constraints,
                             example_whole_space, hoffman_check,
                             kernel_projector_identity_residual,
@@ -14,7 +16,8 @@ from optstab.linear import (EGI, TOL_HOFFMAN, affine_family, check_gauge_subaddi
                             penrose_residuals, pseudo_inverse,
                             restricted_inverse_egi, sampled_worst_ratio,
                             save_matrix_txt)
-from optstab.optima import Lipschitz, ObjectiveFn
+from optstab.optima import Lipschitz, ObjectiveFn, inf_over
+from optstab.sets import AffineSlab, hausdorff
 
 
 def test_decompose_diag():
@@ -217,6 +220,23 @@ def test_hoffman_nu_generalized_mode():
     assert rep.passed  # |s-t| <= 2 sqrt|s-t| on [0, 1]
 
 
+def test_hoffman_translation_check_fails_on_a_wrong_shift():
+    # the family's members sit at pinv t, the checked EGI claims 2 pinv t:
+    # x - apply(t) leaves the kernel, however generous the bound is
+    lm = decompose([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
+    fam = affine_family(lm)
+    bad = EGI(kind="pseudo_inverse", linmap=lm, apply=lambda t: 2.0 * lm.pinv @ t,
+              lipschitz_cert=dict(constant=1e6))
+    rep = hoffman_check(fam, bad, lambda y: float(np.linalg.norm(y)),
+                        [([0.0, 0.0], [1.0, -2.0]), ([0.0, 0.0], [0.0, 0.0])],
+                        rng=np.random.default_rng(3))
+    wrong, zero = rep.rows
+    assert wrong["slack"] > 0
+    assert wrong["translation_ok"] is False and wrong["verdict"] == "fail"
+    assert zero["translation_ok"] is True and zero["verdict"] == "pass"
+    assert not rep.passed
+
+
 def test_hoffman_rejects_out_of_range():
     lm = decompose([[1.0, 0.0], [0.0, 0.0]])
     E = pseudo_inverse(lm)
@@ -303,3 +323,51 @@ def test_certificate_export(tmp_path):
     import json
     doc = json.loads(p.read_text())
     assert {"kappa", "tau", "eta", "sigma", "constant", "mode"} <= set(doc)
+
+
+# ---------------------------------------------------------------------------
+# affine families: members share one orthonormalized kernel basis
+# ---------------------------------------------------------------------------
+
+def _ref_member(fam, t):
+    # each member orthonormalizes the kernel basis afresh
+    particular = fam.egi.apply(np.asarray(t, dtype=float).ravel())
+    half = BOX_SCALE * (1.0 + float(np.linalg.norm(particular)))
+    return AffineSlab(particular, fam.linmap.kernel_basis, box_halfwidth=half)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_members_equal_freshly_built_slabs(seed):
+    rng = np.random.default_rng(seed)
+    L = random_rank_deficient_matrix(rng, max_dim=5)
+    lm = decompose(L)
+    fam = affine_family(lm)
+    s, t = (L @ rng.standard_normal(L.shape[1]) for _ in range(2))
+    A, B = fam.member(s), fam.member(t)
+    A0, B0 = _ref_member(fam, s), _ref_member(fam, t)
+    for new, ref in ((A, A0), (B, B0)):
+        assert np.array_equal(new.kernel_basis, ref.kernel_basis)
+        assert np.array_equal(new.particular, ref.particular)
+        assert new.box_halfwidth == ref.box_halfwidth
+    assert A.kernel_basis is B.kernel_basis
+    d = euclidean(L.shape[1])
+    for budget in (64, 1):
+        assert (hausdorff(d, A, B, budget=budget, rng=np.random.default_rng(seed))
+                == hausdorff(d, A0, B0, budget=budget, rng=np.random.default_rng(seed)))
+    exact = norm_objective(L.shape[1])
+    sampled = ObjectiveFn(fn=lambda x: float(np.linalg.norm(x)))
+    for f in (exact, sampled):
+        new = inf_over(f, A, budget=64, rng=np.random.default_rng(seed))
+        ref = inf_over(f, A0, budget=64, rng=np.random.default_rng(seed))
+        assert new.value == ref.value and new.mode == ref.mode
+        assert np.array_equal(new.witness, ref.witness)
+
+
+def test_translated_slab_keeps_the_basis_and_checks_the_dim():
+    A = AffineSlab([0.0, 0.0, 0.0], [[1.0], [1.0], [0.0]])
+    B = A.translated([1.0, 2.0, 3.0], box_halfwidth=5.0)
+    assert B.kernel_basis is A.kernel_basis
+    assert B.particular.tolist() == [1.0, 2.0, 3.0] and B.box_halfwidth == 5.0
+    with pytest.raises(ValueError, match="dim"):
+        A.translated([1.0, 2.0], box_halfwidth=5.0)

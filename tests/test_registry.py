@@ -119,10 +119,14 @@ def test_registry_keys_are_the_constructor_kernels():
 
 
 def test_every_registry_entry_has_a_brute_force_check():
-    entries = {(t.__name__, what) for (t, _), forms in _CLOSED_FORMS.items() for what in forms}
-    assert entries == {("IntervalUnion", "point"), ("IntervalUnion", "asym"),
-                       ("AxisSegments", "point"), ("AxisSegments", "asym"),
-                       ("AffineSlab", "point"), ("AffineSlab", "asym")}
+    entries = {(t.__name__, fn.__name__, what)
+               for (t, fn), forms in _CLOSED_FORMS.items() for what in forms}
+    assert entries == {(t, fn, what) for t, fn in [("IntervalUnion", "_absolute"),
+                                                  ("AxisSegments", "_euclidean"),
+                                                  ("AxisSegments", "_absolute"),
+                                                  ("AffineSlab", "_euclidean"),
+                                                  ("AffineSlab", "_absolute")]
+                       for what in ("point", "asym")}
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +198,18 @@ def test_interval_union_closed_forms_match_brute_force(A, B, x):
     assert rep.value == pytest.approx(_brute_asym(pa, pb), abs=STEP)
 
 
+def _distance(dim):
+    # the CLI's choice: absolute() in dimension 1, else euclidean()
+    return absolute() if dim == 1 else euclidean(dim)
+
+
 @SETTINGS
-@given(st.integers(2, 4).flatmap(
+@given(st.integers(1, 4).flatmap(
     lambda dim: st.tuples(axis_segments(dim), axis_segments(dim),
                           st.lists(coords, min_size=dim, max_size=dim))))
 def test_axis_segment_closed_forms_match_brute_force(case):
     A, B, x = case
-    d = euclidean(A.dim)
+    d = _distance(A.dim)
     pa, pb = _axis_points(A), _axis_points(B)
     rep = point_set_distance(d, np.array(x), A)
     assert rep.mode == "exact"
@@ -211,7 +220,7 @@ def test_axis_segment_closed_forms_match_brute_force(case):
 
 
 @SETTINGS
-@given(st.integers(2, 3).flatmap(
+@given(st.integers(1, 3).flatmap(
     lambda dim: st.tuples(*[st.lists(coords, min_size=dim, max_size=dim)] * 4)),
     st.booleans())
 def test_affine_slab_closed_forms_match_brute_force(vectors, has_kernel):
@@ -223,7 +232,7 @@ def test_affine_slab_closed_forms_match_brute_force(vectors, has_kernel):
         direction = direction / norm
     K = direction[:, None] if direction.any() else np.zeros((len(p), 0))
     A, B = AffineSlab(p, K), AffineSlab(q, K)
-    d = euclidean(len(p))
+    d = _distance(len(p))
     # |coefficients| of the nearest points stay below 4 * 3 * sqrt(3) < 25
     pa = _line_points(p, direction, 25.0)
     rep = point_set_distance(d, x, A)

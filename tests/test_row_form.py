@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from optstab import sets
 from optstab.distances import PseudoDistance, eval_distance, gauge_distance
-from optstab.extreal import is_row_form, row_form
+from optstab.extreal import call_rows, is_row_form, row_form
 from optstab.gauges import GaugeSet, minkowski_gauge
-from optstab.instances import build, target_distance_objective
+from optstab.instances import build, quartic_problem, target_distance_objective
+from optstab.ladder import SmoothProblem, build_ladder, hessian_sup
 from optstab.linear import _slice_member, decompose
 from optstab.optima import ObjectiveFn, inf_over, sup_over
 from optstab.sets import FiniteCloud, ImplicitSampled, _pairwise_min, hausdorff
@@ -360,3 +361,84 @@ def test_halfspace_gauge_hausdorff_matches_difference_matrices(seed, b, path):
     swapped = hausdorff(d, B, A, budget=budget, rng=np.random.default_rng(seed))
     if path == "cloud-cloud":
         assert swapped.value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the ladder: a marked grad and hess_norm
+# ---------------------------------------------------------------------------
+
+def _ref_quartic_grad(x):
+    return np.array([float(np.atleast_1d(x)[0]) ** 3 / 3.0])
+
+
+def _ref_quartic_hess(x):
+    return float(np.atleast_1d(x)[0]) ** 2
+
+
+def _bits(a) -> list:
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+def test_quartic_rows_equal_the_one_point_lambdas_bit_for_bit():
+    rng = np.random.default_rng(11)
+    n = 100_000
+    # magnitudes from subnormal to 1e100 (x ** 3 stays finite), both signs
+    x = rng.choice([-1.0, 1.0], n) * rng.uniform(1, 10, n) * 10.0 ** rng.integers(-320, 100, n)
+    x[:6] = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e100]
+    assert (np.abs(x) < 2.2250738585072014e-308).sum() > 1000
+    P = quartic_problem()
+    X = x[:, None]
+    grad, hess = call_rows(P.grad, n, X, width=1), call_rows(P.hess_norm, n, X)
+    assert _bits(grad[:, 0]) == _bits([_ref_quartic_grad(v)[0] for v in x])
+    assert _bits(hess) == _bits([_ref_quartic_hess(v) for v in x])
+
+
+def _marked_and_unmarked(dim, **kw):
+    # f(x) = ||x||^4 / 12 by elementwise products and sums, which round alike
+    # on Python floats and on numpy arrays: the two copies agree bit for bit
+    def sq(x):
+        return sum(x[i] * x[i] for i in range(dim))
+
+    unmarked = SmoothProblem(f=None, grad=lambda x: (sq(x) / 3.0) * np.asarray(x, float),
+                             hess_norm=lambda x: float(sq(x)), dim=dim, **kw)
+    marked = SmoothProblem(f=None, grad=row_form(lambda X: (sq(X.T) / 3.0)[:, None] * X),
+                           hess_norm=row_form(lambda X: sq(X.T)), dim=dim, **kw)
+    return marked, unmarked
+
+
+@pytest.mark.parametrize("dim, kw", [
+    (1, dict(y0=[0.2], U_box=(-1.5, 3.0))),
+    (2, dict(y0=[0.0, 0.0], C=GaugeSet.from_ball(2.0, 2))),
+], ids=["1d", "2d"])
+def test_marked_and_unmarked_problems_give_the_same_ladder(dim, kw):
+    marked, unmarked = _marked_and_unmarked(dim, **kw)
+    a = build_ladder(marked, [0.5, 1.0, 3.0], rng=np.random.default_rng(4), n_pairs=600)
+    b = build_ladder(unmarked, [0.5, 1.0, 3.0], rng=np.random.default_rng(4), n_pairs=600)
+    assert a == b
+    assert a.passed and a.verification[-1]["n_points"] == 1200
+
+
+def test_marked_grad_or_hess_norm_of_a_wrong_shape_raises():
+    base = dict(f=None, hess_norm=lambda x: 1.0, dim=1, y0=[0.0],
+                hessian_sup_closed_form=lambda t: t * t)
+    for grad in (row_form(lambda X: X[:, 0] ** 3),             # (n,)
+                 row_form(lambda X: np.hstack([X, X])),        # (n, 2) in dim 1
+                 row_form(lambda X: X[:1])):                   # one row
+        with pytest.raises(ValueError, match="shape"):
+            build_ladder(SmoothProblem(grad=grad, **base), [1.0], n_pairs=10)
+    P = SmoothProblem(f=None, grad=lambda x: np.zeros(1), dim=1, y0=[0.0],
+                      hess_norm=row_form(lambda X: X[:, 0] ** 2 + [[0.0]]))
+    with pytest.raises(ValueError, match="shape"):
+        hessian_sup(P, 1.0)
+
+
+def test_nan_rows_from_a_marked_grad_or_hess_norm_raise():
+    grad = row_form(lambda X: np.where(X > 0.5, np.nan, X))
+    P = SmoothProblem(f=None, grad=grad, hess_norm=lambda x: 1.0, dim=1, y0=[0.0],
+                      hessian_sup_closed_form=lambda t: t * t)
+    with pytest.raises(ValueError, match="NaN"):
+        build_ladder(P, [1.0], n_pairs=50)
+    P = SmoothProblem(f=None, grad=lambda x: np.zeros(1), dim=1, y0=[0.0],
+                      hess_norm=row_form(lambda X: np.where(X[:, 0] > 0.5, np.nan, 1.0)))
+    with pytest.raises(ValueError, match="NaN"):
+        hessian_sup(P, 1.0)
