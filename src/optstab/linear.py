@@ -57,25 +57,39 @@ class LinearMap:
         return bool(np.linalg.norm(resid) <= tol * max(1.0, np.linalg.norm(t)))
 
 
-def decompose(L) -> LinearMap:
-    """SVD decomposition with rank cut at sigma_i > TOL_RANK * sigma_max."""
+def _svd_pinv(L: np.ndarray) -> tuple:
+    """(U, s, Vt, rank, pinv) of a matrix (m, n) or of each matrix of a
+    stack (k, m, n): the full SVD, the rank cut at sigma_i > TOL_RANK *
+    sigma_max (0 when sigma_max = 0) and the Moore-Penrose inverse
+    Vt^T S^+ U^T.  S^+ keeps the zero-padded (n, m) shape of the
+    per-matrix code, so that the products add their terms in the same order
+    for a stack and for each of its matrices alone."""
+    U, s, Vt = np.linalg.svd(L, full_matrices=True)
+    keep = s > TOL_RANK * s[..., :1]
+    *stack, m, n = L.shape
+    s_inv = np.zeros((*stack, n, m))
+    diag = np.arange(s.shape[-1])
+    s_inv[..., diag, diag] = 1.0 / np.where(keep, s, INF)
+    pinv = np.swapaxes(Vt, -1, -2) @ s_inv @ np.swapaxes(U, -1, -2)
+    return U, s, Vt, keep.sum(-1), pinv
+
+
+def _finite_matrix(L) -> np.ndarray:
     L = np.atleast_2d(np.asarray(L, dtype=float))
     if not np.all(np.isfinite(L)):
         raise ValueError("matrix entries must be finite")
-    m, n = L.shape
-    U, s, Vt = np.linalg.svd(L, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    r = int(np.sum(s > TOL_RANK * smax)) if smax > 0 else 0
-    kernel = Vt[r:, :].T
+    return L
+
+
+def decompose(L) -> LinearMap:
+    """SVD decomposition with rank cut at sigma_i > TOL_RANK * sigma_max."""
+    L = _finite_matrix(L)
+    U, s, Vt, r, pinv = _svd_pinv(L)
+    r = int(r)
     range_b = U[:, :r]
-    s_inv = np.zeros((n, m))
-    for i in range(r):
-        s_inv[i, i] = 1.0 / s[i]
-    pinv = Vt.T @ s_inv @ U.T
-    preimages = pinv @ range_b
     return LinearMap(matrix=L, singular_values=s[:r], rank=r,
-                     kernel_basis=kernel, range_basis=range_b,
-                     preimages=preimages, pinv=pinv)
+                     kernel_basis=Vt[r:, :].T, range_basis=range_b,
+                     preimages=pinv @ range_b, pinv=pinv)
 
 
 def load_matrix_txt(path) -> np.ndarray:
@@ -86,15 +100,53 @@ def save_matrix_txt(M, path) -> None:
     np.savetxt(path, np.atleast_2d(np.asarray(M, float)), delimiter=",")
 
 
+PENROSE_IDENTITIES = ("LPL-L", "PLP-P", "LP-sym", "PL-sym")
+
+
+def _frobenius(X: np.ndarray) -> np.ndarray:
+    """||X_i||_F of each matrix of a stack (k, m, n), with the bits of
+    ``np.linalg.norm``: one dot product of the flattened matrix with itself."""
+    flat = X.reshape(len(X), 1, -1)
+    return np.sqrt(flat @ np.swapaxes(flat, -1, -2)).ravel()
+
+
+def _penrose_norms(L: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Residual norms of the four defining identities (columns in the order
+    of PENROSE_IDENTITIES) for each pair (L_i, P_i) of two stacks."""
+    LP, PL = L @ P, P @ L
+    return np.stack([_frobenius(LP @ L - L), _frobenius(PL @ P - P),
+                     _frobenius(LP - np.swapaxes(LP, -1, -2)),
+                     _frobenius(PL - np.swapaxes(PL, -1, -2))], axis=1)
+
+
 def penrose_residuals(lm: LinearMap) -> dict:
     """Residual norms of the four defining identities of the pseudo-inverse."""
-    L, P = lm.matrix, lm.pinv
-    return {
-        "LPL-L": float(np.linalg.norm(L @ P @ L - L)),
-        "PLP-P": float(np.linalg.norm(P @ L @ P - P)),
-        "LP-sym": float(np.linalg.norm(L @ P - (L @ P).T)),
-        "PL-sym": float(np.linalg.norm(P @ L - (P @ L).T)),
-    }
+    norms = _penrose_norms(lm.matrix[None], lm.pinv[None])[0]
+    return dict(zip(PENROSE_IDENTITIES, norms.tolist()))
+
+
+def penrose_table(mats: Sequence) -> tuple:
+    """(rank, residuals, ||L||_F) of each matrix of ``mats``, in input order:
+    integer ranks (k,), the Penrose residual norms (k, 4) in the order of
+    PENROSE_IDENTITIES, and Frobenius norms (k,).  The matrices of one
+    shape share one stacked SVD and residual computation.  Each rank and
+    residual has the bits that ``decompose`` and ``penrose_residuals`` give
+    for that matrix alone, and each norm those of ``np.linalg.norm`` on the
+    matrix in C order (which sums a Fortran-ordered matrix in its own
+    order)."""
+    mats = [np.atleast_2d(np.asarray(L, dtype=float)) for L in mats]
+    rank = np.zeros(len(mats), dtype=int)
+    resid = np.zeros((len(mats), len(PENROSE_IDENTITIES)))
+    fro = np.zeros(len(mats))
+    groups = {}
+    for i, L in enumerate(mats):
+        groups.setdefault(L.shape, []).append(i)
+    for idx in groups.values():
+        L = _finite_matrix(np.stack([mats[i] for i in idx]))
+        *_, rank[idx], P = _svd_pinv(L)
+        resid[idx] = _penrose_norms(L, P)
+        fro[idx] = _frobenius(L)
+    return rank, resid, fro
 
 
 def kernel_projector_identity_residual(lm: LinearMap) -> float:

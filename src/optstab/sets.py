@@ -262,6 +262,9 @@ class AffineSlab(SetModel):
             K = np.zeros((particular.shape[0], 0))
         if K.ndim == 1:
             K = K[:, None]
+        if K.shape[0] != particular.shape[0]:
+            raise ValueError(f"kernel_basis has {K.shape[0]} rows but particular "
+                             f"has dim {particular.shape[0]}")
         if K.shape[1] > 0:
             q, _ = np.linalg.qr(K)
             K = q[:, : K.shape[1]]
@@ -381,14 +384,16 @@ def _asym_interval_union(A: IntervalUnion, B: IntervalUnion) -> float:
     return float(_union_distances(np.concatenate([a_lo, a_hi, mids]), b_lo, b_hi).max())
 
 
-def _euclid_dist_to_axis_segments(x, A: AxisSegments) -> float:
-    x = np.asarray(x, dtype=float).ravel()
-    sq = float(x @ x)
-    best = INF
-    for m, (u, _) in A.extents.items():
-        s = min(max(x[m], 0.0), u) if m < x.shape[0] else 0.0
-        xm = x[m] if m < x.shape[0] else 0.0
-        best = min(best, np.sqrt(sq - xm * xm + (xm - s) ** 2))
+def _euclid_dist_to_axis_segments(P, A: AxisSegments) -> np.ndarray:
+    # The nearest point of segment k to x is s e_k, s = x_k clipped to
+    # [0, u_k]; only coordinate k of x moves, so the squared distance is
+    # ||x||^2 - x_k^2 + (x_k - s)^2.  Axes beyond the points' dim read x_k = 0.
+    X = np.reshape(P, (len(P), -1))
+    sq = (X[:, None, :] @ X[:, :, None]).ravel()  # x @ x, one dot product per row
+    best = np.full(len(X), INF)
+    for k, (u, _) in A.extents.items():
+        xk = X[:, k] if k < X.shape[1] else np.zeros(len(X))
+        best = np.minimum(best, np.sqrt(sq - xk * xk + (xk - np.clip(xk, 0.0, u)) ** 2))
     return best
 
 
@@ -402,8 +407,10 @@ def _asym_axis_segments(A: AxisSegments, B: AxisSegments) -> float:
     return best
 
 
-def _euclid_dist_to_slab(x, A: AffineSlab) -> float:
-    return float(np.linalg.norm(np.asarray(x, float).ravel() - A.project(x)))
+def _euclid_dist_to_slab(P, A: AffineSlab) -> np.ndarray:
+    D = np.reshape(P, (len(P), -1)) - A.particular
+    K = A.kernel_basis
+    return np.linalg.norm(D - (D @ K) @ K.T, axis=1)
 
 
 def _asym_slabs(A: AffineSlab, B: AffineSlab) -> Optional[float]:
@@ -412,7 +419,7 @@ def _asym_slabs(A: AffineSlab, B: AffineSlab) -> Optional[float]:
     Ka, Kb = A.kernel_basis, B.kernel_basis
     if Ka.shape != Kb.shape:
         return None
-    if Ka.shape[1] > 0:
+    if Ka.shape[1] > 0 and Ka is not Kb:  # a shared basis is parallel to itself
         ra = Ka - Kb @ (Kb.T @ Ka)
         rb = Kb - Ka @ (Ka.T @ Kb)
         if float(np.abs(ra).max()) >= 1e-9 or float(np.abs(rb).max()) >= 1e-9:
@@ -423,19 +430,14 @@ def _asym_slabs(A: AffineSlab, B: AffineSlab) -> Optional[float]:
     return float(np.linalg.norm(delta))
 
 
-def _each_point(point: Callable) -> Callable:
-    return lambda P, A: np.array([point(p, A) for p in P])
-
-
 # Closed forms keyed by (set type, distance kernel).  "point" gives d(p, A)
 # for each point p of an array P; "asym" gives D_asyH(A, B) for A and B of
 # that same type, or None where the closed form does not apply.  Only the
 # distances built by euclidean() and absolute() carry these kernels.
 # absolute() is pinned to dimension 1, where |x - y| = ||x - y||, so it
 # shares the Euclidean forms of axis segments and slabs.
-_AXIS_SEGMENT_FORMS = dict(point=_each_point(_euclid_dist_to_axis_segments),
-                           asym=_asym_axis_segments)
-_SLAB_FORMS = dict(point=_each_point(_euclid_dist_to_slab), asym=_asym_slabs)
+_AXIS_SEGMENT_FORMS = dict(point=_euclid_dist_to_axis_segments, asym=_asym_axis_segments)
+_SLAB_FORMS = dict(point=_euclid_dist_to_slab, asym=_asym_slabs)
 _CLOSED_FORMS = {
     (IntervalUnion, _absolute): dict(point=_abs_dist_to_union, asym=_asym_interval_union),
     (AxisSegments, _euclidean): _AXIS_SEGMENT_FORMS,

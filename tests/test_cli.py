@@ -148,6 +148,20 @@ def test_hausdorff_kind_rejects_nan_cloud(tmp_path):
     assert not (tmp_path / "out" / "hausdorff.csv").exists()
 
 
+def test_hausdorff_kind_refuses_a_slab_basis_of_another_dim(tmp_path, capsys):
+    (tmp_path / "a.json").write_text(json.dumps(
+        {"kind": "affine_slab", "particular": [0, 0, 0], "kernel_basis": [[1, 2, 3]],
+         "box_halfwidth": 1e3}))
+    (tmp_path / "b.json").write_text('{"kind": "finite_cloud", "points": [[0.0, 0.0, 0.0]]}')
+    cfg = _write(tmp_path, "h.json",
+                 {"kind": "hausdorff", "set_a": str(tmp_path / "a.json"),
+                  "set_b": str(tmp_path / "b.json"), "seed": 0,
+                  "out_dir": str(tmp_path / "out")})
+    assert main(["run", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "hausdorff.csv").exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "scheme", "instance": "disk_polygon", "m_min": 5, "m_max": 4},
     {"kind": "scheme", "instance": "disk_polygon", "m_min": 2, "m_max": 4},

@@ -371,3 +371,36 @@ def test_translated_slab_keeps_the_basis_and_checks_the_dim():
     assert B.particular.tolist() == [1.0, 2.0, 3.0] and B.box_halfwidth == 5.0
     with pytest.raises(ValueError, match="dim"):
         A.translated([1.0, 2.0], box_halfwidth=5.0)
+
+
+def _with_own_basis(S: AffineSlab) -> AffineSlab:
+    # the same slab, its basis copied into an array of its own
+    T = S.translated(S.particular, S.box_halfwidth)
+    object.__setattr__(T, "kernel_basis", S.kernel_basis.copy())
+    return T
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_members_sharing_a_basis_skip_only_the_parallel_test(seed):
+    # the shared basis skips the parallel test; copies of it take the full
+    # test, which passes, and both give the same bits
+    rng = np.random.default_rng(seed)
+    L = random_rank_deficient_matrix(rng, max_dim=6)
+    fam = affine_family(L)
+    s, t = (L @ rng.standard_normal(L.shape[1]) for _ in range(2))
+    A, B = fam.member(s), fam.member(t)
+    A1, B1 = _with_own_basis(A), _with_own_basis(B)
+    assert A.kernel_basis is B.kernel_basis and A1.kernel_basis is not B1.kernel_basis
+    d = euclidean(L.shape[1])
+    shared, copied = hausdorff(d, A, B, budget=8), hausdorff(d, A1, B1, budget=8)
+    assert shared.mode == copied.mode == "exact"
+    assert shared.value.hex() == copied.value.hex()
+
+
+def test_members_of_families_with_other_kernels_fall_back_to_sampling():
+    F, G = affine_family([[1.0, 0.0, 0.0]]), affine_family([[0.0, 0.0, 1.0]])
+    A, B = F.member([1.0]), G.member([2.0])
+    assert A.kernel_basis.shape == B.kernel_basis.shape == (3, 2)
+    rep = hausdorff(euclidean(3), A, B, budget=32, rng=np.random.default_rng(0))
+    assert rep.mode == "sampled"

@@ -251,3 +251,72 @@ def test_non_parallel_slabs_fall_back_to_sampling():
     B = AffineSlab([0.0, 1.0], [[1.0], [1.0]], box_halfwidth=2.0)
     rep = asym_hausdorff(euclidean(2), A, B, budget=64, rng=np.random.default_rng(0))
     assert rep.mode == "sampled"
+
+
+# ---------------------------------------------------------------------------
+# the array point forms against the per-point forms they replaced
+# ---------------------------------------------------------------------------
+
+def _ref_dist_to_axis_segments(x, A: AxisSegments) -> float:
+    x = np.asarray(x, dtype=float).ravel()
+    sq = float(x @ x)
+    best = np.inf
+    for m, (u, _) in A.extents.items():
+        s = min(max(x[m], 0.0), u) if m < x.shape[0] else 0.0
+        xm = x[m] if m < x.shape[0] else 0.0
+        best = min(best, np.sqrt(sq - xm * xm + (xm - s) ** 2))
+    return best
+
+
+def _ref_dist_to_slab(x, A: AffineSlab) -> float:
+    return float(np.linalg.norm(np.asarray(x, float).ravel() - A.project(x)))
+
+
+def _point_form(A, d):
+    return _CLOSED_FORMS[(type(A), d.fn)]["point"]
+
+
+POINT_TOL = 1e-12
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    axis_segments(dim), st.lists(st.lists(coords, min_size=dim, max_size=dim), max_size=20),
+    st.lists(st.floats(0, 1), max_size=5))))
+def test_axis_segment_point_form_matches_the_per_point_form(case):
+    A, free, fractions = case
+    # free points, the tips u_k e_k, and points t u_k e_k along the segments
+    P = [np.array(x) for x in free]
+    for k, (u, _) in A.extents.items():
+        P += [A.point(k, u)] + [A.point(k, t * u) for t in fractions]
+    P = np.array(P)
+    d = _distance(A.dim)
+    got = _point_form(A, d)(P, A)
+    ref = np.array([_ref_dist_to_axis_segments(p, A) for p in P])
+    np.testing.assert_allclose(got, ref, rtol=0, atol=POINT_TOL)
+    assert np.all(got[len(free):] == 0.0)
+    if A.dim == 1:  # absolute() measures 1-D points given one per entry
+        np.testing.assert_allclose(_point_form(A, d)(P[:, 0], A), ref, rtol=0, atol=POINT_TOL)
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.lists(coords, min_size=dim, max_size=dim),
+    st.lists(st.lists(coords, min_size=dim, max_size=dim), max_size=dim),
+    st.lists(st.lists(coords, min_size=dim, max_size=dim), max_size=20),
+    st.lists(st.lists(coords, min_size=dim, max_size=dim), max_size=5))))
+def test_slab_point_form_matches_the_per_point_form(case):
+    p, columns, free, coefficients = (np.array(v, dtype=float) for v in case)
+    dim = len(p)
+    K = columns.T if len(columns) else np.zeros((dim, 0))
+    if K.shape[1] and np.linalg.matrix_rank(K) < K.shape[1]:
+        K = np.zeros((dim, 0))
+    A = AffineSlab(p, K)
+    # free points, then p and points p + K u of the slab itself
+    coefficients = coefficients.reshape(-1, dim)[:, :A.kernel_basis.shape[1]]
+    P = np.vstack([free.reshape(-1, dim), p, p + coefficients @ A.kernel_basis.T])
+    d = _distance(dim)
+    got = _point_form(A, d)(P, A)
+    ref = np.array([_ref_dist_to_slab(x, A) for x in P])
+    np.testing.assert_allclose(got, ref, rtol=0, atol=POINT_TOL)
+    assert np.all(got[len(free):] <= POINT_TOL)

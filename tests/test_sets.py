@@ -117,6 +117,18 @@ def test_affine_slab_projection():
     assert p == pytest.approx([1.0, 2.0])
 
 
+@pytest.mark.parametrize("particular, basis, rows", [
+    ([0.0, 0.0, 0.0], [[1.0, 2.0, 3.0]], 1),
+    ([0.0, 0.0, 0.0], [1.0, 2.0], 2),
+    ([0.0, 0.0], [[1.0], [0.0], [0.0]], 3),
+])
+def test_affine_slab_refuses_a_basis_of_another_dim(particular, basis, rows):
+    # a 1-D basis is one column; the check runs after that promotion
+    with pytest.raises(ValueError, match=f"{rows} rows.*dim {len(particular)}"):
+        AffineSlab(particular, basis)
+    assert AffineSlab([0.0, 0.0], [1.0, 2.0]).kernel_basis.shape == (2, 1)
+
+
 def test_point_to_affine_slab_is_exact_projection():
     d = euclidean(3)
     A = AffineSlab(np.zeros(3), np.eye(3)[:, :2], box_halfwidth=5.0)
