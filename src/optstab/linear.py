@@ -25,7 +25,8 @@ from .gauges import GaugeSet, as_magnitude, minkowski_gauge
 from .optima import Lipschitz, ObjectiveFn, VerdictReport
 from .parametric import (ParamFamily, ValueFunction, _delta_search,
                          certify_value_lipschitz, empirical_value_continuity)
-from .sets import DEFAULT_BUDGET, AffineSlab, ImplicitSampled, hausdorff
+from .sets import (DEFAULT_BUDGET, AffineSlab, ImplicitSampled, _norms,
+                   _orthonormal, _slab_gaps, hausdorff)
 
 TOL_RANK = 1e-12  # relative singular-value cutoff
 TOL_HOFFMAN = 1e-9
@@ -53,14 +54,35 @@ class LinearMap:
     def in_range(self, t, tol: Optional[float] = None) -> bool:
         t = np.asarray(t, dtype=float).ravel()
         tol = self.tol_lin if tol is None else tol
-        resid = self.matrix @ (self.pinv @ t) - t
-        return bool(np.linalg.norm(resid) <= tol * max(1.0, np.linalg.norm(t)))
+        return bool(_range_preimages(self.matrix, self.pinv, t, tol)[1])
+
+    def _pinv_apply(self, t) -> np.ndarray:
+        """pinv t: the minimum-norm preimage of a range point t."""
+        return self.pinv @ np.asarray(t, dtype=float).ravel()
+
+
+def _range_preimages(L, P, T, tol) -> tuple:
+    """(P t, whether t lies in the range of L) for each row t of T, with L,
+    P and tol stacked alike or shared: t is in the range when
+    ||L P t - t|| <= tol max(1, ||t||)."""
+    X = (P @ T[..., None])[..., 0]
+    resid = (L @ X[..., None])[..., 0] - T
+    return X, _norms(resid) <= tol * np.maximum(1.0, _norms(T))
+
+
+def _checked_preimages(L, P, T, tol) -> np.ndarray:
+    """P t for each row t of T; ValueError unless every t is in the range."""
+    X, ok = _range_preimages(L, P, T, tol)
+    if not (ok.all() if ok.ndim else ok):  # one parameter: skip the slow reduction
+        raise ValueError("parameter is outside the range of the map")
+    return X
 
 
 def _svd_pinv(L: np.ndarray) -> tuple:
-    """(U, s, Vt, rank, pinv) of a matrix (m, n) or of each matrix of a
-    stack (k, m, n): the full SVD, the rank cut at sigma_i > TOL_RANK *
-    sigma_max (0 when sigma_max = 0) and the Moore-Penrose inverse
+    """(U, s, Vt, rank, s_plus, pinv) of a matrix (m, n) or of each matrix
+    of a stack (k, m, n): the full SVD, the rank cut at sigma_i > TOL_RANK *
+    sigma_max (0 when sigma_max = 0), the diagonal s_plus of S^+ (1 / sigma_i
+    above the cut, 0 below it) and the Moore-Penrose inverse
     Vt^T S^+ U^T.  S^+ keeps the zero-padded (n, m) shape of the
     per-matrix code, so that the products add their terms in the same order
     for a stack and for each of its matrices alone."""
@@ -69,9 +91,10 @@ def _svd_pinv(L: np.ndarray) -> tuple:
     *stack, m, n = L.shape
     s_inv = np.zeros((*stack, n, m))
     diag = np.arange(s.shape[-1])
-    s_inv[..., diag, diag] = 1.0 / np.where(keep, s, INF)
+    s_plus = 1.0 / np.where(keep, s, INF)
+    s_inv[..., diag, diag] = s_plus
     pinv = np.swapaxes(Vt, -1, -2) @ s_inv @ np.swapaxes(U, -1, -2)
-    return U, s, Vt, keep.sum(-1), pinv
+    return U, s, Vt, keep.sum(-1), s_plus, pinv
 
 
 def _finite_matrix(L) -> np.ndarray:
@@ -84,7 +107,7 @@ def _finite_matrix(L) -> np.ndarray:
 def decompose(L) -> LinearMap:
     """SVD decomposition with rank cut at sigma_i > TOL_RANK * sigma_max."""
     L = _finite_matrix(L)
-    U, s, Vt, r, pinv = _svd_pinv(L)
+    U, s, Vt, r, _, pinv = _svd_pinv(L)
     r = int(r)
     range_b = U[:, :r]
     return LinearMap(matrix=L, singular_values=s[:r], rank=r,
@@ -101,13 +124,14 @@ def save_matrix_txt(M, path) -> None:
 
 
 PENROSE_IDENTITIES = ("LPL-L", "PLP-P", "LP-sym", "PL-sym")
+PENROSE_C = 100.0
+EPS = float(np.finfo(float).eps)
 
 
 def _frobenius(X: np.ndarray) -> np.ndarray:
     """||X_i||_F of each matrix of a stack (k, m, n), with the bits of
-    ``np.linalg.norm``: one dot product of the flattened matrix with itself."""
-    flat = X.reshape(len(X), 1, -1)
-    return np.sqrt(flat @ np.swapaxes(flat, -1, -2)).ravel()
+    ``np.linalg.norm``."""
+    return _norms(X.reshape(len(X), -1))
 
 
 def _penrose_norms(L: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -126,27 +150,46 @@ def penrose_residuals(lm: LinearMap) -> dict:
 
 
 def penrose_table(mats: Sequence) -> tuple:
-    """(rank, residuals, ||L||_F) of each matrix of ``mats``, in input order:
-    integer ranks (k,), the Penrose residual norms (k, 4) in the order of
-    PENROSE_IDENTITIES, and Frobenius norms (k,).  The matrices of one
-    shape share one stacked SVD and residual computation.  Each rank and
-    residual has the bits that ``decompose`` and ``penrose_residuals`` give
-    for that matrix alone, and each norm those of ``np.linalg.norm`` on the
+    """(rank, residuals, ||L||_F, ||L||_2, ||P||_2) of each matrix L of
+    ``mats`` and its pseudo-inverse P, in input order: integer ranks (k,),
+    the Penrose residual norms (k, 4) in the order of PENROSE_IDENTITIES,
+    Frobenius norms (k,) and the spectral norms (k,) of L and P read off
+    the stored singular values (0 at rank 0).  The matrices of one shape
+    share one stacked SVD and residual computation.  Each rank and residual
+    has the bits that ``decompose`` and ``penrose_residuals`` give for that
+    matrix alone, and each Frobenius norm those of ``np.linalg.norm`` on the
     matrix in C order (which sums a Fortran-ordered matrix in its own
     order)."""
     mats = [np.atleast_2d(np.asarray(L, dtype=float)) for L in mats]
     rank = np.zeros(len(mats), dtype=int)
     resid = np.zeros((len(mats), len(PENROSE_IDENTITIES)))
-    fro = np.zeros(len(mats))
+    fro, norm_L, norm_P = np.zeros((3, len(mats)))
     groups = {}
     for i, L in enumerate(mats):
         groups.setdefault(L.shape, []).append(i)
     for idx in groups.values():
         L = _finite_matrix(np.stack([mats[i] for i in idx]))
-        *_, rank[idx], P = _svd_pinv(L)
+        _, s, _, rank[idx], s_plus, P = _svd_pinv(L)
         resid[idx] = _penrose_norms(L, P)
         fro[idx] = _frobenius(L)
-    return rank, resid, fro
+        norm_L[idx] = s.max(-1, initial=0.0)
+        norm_P[idx] = s_plus.max(-1, initial=0.0)
+    return rank, resid, fro, norm_L, norm_P
+
+
+def penrose_tolerances(dims, norm_L, norm_P) -> np.ndarray:
+    """Bounds (k, 4) on the Penrose residuals of a pseudo-inverse P of L
+    computed through a backward-stable SVD, in the order of
+    PENROSE_IDENTITIES: PENROSE_C u max(m, n) times ||L||^2 ||P||,
+    ||P||^2 ||L||, ||L|| ||P|| and ||L|| ||P|| (spectral norms, u machine
+    epsilon), as in the rounding-error analysis of N. J. Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002.  ``dims``
+    holds max(m, n) of each matrix.  Every bound is 0 at rank 0, where the
+    residuals are 0 too."""
+    norm_L, norm_P = np.asarray(norm_L, float), np.asarray(norm_P, float)
+    LP = norm_L * norm_P
+    terms = np.stack([LP * norm_L, LP * norm_P, LP, LP], axis=-1)
+    return PENROSE_C * EPS * np.asarray(dims, float)[..., None] * terms
 
 
 def kernel_projector_identity_residual(lm: LinearMap) -> float:
@@ -193,11 +236,16 @@ class EGI:
 def pseudo_inverse(lm: LinearMap) -> EGI:
     """Moore-Penrose inverse as an EGI; its apply() is the minimum-norm
     preimage selector, so the constant is the operator norm of pinv."""
-    const = float(np.linalg.norm(lm.pinv, 2))
-    cert = dict(constant=const, mode="operator-norm", kappa=1.0)
-    return EGI(kind="pseudo_inverse", linmap=lm,
-               apply=lambda t: lm.pinv @ np.asarray(t, float).ravel(),
+    cert = dict(constant=float(_spectral_norms(lm.pinv)), mode="operator-norm",
+                kappa=1.0)
+    return EGI(kind="pseudo_inverse", linmap=lm, apply=lm._pinv_apply,
                lipschitz_cert=cert)
+
+
+def _spectral_norms(P) -> np.ndarray:
+    """||P_i||_2 of each matrix of a stack, with the bits of
+    ``np.linalg.norm(P_i, 2)``: the largest singular value."""
+    return np.linalg.svd(P, compute_uv=False).max(-1)
 
 
 def _eta_for_gauge(lm: LinearMap, S_Y, rng: np.random.Generator,
@@ -318,12 +366,22 @@ class AffineFamily:
             np.zeros(self.linmap.matrix.shape[1]), self.linmap.kernel_basis))
 
     def member(self, t) -> AffineSlab:
-        t = np.asarray(t, dtype=float).ravel()
-        if not self.linmap.in_range(t):
-            raise ValueError("parameter is outside the range of the map")
-        particular = self.egi.apply(t)
-        half = BOX_SCALE * (1.0 + float(np.linalg.norm(particular)))
+        particular = self._particulars(np.asarray(t, dtype=float).ravel())
+        half = BOX_SCALE * (1.0 + float(_norms(particular)))
         return self.kernel_slab.translated(particular, box_halfwidth=half)
+
+    def _particulars(self, T) -> np.ndarray:
+        """apply(t) for a parameter t (m,) or each row t of T (k, m), refused
+        with ValueError unless every t lies in the range of the map.  For the
+        map's own pseudo-inverse the range check's product pinv t is the
+        particular point."""
+        lm = self.linmap
+        X = _checked_preimages(lm.matrix, lm.pinv, T, lm.tol_lin)
+        if self.egi.apply == lm._pinv_apply:
+            return X
+        rows = T.reshape(-1, T.shape[-1])
+        return np.reshape([np.asarray(self.egi.apply(t), dtype=float).ravel()
+                           for t in rows], X.shape)
 
     def as_param_family(self, index_distance: PseudoDistance,
                         alpha: Optional[float] = None) -> ParamFamily:
@@ -342,44 +400,103 @@ def affine_family(L, egi: Optional[EGI] = None) -> AffineFamily:
     return AffineFamily(linmap=lm, egi=egi)
 
 
+HOFFMAN_COLUMNS = ["pair_id", "D_H", "bound", "slack", "translation_ok", "verdict"]
+
+
+def _hoffman_rows(L, tol_lin, K, Xs, Xt, shift, U, rate, tol) -> tuple:
+    """(D_H, bound, slack, translation_ok) of each row i of a stack: the
+    members A_s = Xs_i + range(K_i) and A_t = Xt_i + range(K_i) of the
+    family of L_i (L and K stacked alike, or shared), the bound rate_i + tol,
+    and the translation check on the sample ``A_t.sample(8, rng)`` would
+    draw: Xt_i and Xt_i + C K_i^T, where C = -h + 2h U_i has the bits of
+    ``rng.uniform(-h, h)`` for the ``rng.random`` draws U_i (7, k).  A point
+    x passes if ||L_i (x - shift_i)|| <= tol_lin_i max(1, ||x||), shift_i
+    being the checked EGI's apply(t_i).
+    """
+    dh = _slab_gaps(Xs - Xt, K)
+    X = Xt[:, None, :]
+    if K.shape[-1] > 0:
+        h = BOX_SCALE * (1.0 + _norms(Xt))[:, None, None]
+        X = np.concatenate([X, X + (-h + 2.0 * h * U) @ np.swapaxes(K, -1, -2)], axis=1)
+    resid = np.linalg.norm((X - shift[:, None, :]) @ np.swapaxes(L, -1, -2), axis=-1)
+    ok = np.all(resid <= tol_lin[:, None] * np.maximum(1.0, np.linalg.norm(X, axis=-1)),
+                axis=-1)
+    bound = rate + tol
+    return dh, bound, bound - dh, ok
+
+
+def _hoffman_report(dh, bound, slack, ok) -> VerdictReport:
+    rows = [dict(pair_id=i, D_H=d, bound=b, slack=s, translation_ok=o,
+                 verdict="pass" if (s >= 0 and o) else "fail")
+            for i, (d, b, s, o) in enumerate(zip(dh.tolist(), bound.tolist(),
+                                                 slack.tolist(), ok.tolist()))]
+    return VerdictReport(list(HOFFMAN_COLUMNS), rows)
+
+
 def hoffman_check(F: AffineFamily, E: EGI, S_Yt, pairs: Sequence,
                   nu: Optional[Callable[[np.ndarray, np.ndarray], float]] = None,
                   tol: float = TOL_HOFFMAN,
-                  budget: int = DEFAULT_BUDGET,
                   rng: Optional[np.random.Generator] = None) -> VerdictReport:
     """D_H(A_s, A_t) <= max{alpha S(s-t), alpha S(t-s)} + tol per pair.
 
     With ``nu`` supplied, the bound is max{nu(s,t), nu(t,s)} instead (the
-    generalized-rate variant).  Also spot-checks the translation structure
-    A_t = A_0 + apply(t) on slab samples.
+    generalized-rate variant).  D_H of the parallel member slabs is exact.
+    Also spot-checks the translation structure A_t = A_0 + apply(t) on 8
+    points of a box sample of each A_t, drawn from ``rng`` pair by pair.
+    The pairs share one stacked check, the helper of ``hoffman_table``.
     """
     mag = as_magnitude(S_Yt)
     alpha = E.constant
     lm = F.linmap
-    d = euclidean(lm.matrix.shape[1])
     rng = rng if rng is not None else np.random.default_rng(0)
+    pairs = [(np.asarray(s, dtype=float).ravel(), np.asarray(t, dtype=float).ravel())
+             for s, t in pairs]
+    if not pairs:
+        return VerdictReport(list(HOFFMAN_COLUMNS), [])
+    S, T = (np.array(z) for z in zip(*pairs))
+    Xs, Xt = F._particulars(S), F._particulars(T)
+    if nu is not None:
+        rate = [max(nu(s, t), nu(t, s)) for s, t in pairs]
+    else:
+        rate = [alpha * max(mag(s - t), mag(t - s)) for s, t in pairs]
+    K = F.kernel_slab.kernel_basis
+    U = rng.random((len(pairs), 7, K.shape[1]))
+    shift = np.array([np.asarray(E.apply(t), dtype=float).ravel() for t in T])
+    return _hoffman_report(*_hoffman_rows(
+        lm.matrix, np.full(len(pairs), lm.tol_lin), K, Xs, Xt, shift, U,
+        np.asarray(rate, dtype=float), tol))
 
-    columns = ["pair_id", "D_H", "bound", "slack", "translation_ok", "verdict"]
-    rows = []
-    for i, (s, t) in enumerate(pairs):
-        s = np.asarray(s, dtype=float).ravel()
-        t = np.asarray(t, dtype=float).ravel()
-        As, At = F.member(s), F.member(t)
-        dh = hausdorff(d, As, At, budget=budget, rng=rng).value
-        if nu is not None:
-            bound = max(nu(s, t), nu(t, s)) + tol
-        else:
-            bound = alpha * max(mag(s - t), mag(t - s)) + tol
 
-        # translation structure: x - apply(t) lies in the kernel slab A_0
-        X = At.sample(8, rng)
-        resid = np.linalg.norm((X - E.apply(t)) @ lm.matrix.T, axis=1)
-        ok = bool(np.all(resid <= lm.tol_lin * np.maximum(1.0, np.linalg.norm(X, axis=1))))
-        slack = bound - dh
-        rows.append(dict(pair_id=i, D_H=dh, bound=bound, slack=slack,
-                         translation_ok=ok,
-                         verdict="pass" if (slack >= 0 and ok) else "fail"))
-    return VerdictReport(columns, rows)
+def hoffman_table(maps: Sequence[LinearMap], pairs: Sequence,
+                  unit_draws: Sequence) -> VerdictReport:
+    """The row of ``hoffman_check(affine_family(lm), pseudo_inverse(lm),
+    ||.||, [(s, t)], rng)`` for each map lm and pair (s, t), in input order,
+    with pair_id the input position; ``unit_draws[i]`` holds the (7, k)
+    ``rng.random`` draws (k the kernel dimension of map i) in place of the
+    ``rng.uniform`` draws of that call.  The items of one (m, n, rank) share
+    one stacked spectral norm of the pseudo-inverses, QR of the kernel
+    bases, range check, slab distance and translation check; each row has
+    the bits that ``hoffman_check`` gives for its item alone.
+    """
+    n = len(maps)
+    dh, bound, slack = np.zeros((3, n))
+    ok = np.zeros(n, dtype=bool)
+    groups = {}
+    for i, lm in enumerate(maps):
+        groups.setdefault((*lm.matrix.shape, lm.rank), []).append(i)
+    for idx in groups.values():
+        L, P, K = (np.stack([getattr(maps[i], a) for i in idx])
+                   for a in ("matrix", "pinv", "kernel_basis"))
+        S, T = (np.array([np.asarray(pairs[i][j], dtype=float).ravel() for i in idx])
+                for j in (0, 1))
+        U = np.array([np.reshape(unit_draws[i], (7, K.shape[-1])) for i in idx])
+        tol_lin = np.array([maps[i].tol_lin for i in idx])
+        Xs = _checked_preimages(L, P, S, tol_lin)
+        Xt = _checked_preimages(L, P, T, tol_lin)
+        rate = _spectral_norms(P) * _norms(S - T)
+        dh[idx], bound[idx], slack[idx], ok[idx] = _hoffman_rows(
+            L, tol_lin, _orthonormal(K), Xs, Xt, Xt, U, rate, TOL_HOFFMAN)
+    return _hoffman_report(dh, bound, slack, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -265,11 +265,8 @@ class AffineSlab(SetModel):
         if K.shape[0] != particular.shape[0]:
             raise ValueError(f"kernel_basis has {K.shape[0]} rows but particular "
                              f"has dim {particular.shape[0]}")
-        if K.shape[1] > 0:
-            q, _ = np.linalg.qr(K)
-            K = q[:, : K.shape[1]]
         object.__setattr__(self, "particular", particular)
-        object.__setattr__(self, "kernel_basis", K)
+        object.__setattr__(self, "kernel_basis", _orthonormal(K))
         object.__setattr__(self, "box_halfwidth", float(box_halfwidth))
 
     @property
@@ -323,10 +320,18 @@ _SERIALIZABLE = {"finite_cloud": FiniteCloud, "interval_union": IntervalUnion,
 
 
 def set_from_dict(doc: dict) -> SetModel:
+    """The set model a document describes; ValueError if it describes none."""
+    if not isinstance(doc, dict):
+        raise ValueError("a set document must be a JSON object")
     kind = doc.get("kind")
     if kind not in _SERIALIZABLE:
         raise ValueError(f"unknown set model kind {kind!r}")
-    return _SERIALIZABLE[kind].from_dict(doc)
+    try:
+        return _SERIALIZABLE[kind].from_dict(doc)
+    except KeyError as exc:
+        raise ValueError(f"{kind} set lacks the field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{kind} set has a field of the wrong type: {exc}") from exc
 
 
 def save_set(model: SetModel, path) -> None:
@@ -413,6 +418,27 @@ def _euclid_dist_to_slab(P, A: AffineSlab) -> np.ndarray:
     return np.linalg.norm(D - (D @ K) @ K.T, axis=1)
 
 
+def _norms(X) -> np.ndarray:
+    """||x|| of each vector x along the last axis of X, with the bits of
+    ``np.linalg.norm(x)``: one dot product of x with itself."""
+    return np.sqrt(np.vecdot(X, X))
+
+
+def _orthonormal(K) -> np.ndarray:
+    """The Q factor of the reduced QR of each basis K (..., d, k): the
+    orthonormal basis that ``AffineSlab`` stores."""
+    return np.linalg.qr(K)[0] if K.shape[-1] > 0 else K
+
+
+def _slab_gaps(D, K) -> np.ndarray:
+    """||d - K K^T d|| for each row d of D (..., d) and orthonormal basis K
+    (..., d, k): the distance between parallel slabs of basis K whose
+    particular points differ by d."""
+    if K.shape[-1] > 0:
+        D = D - (K @ (np.swapaxes(K, -1, -2) @ D[..., None]))[..., 0]
+    return _norms(D)
+
+
 def _asym_slabs(A: AffineSlab, B: AffineSlab) -> Optional[float]:
     # Parallel affine subspaces are a constant distance apart: the normal
     # component of the particular-point difference.  None if not parallel.
@@ -424,10 +450,7 @@ def _asym_slabs(A: AffineSlab, B: AffineSlab) -> Optional[float]:
         rb = Kb - Ka @ (Ka.T @ Kb)
         if float(np.abs(ra).max()) >= 1e-9 or float(np.abs(rb).max()) >= 1e-9:
             return None
-    delta = A.particular - B.particular
-    if Kb.shape[1] > 0:
-        delta = delta - Kb @ (Kb.T @ delta)
-    return float(np.linalg.norm(delta))
+    return float(_slab_gaps(A.particular - B.particular, Kb))
 
 
 # Closed forms keyed by (set type, distance kernel).  "point" gives d(p, A)

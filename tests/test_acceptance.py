@@ -24,7 +24,8 @@ from optstab.instances import (axis_segment_family,
                                segment_sine_objective)
 from optstab.ladder import build_ladder
 from optstab.linear import (affine_family, decompose, hoffman_check,
-                            penrose_residuals, pseudo_inverse)
+                            penrose_residuals, penrose_table,
+                            penrose_tolerances, pseudo_inverse)
 from optstab.optima import inf_over, sup_over
 from optstab.scheme import run_scheme
 from optstab.sets import hausdorff
@@ -124,6 +125,8 @@ def test_criterion_4_penrose_egi_suite():
             lm = decompose(L)
             tol = 1e-9 * (1.0 + float(np.linalg.norm(L)))
             assert all(v < tol for v in penrose_residuals(lm).values())
+            _, resid, _, norm_L, norm_P = penrose_table([L])
+            assert np.all(resid <= penrose_tolerances([max(L.shape)], norm_L, norm_P))
             E = pseudo_inverse(lm)
             ts = (L @ rng.standard_normal((200, L.shape[1])).T).T
             for t in ts:

@@ -162,6 +162,25 @@ def test_hausdorff_kind_refuses_a_slab_basis_of_another_dim(tmp_path, capsys):
     assert not (tmp_path / "out" / "hausdorff.csv").exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "affine_slab", "particular": [0, 0]}, "lacks the field 'kernel_basis'"),
+    ({"kind": "interval_union"}, "lacks the field 'intervals'"),
+    ({"kind": "interval_union", "intervals": 5}, "wrong type"),
+    ([[0.0, 0.0]], "JSON object"),
+], ids=["slab-without-basis", "union-without-intervals", "union-of-a-number", "list"])
+def test_hausdorff_kind_refuses_a_set_file_that_lacks_a_field(tmp_path, capsys, doc, message):
+    (tmp_path / "a.json").write_text(json.dumps(doc))
+    (tmp_path / "b.json").write_text('{"kind": "finite_cloud", "points": [[0.0, 0.0]]}')
+    cfg = _write(tmp_path, "h.json",
+                 {"kind": "hausdorff", "set_a": str(tmp_path / "a.json"),
+                  "set_b": str(tmp_path / "b.json"), "seed": 0,
+                  "out_dir": str(tmp_path / "out")})
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: hausdorff:") and message in err
+    assert not (tmp_path / "out" / "hausdorff.csv").exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "scheme", "instance": "disk_polygon", "m_min": 5, "m_max": 4},
     {"kind": "scheme", "instance": "disk_polygon", "m_min": 2, "m_max": 4},

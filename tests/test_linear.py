@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from optstab.distances import absolute, euclidean
 from optstab.gauges import GaugeSet
 from optstab.instances import norm_objective, random_rank_deficient_matrix
-from optstab.linear import (BOX_SCALE, EGI, TOL_HOFFMAN, affine_family, check_gauge_subadditivity,
+from optstab.linear import (BOX_SCALE, EGI, TOL_HOFFMAN, _penrose_norms, affine_family,
+                            check_gauge_subadditivity,
                             decompose, example_mixed_constraints,
                             example_whole_space, hoffman_check,
                             kernel_projector_identity_residual,
                             load_matrix_txt,
-                            penrose_residuals, pseudo_inverse,
+                            penrose_residuals, penrose_table,
+                            penrose_tolerances, pseudo_inverse,
                             restricted_inverse_egi, sampled_worst_ratio,
                             save_matrix_txt)
 from optstab.optima import Lipschitz, ObjectiveFn, inf_over
@@ -76,6 +78,41 @@ def test_penrose_identities_random():
         tol = 1e-9 * (1.0 + float(np.linalg.norm(L)))
         assert all(v < tol for v in penrose_residuals(lm).values())
         assert kernel_projector_identity_residual(lm) < tol
+        _, resid, _, norm_L, norm_P = penrose_table([L])
+        assert np.all(resid <= penrose_tolerances([max(L.shape)], norm_L, norm_P))
+
+
+def _conditioned_matrices(rng):
+    """Matrices of drawn shapes up to 8x8 and ranks 1 to min(m, n), whose
+    singular values run geometrically from 1 down to 1 / cond for cond = 1
+    to 1e10, then nonzero draws of the CLI's generator (condition numbers up
+    to about 1e6)."""
+    mats = []
+    for cond in 10.0 ** np.arange(0, 11):
+        for _ in range(6):
+            m, n = rng.integers(1, 9, size=2)
+            r = int(rng.integers(1, min(m, n) + 1))
+            U = np.linalg.qr(rng.standard_normal((m, r)))[0]
+            V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+            mats.append(U @ np.diag(np.geomspace(1.0, 1.0 / cond, r)) @ V.T)
+    while len(mats) < 300:
+        L = random_rank_deficient_matrix(rng)
+        if np.any(L):
+            mats.append(L)
+    return mats
+
+
+@pytest.mark.parametrize("noise", [1e-6, 1e-9])
+def test_scaled_penrose_tolerance_refuses_a_perturbed_pseudo_inverse(noise):
+    # P + e ||P||_2 N(0, 1) is not the pseudo-inverse, at any condition number
+    rng = np.random.default_rng(12)
+    for L in _conditioned_matrices(rng):
+        P = decompose(L).pinv
+        bad = P + noise * np.linalg.norm(P, 2) * rng.standard_normal(P.shape)
+        _, exact, _, norm_L, norm_P = penrose_table([L])
+        tol = penrose_tolerances([max(L.shape)], norm_L, norm_P)
+        assert np.all(exact <= tol)
+        assert not np.all(_penrose_norms(L[None], bad[None]) <= tol)
 
 
 def test_egi_defining_property_both_kinds():
