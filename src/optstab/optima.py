@@ -51,7 +51,7 @@ class LinearPiece:
     """Linear piece on [lo, hi], which may reach +/-inf.  Optional endpoint
     anchors ``val_lo`` / ``val_hi`` pin the exact values at the breakpoints
     (float evaluation of slope*t + intercept can miss a breakpoint value by
-    rounding).  A NaN endpoint or lo > hi raises ValueError."""
+    rounding).  A NaN field or lo > hi raises ValueError."""
     lo: float
     hi: float
     slope: float
@@ -62,6 +62,8 @@ class LinearPiece:
     def __post_init__(self):
         if not self.lo <= self.hi:
             raise ValueError(f"linear piece [{self.lo}, {self.hi}] is empty or NaN")
+        if any(v != v for v in (self.slope, self.intercept, self.val_lo, self.val_hi)):
+            raise ValueError(f"linear piece on [{self.lo}, {self.hi}] has a NaN coefficient")
 
     def value(self, t: float) -> float:
         if self.val_lo is not None and t == self.lo:
@@ -92,6 +94,48 @@ def piecewise_eval(pieces: Sequence[LinearPiece], t: float) -> float:
     raise ValueError(f"t={t} not covered by the piecewise descriptor")
 
 
+class _PieceTable:
+    """Pieces as arrays in their given order, each anchor val_lo / val_hi with
+    the t at_lo / at_hi where it applies (NaN, which no t equals, if none); in
+    order of lo, the starts, their reach cummax(hi) and the runs [run_lo,
+    run_hi] of pieces that overlap or touch, one of which holds a covered interval."""
+
+    def __init__(self, pieces: Sequence[LinearPiece]):
+        cols = np.array([(p.lo, p.hi, p.slope, p.intercept,
+                          *((math.nan, 0.0) if p.val_lo is None else (p.lo, p.val_lo)),
+                          *((math.nan, 0.0) if p.val_hi is None else (p.hi, p.val_hi)))
+                         for p in pieces], dtype=float).reshape(-1, 8).T.copy()
+        (self.lo, self.hi, self.slope, self.intercept,
+         self.at_lo, self.val_lo, self.at_hi, self.val_hi) = cols
+        self.order = np.argsort(self.lo, kind="stable")
+        self.starts, self.reach = self.lo[self.order], np.maximum.accumulate(self.hi[self.order])
+        n = len(self.starts)
+        new_run = np.r_[True, self.starts[1:] > self.reach[:-1]][:n]
+        self.run_lo, self.run_hi = self.starts[new_run], self.reach[np.r_[new_run[1:], True][:n]]
+
+    def values(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """``LinearPiece.value`` of piece k at t, elementwise.  No slope and
+        no t is NaN, so a NaN product is 0 * (+/-inf) = 0."""
+        with np.errstate(invalid="ignore"):
+            st = self.slope[k] * t
+            st[st != st] = 0.0
+            v = st + self.intercept[k]
+        v = np.where(t == self.at_hi[k], self.val_hi[k], v)
+        return np.where(t == self.at_lo[k], self.val_lo[k], v)
+
+    def rows(self, X) -> np.ndarray:
+        """``piecewise_eval`` at each row t of X (n, 1), for pieces sorted by
+        lo: the first piece whose reach is >= t holds t if it starts <= t."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != 1:
+            raise ValueError(f"a piecewise-linear objective takes rows of width 1, not {X.shape}")
+        t = X[:, 0]
+        i = self.reach.searchsorted(t, "left")
+        if (i >= self.starts.searchsorted(t, "right")).any():
+            raise ValueError("a point is not covered by the piecewise descriptor")
+        return self.values(self.order[i], t)
+
+
 @dataclass(frozen=True)
 class ObjectiveFn:
     fn: Callable = field(repr=False)
@@ -101,6 +145,10 @@ class ObjectiveFn:
     exact_inf: Optional[Callable[[SetModel], Optional[float]]] = field(default=None, repr=False)
     bounded_below: bool = False
     name: str = "f"
+    table: Optional[_PieceTable] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", None if self.pieces is None else _PieceTable(self.pieces))
 
     def __call__(self, x) -> float:
         if is_row_form(self.fn):
@@ -108,13 +156,9 @@ class ObjectiveFn:
         return float(self.fn(x))
 
     def negated(self) -> "ObjectiveFn":
-        pieces = None
-        if self.pieces is not None:
-            pieces = tuple(
-                LinearPiece(p.lo, p.hi, -p.slope, -p.intercept,
-                            None if p.val_lo is None else -p.val_lo,
-                            None if p.val_hi is None else -p.val_hi)
-                for p in self.pieces)
+        pieces = None if self.pieces is None else tuple(
+            LinearPiece(p.lo, p.hi, -p.slope, -p.intercept,
+                        _neg_or_none(p.val_lo), _neg_or_none(p.val_hi)) for p in self.pieces)
         return ObjectiveFn(
             fn=(row_form(lambda X: -np.asarray(self.fn(X), dtype=float))
                 if is_row_form(self.fn) else lambda x: -float(self.fn(x))),
@@ -137,8 +181,9 @@ def piecewise_linear_objective(pieces: Sequence[LinearPiece], regularity=None,
     pieces = tuple(sorted(pieces, key=lambda p: p.lo))
     if regularity is None:
         regularity = Lipschitz(max(abs(p.slope) for p in pieces))
-    return ObjectiveFn(fn=lambda t: piecewise_eval(pieces, float(t)),
-                       regularity=regularity, pieces=pieces, name=name)
+    f = ObjectiveFn(fn=row_form(lambda X: f.table.rows(X)),
+                    regularity=regularity, pieces=pieces, name=name)
+    return f
 
 
 @dataclass(frozen=True)
@@ -148,51 +193,32 @@ class OptValue:
     mode: str = "exact"
 
 
-def _covers(p_lo: np.ndarray, p_hi: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Whether the closed pieces [p_lo, p_hi] cover every closed interval
-    [lo, hi]: the pieces, sorted by lo, are merged into runs that each reach
-    as far as their longest piece, and each interval must lie in one run."""
-    ok = p_lo <= p_hi
-    if not ok.any():
-        return False
-    order = np.argsort(p_lo[ok])
-    starts, reach = p_lo[ok][order], np.maximum.accumulate(p_hi[ok][order])
-    new_run = np.concatenate([[True], starts[1:] > reach[:-1]])
-    run_lo, run_hi = starts[new_run], reach[np.append(new_run[1:], True)]
-    r = np.searchsorted(run_lo, lo, "right") - 1
-    return bool(np.all((r >= 0) & (hi <= run_hi[np.maximum(r, 0)])))
-
-
-def _piecewise_extreme(pieces: Sequence[LinearPiece], A: IntervalUnion, want_max: bool):
-    """Extreme value of a piecewise-linear objective over an interval union,
-    at the ends of each (interval, piece) overlap.  The intervals a piece
-    meets (hi >= p.lo and lo <= p.hi) are one run of A's sorted endpoint
-    arrays, found by binary search; the first strict improvement in
-    (interval, piece, lo-then-hi) order gives the witness."""
+def _piecewise_extreme(pieces, A: IntervalUnion, want_max: bool):
+    """Extreme value of a piecewise-linear objective (its pieces or their
+    table) over an interval union, at the ends of each (interval, piece)
+    overlap.  The intervals a piece meets (hi >= p.lo and lo <= p.hi) are one
+    run of A's sorted endpoint arrays; the first extreme in (interval, piece,
+    lo-then-hi) order gives the witness.  A NaN value raises ValueError."""
+    tab = pieces if isinstance(pieces, _PieceTable) else _PieceTable(pieces)
     lo, hi = _endpoints(A)
-    p_lo = np.array([p.lo for p in pieces], dtype=float)
-    p_hi = np.array([p.hi for p in pieces], dtype=float)
-    if not _covers(p_lo, p_hi, lo, hi):
+    r = np.searchsorted(tab.run_lo, lo, "right") - 1   # the run each interval starts in
+    if not len(tab.run_lo) or not np.all((r >= 0) & (hi <= tab.run_hi[np.maximum(r, 0)])):
         raise ValueError("piecewise descriptor does not cover the interval union")
-    first = np.searchsorted(hi, p_lo, "left")
-    count = np.maximum(np.searchsorted(lo, p_hi, "right") - first, 0)
-    k = np.repeat(np.arange(len(pieces)), count)
+    first = np.searchsorted(hi, tab.lo, "left")
+    count = np.maximum(np.searchsorted(lo, tab.hi, "right") - first, 0)
+    k = np.repeat(np.arange(len(count)), count)
     i = np.arange(len(k)) - np.repeat(np.cumsum(count) - count - first, count)
     order = np.lexsort((k, i))
-    best = NEG_INF if want_max else INF
-    witness = None
-    for ii, kk in zip(i[order].tolist(), k[order].tolist()):
-        iv, p = A.intervals[ii], pieces[kk]
-        t_lo, t_hi = max(iv.lo, p.lo), min(iv.hi, p.hi)
-        if t_lo > t_hi:
-            continue
-        for t in (t_lo, t_hi):
-            v = p.value(t)
-            if (want_max and v > best) or (not want_max and v < best):
-                best, witness = v, t
-    if witness is None:
-        raise ValueError("piecewise descriptor does not cover the interval union")
-    return best, witness
+    i, k = i[order], k[order]
+    # max(iv.lo, p.lo) and min(iv.hi, p.hi) as Python picks them, signed zeros included
+    t_lo = np.where(tab.lo[k] > lo[i], tab.lo[k], lo[i])
+    t_hi = np.where(tab.hi[k] < hi[i], tab.hi[k], hi[i])
+    t = np.stack([t_lo, t_hi], axis=1).ravel()
+    v = tab.values(np.repeat(k, 2), t)
+    if np.isnan(v).any():
+        raise ValueError("a piece of the objective is NaN on the interval union")
+    j = int(np.argmax(v) if want_max else np.argmin(v))
+    return float(v[j]), float(t[j])
 
 
 def _extreme(f: ObjectiveFn, A, budget: int, rng: Optional[np.random.Generator],
@@ -219,8 +245,8 @@ def _extreme(f: ObjectiveFn, A, budget: int, rng: Optional[np.random.Generator],
             if math.isnan(v):
                 raise ValueError(f"the exact hook of {f.name} returned NaN")
             return OptValue(v, None, "exact")
-        if f.pieces is not None and isinstance(A, IntervalUnion):
-            v, w = _piecewise_extreme(f.pieces, A, want_max)
+        if f.table is not None and isinstance(A, IntervalUnion):
+            v, w = _piecewise_extreme(f.table, A, want_max)
             return OptValue(v, w, "exact")
         rng = rng if rng is not None else np.random.default_rng(0)
         pts, mode = A.sample(budget, rng), "sampled"

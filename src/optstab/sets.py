@@ -121,6 +121,9 @@ class IntervalUnion(SetModel):
             if b.lo < a.hi:
                 raise ValueError("intervals must be pairwise disjoint")
         object.__setattr__(self, "intervals", tuple(ivs))
+        ends = np.array([[iv.lo for iv in ivs], [iv.hi for iv in ivs]])
+        ends.setflags(write=False)
+        object.__setattr__(self, "_ends", ends)
 
     dim = 1
 
@@ -258,6 +261,8 @@ class AffineSlab(SetModel):
     def __init__(self, particular, kernel_basis, box_halfwidth=1e3):
         particular = np.asarray(particular, dtype=float).ravel()
         K = np.asarray(kernel_basis, dtype=float)
+        if K.ndim > 2:
+            raise ValueError(f"kernel_basis must be a matrix, not an array of {K.ndim} dimensions")
         if K.size == 0:
             K = np.zeros((particular.shape[0], 0))
         if K.ndim == 1:
@@ -349,10 +354,9 @@ def load_set(path) -> SetModel:
 # ---------------------------------------------------------------------------
 
 def _endpoints(A: IntervalUnion) -> Tuple[np.ndarray, np.ndarray]:
-    """The lower and the upper endpoints of A's intervals.  Both arrays are
-    nondecreasing, because the intervals are sorted and pairwise disjoint."""
-    return (np.array([iv.lo for iv in A.intervals]),
-            np.array([iv.hi for iv in A.intervals]))
+    """A's lower and upper endpoints, read-only arrays stored when A was built;
+    both are nondecreasing, as the intervals are sorted and pairwise disjoint."""
+    return A._ends[0], A._ends[1]
 
 
 def _union_distances(xs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

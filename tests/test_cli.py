@@ -167,7 +167,10 @@ def test_hausdorff_kind_refuses_a_slab_basis_of_another_dim(tmp_path, capsys):
     ({"kind": "interval_union"}, "lacks the field 'intervals'"),
     ({"kind": "interval_union", "intervals": 5}, "wrong type"),
     ([[0.0, 0.0]], "JSON object"),
-], ids=["slab-without-basis", "union-without-intervals", "union-of-a-number", "list"])
+    ({"kind": "affine_slab", "particular": [0.0], "kernel_basis": [[[1.0]]],
+      "box_halfwidth": 1.0}, "must be a matrix"),
+], ids=["slab-without-basis", "union-without-intervals", "union-of-a-number", "list",
+        "slab-basis-of-three-dims"])
 def test_hausdorff_kind_refuses_a_set_file_that_lacks_a_field(tmp_path, capsys, doc, message):
     (tmp_path / "a.json").write_text(json.dumps(doc))
     (tmp_path / "b.json").write_text('{"kind": "finite_cloud", "points": [[0.0, 0.0]]}')

@@ -5,7 +5,9 @@
 sorted endpoint arrays of an interval union.  The loops below are the
 earlier implementations, kept as references: on every union the pieces
 cover, values and witnesses must be equal, not close.  Unions include
-infinite, zero-length and touching intervals; pieces may overlap.
+infinite, zero-length and touching intervals; pieces may overlap.  The
+row form of ``piecewise_linear_objective`` is held to ``piecewise_eval``
+bit for bit.
 """
 
 import math
@@ -18,10 +20,10 @@ from hypothesis import strategies as st
 from optstab.distances import absolute
 from optstab.extreal import INF, NEG_INF
 from optstab.instances import oscillating_blocks, oscillating_objective
-from optstab.optima import (LinearPiece, _piecewise_extreme, inf_over,
+from optstab.optima import (LinearPiece, ObjectiveFn, _piecewise_extreme, inf_over,
                             piecewise_eval, piecewise_linear_objective, sup_over)
-from optstab.sets import (IntervalUnion, _abs_dist_to_union, _asym_interval_union,
-                          hausdorff, point_set_distance)
+from optstab.sets import (FiniteCloud, IntervalUnion, _abs_dist_to_union,
+                          _asym_interval_union, _endpoints, hausdorff, point_set_distance)
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -31,8 +33,9 @@ SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=
 # ---------------------------------------------------------------------------
 
 def _ref_piecewise_extreme(pieces, A, want_max):
-    best = NEG_INF if want_max else INF
-    witness = None
+    # best is seeded from the first candidate, so that a constant -inf (for
+    # a max) or +inf (for a min) still has a value and a witness
+    best = witness = None
     for iv in A.intervals:
         for p in pieces:
             lo = max(iv.lo, p.lo)
@@ -41,7 +44,7 @@ def _ref_piecewise_extreme(pieces, A, want_max):
                 continue
             for t in (lo, hi):
                 v = p.value(t)
-                if (want_max and v > best) or (not want_max and v < best):
+                if best is None or (want_max and v > best) or (not want_max and v < best):
                     best, witness = v, t
     if witness is None:
         raise ValueError("piecewise descriptor does not cover the interval union")
@@ -178,6 +181,74 @@ def test_sup_and_inf_match_a_grid_oracle(A, cuts, ys, want_max):
 
 
 # ---------------------------------------------------------------------------
+# the array forms: row-form objectives, piece tables, stored endpoints
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(piece_lists(), st.lists(ENDS, min_size=1, max_size=8), st.data())
+def test_row_form_objective_equals_piecewise_eval_bit_for_bit(pieces, ts, data):
+    # t also lands on the pieces' own ends: shared breakpoints, anchors and
+    # infinite ends, where a zero slope meets 0 * inf
+    ends = [e for p in pieces for e in (p.lo, p.hi)]
+    ts = ts + data.draw(st.lists(st.sampled_from(ends), max_size=8))
+    f = piecewise_linear_objective(pieces)
+    ref = [_outcome(piecewise_eval, f.pieces, t) for t in ts]
+    if "ValueError" in ref:
+        with pytest.raises(ValueError, match="not covered"):
+            f.fn(np.array(ts)[:, None])
+    else:
+        got = f.fn(np.array(ts)[:, None])
+        assert got.tobytes() == np.array([piecewise_eval(f.pieces, t) for t in ts]).tobytes()
+    assert [_outcome(f, t) for t in ts] == ref
+    cloud = FiniteCloud(ts)
+    for op, pick in ((sup_over, max), (inf_over, min)):
+        if "ValueError" in ref:
+            assert _outcome(op, f, cloud) == "ValueError"
+        else:
+            assert op(f, cloud).value == pick(piecewise_eval(f.pieces, t) for t in ts)
+
+
+@pytest.mark.parametrize("X", [np.zeros((3, 2)), np.zeros(3), np.zeros((2, 1, 1))])
+def test_row_form_objective_refuses_rows_of_another_width(X):
+    f = piecewise_linear_objective([LinearPiece(NEG_INF, INF, 1.0, 0.0)])
+    with pytest.raises(ValueError, match="width 1"):
+        f.fn(X)
+    with pytest.raises(ValueError, match="width 1"):
+        sup_over(f, FiniteCloud([[0.0, 1.0], [2.0, 3.0]]))
+
+
+@SETTINGS
+@given(piece_lists(), unions(), st.booleans())
+def test_direct_and_negated_objectives_equal_the_nested_loop(pieces, A, want_max):
+    # pieces in their drawn order, not sorted: the table keeps that order
+    f = ObjectiveFn(fn=lambda t: 0.0, pieces=tuple(pieces))
+    g = f.negated()
+    op, other = (sup_over, inf_over) if want_max else (inf_over, sup_over)
+    if not _brute_covers(pieces, A):
+        assert _outcome(op, f, A) == _outcome(op, g, A) == "ValueError"
+        return
+    for h in (f, g):
+        out = op(h, A)
+        assert out.mode == "exact"
+        assert repr((out.value, out.witness)) == repr(
+            _ref_piecewise_extreme(h.pieces, A, want_max))
+    neg = other(g, A)
+    assert -neg.value == op(f, A).value and neg.witness == op(f, A).witness
+
+
+@SETTINGS
+@given(unions())
+def test_stored_endpoints_equal_the_intervals_and_are_read_only(A):
+    lo, hi = _endpoints(A)
+    assert lo.tolist() == [iv.lo for iv in A.intervals]
+    assert hi.tolist() == [iv.hi for iv in A.intervals]
+    for ends in (lo, hi):
+        assert not ends.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ends[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
 # ce33, every j
 # ---------------------------------------------------------------------------
 
@@ -234,3 +305,46 @@ def test_infinite_zero_length_and_touching_intervals(a, b, expected):
 @pytest.mark.parametrize("x, expected", [(INF, 0.0), (NEG_INF, INF), (5.0, 0.0), (-2.0, 2.0)])
 def test_point_distance_to_a_union_with_an_infinite_end(x, expected):
     assert point_set_distance(absolute(), x, IntervalUnion([(0.0, INF)])).value == expected
+
+
+@pytest.mark.parametrize("field", ["slope", "intercept", "val_lo", "val_hi"])
+def test_a_nan_coefficient_or_anchor_is_refused(field):
+    # before, a NaN slope on [0, 0.5] was skipped and sup_over over [0, 1]
+    # of these pieces gave 2.0 "exact", while a cloud raised
+    args = dict(lo=0.0, hi=0.5, slope=1.0, intercept=0.0, val_lo=None, val_hi=None)
+    with pytest.raises(ValueError, match="NaN"):
+        LinearPiece(**dict(args, **{field: math.nan}))
+
+
+def test_a_nan_value_on_the_union_raises_as_on_a_cloud():
+    # inf + (-inf) at t = inf: the first piece holds t, so f(inf) is NaN
+    f = piecewise_linear_objective([LinearPiece(0.0, INF, 1.0, NEG_INF),
+                                    LinearPiece(0.0, INF, 0.0, 2.0)])
+    for op in (sup_over, inf_over):
+        with pytest.raises(ValueError, match="NaN"):
+            op(f, IntervalUnion([(0.0, INF)]))
+        with pytest.raises(ValueError, match="NaN"):
+            op(f, FiniteCloud([0.0, INF]))
+
+
+@pytest.mark.parametrize("c, op", [(NEG_INF, sup_over), (INF, inf_over),
+                                   (NEG_INF, inf_over), (INF, sup_over)])
+def test_a_constant_infinite_objective_has_a_value_and_a_witness(c, op):
+    # before, sup_over of a constant -inf and inf_over of a constant +inf
+    # over a union raised "does not cover", while a cloud gave the value
+    f = piecewise_linear_objective([LinearPiece(NEG_INF, INF, 0.0, c)])
+    out = op(f, IntervalUnion([(0.0, 1.0), (2.0, 3.0)]))
+    assert (out.value, out.witness, out.mode) == (c, 0.0, "exact")
+    assert op(f, FiniteCloud([0.0, 1.0, 2.0, 3.0])).value == c
+
+
+@pytest.mark.parametrize("iv_lo, p_lo", [(-0.0, 0.0), (0.0, -0.0)])
+def test_signed_zero_witnesses_are_those_of_python_max_and_min(iv_lo, p_lo):
+    # max(iv.lo, p.lo) keeps iv.lo on a tie, whatever the sign of the
+    # zeros; both ends read 0.0, so the lo end is the witness of max and min
+    pieces = [LinearPiece(p_lo, -p_lo, 1.0, 0.0)]
+    A = IntervalUnion([(iv_lo, -iv_lo)])
+    for want_max in (True, False):
+        got = _piecewise_extreme(pieces, A, want_max)
+        assert repr(got) == repr(_ref_piecewise_extreme(pieces, A, want_max))
+        assert repr(got[1]) == repr(iv_lo)
