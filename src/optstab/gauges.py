@@ -2,12 +2,14 @@
 
 A :class:`GaugeSet` describes a convex set C containing the origin, in one
 of four computable forms: a halfspace list {a_i . x <= b_i}, a vertex list
-(polytope hull), a Euclidean norm ball, or a membership oracle with a
+(polytope hull, also held as the halfspace list of its facets, which Qhull
+computes once), a Euclidean norm ball, or a membership oracle with a
 declared bounding radius.  The gauge of C at x is
 
     inf { mu : mu >= 0 and x in mu * C },
 
-which may be asymmetric and may attain +inf.
+which may be asymmetric and may attain +inf.  A row with b_i = 0 compares
+a_i . x with tol ||x||, so the gauge stays positively homogeneous.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  (traced by name by the benchmark)
+from scipy.spatial import ConvexHull
 
 from .extreal import INF
 
 DEFAULT_GAUGE_TOL = 1e-10
+VERTEX_RTOL = 1e-12  # times ||V||_2: rank cut of V, facet offsets snapped to 0
 
 
 class InvalidGaugeError(ValueError):
@@ -53,11 +57,11 @@ class GaugeSet:
 
     @staticmethod
     def from_vertices(V) -> "GaugeSet":
+        """The hull of the rows of V, held in facet form as well."""
         V = np.atleast_2d(np.asarray(V, dtype=float))
-        g = GaugeSet(kind="vertices", dim=V.shape[1], vertices=V)
-        if not g.contains(np.zeros(V.shape[1])):
-            raise InvalidGaugeError("0 is not in the hull of the vertices")
-        return g
+        A, b = _hull_facets(V)
+        return GaugeSet(kind="vertices", dim=V.shape[1], halfspace_A=A,
+                        halfspace_b=b, vertices=V)
 
     @staticmethod
     def from_ball(radius: float, dim: int) -> "GaugeSet":
@@ -87,22 +91,36 @@ class GaugeSet:
         """Membership of one point, or a boolean array over the rows of an
         (n, dim) array.  A NaN coordinate raises ValueError."""
         X, one = _as_rows(x, self.dim)
-        if self.kind == "halfspaces":
+        if self.halfspace_A is not None:
             inside = np.all(X @ self.halfspace_A.T <= self.halfspace_b + tol, axis=1)
         elif self.kind == "ball":
             inside = np.linalg.norm(X, axis=1) <= self.radius + tol
         else:
-            member = self.member if self.kind == "oracle" else self._in_hull
-            inside = np.array([bool(member(p)) for p in X], dtype=bool)
+            inside = np.array([bool(self.member(p)) for p in X], dtype=bool)
         return bool(inside[0]) if one else inside
 
-    def _in_hull(self, x) -> bool:
-        nv = self.vertices.shape[0]
-        A_eq = np.vstack([self.vertices.T, np.ones((1, nv))])
-        b_eq = np.concatenate([x, [1.0]])
-        res = linprog(np.zeros(nv), A_eq=A_eq, b_eq=b_eq,
-                      bounds=[(0, None)] * nv, method="highs")
-        return res.status == 0
+
+def _hull_facets(V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(A, b) with conv(V) = {x : A x <= b} and b >= 0: the facets of the
+    hull in coordinates of span(V), and +-n . x <= 0 for each normal n of
+    that span.  InvalidGaugeError when 0 is not in the hull."""
+    _, s, Wt = np.linalg.svd(V)
+    tol = VERTEX_RTOL * s.max(initial=0.0)
+    k = int(np.count_nonzero(s > tol))
+    # 0 is in the affine hull iff the affine hull is span(V); no rows, no hull
+    if len(V) == 0 or k != np.linalg.matrix_rank(V - V[0], tol=tol):
+        raise InvalidGaugeError("0 is not in the affine hull of the vertices")
+    B, N = Wt[:k], Wt[k:]
+    Y = V @ B.T
+    if k >= 2:
+        eq = ConvexHull(Y).equations  # n . y + c <= 0 inside, ||n|| = 1
+        F, c = eq[:, :-1], -eq[:, -1]
+    else:  # an interval, or the origin alone
+        F, c = np.vstack([np.eye(k), -np.eye(k)]), np.concatenate([Y.max(0), -Y.min(0)])
+    c[np.abs(c) <= tol] = 0.0
+    if np.any(c < 0.0):
+        raise InvalidGaugeError("0 is not in the hull of the vertices")
+    return np.vstack([F @ B, N, -N]), np.concatenate([c, np.zeros(2 * len(N))])
 
 
 def _as_rows(x, dim: int) -> Tuple[np.ndarray, bool]:
@@ -125,32 +143,24 @@ def minkowski_gauge(C: GaugeSet, x, tol: float = DEFAULT_GAUGE_TOL):
     gauges of the rows of an (n, dim) array.  A NaN coordinate raises
     ValueError."""
     X, one = _as_rows(x, C.dim)
-    if C.kind == "halfspaces":
+    if C.halfspace_A is not None:
         # For C = {x : a_i . x <= b_i} with all b_i >= 0:
         # rows with b_i > 0 contribute a_i.x / b_i; rows with b_i = 0 force
-        # +inf when a_i.x > 0 and are ignored otherwise.
+        # +inf when a_i.x > tol ||x|| and are ignored otherwise.
         ax, b = X @ C.halfspace_A.T, C.halfspace_b
-        ratio = np.divide(ax, b, out=np.where(ax > tol, INF, 0.0), where=b > 0.0)
+        slack = tol if b.all() else tol * np.linalg.norm(X, axis=1, keepdims=True)
+        ratio = np.divide(ax, b, out=np.where(ax > slack, INF, 0.0), where=b > 0.0)
         g = ratio.max(axis=1, initial=0.0)
     elif C.kind == "ball":
         g = np.linalg.norm(X, axis=1) / C.radius
     else:
         # per row, on the unit direction: M_C(x) = ||x|| M_C(x / ||x||), so
-        # the absolute tolerances of the LP and the bisection are relative
-        # to ||x||, and a small x is not rounded to the origin
-        unit = _hull_gauge if C.kind == "vertices" else _ray_gauge
+        # the absolute tolerance of the bisection is relative to ||x||, and
+        # a small x is not rounded to the origin
         norms = np.linalg.norm(X, axis=1)
-        g = np.array([n * unit(C, p / n, tol) if n > 0.0 else 0.0
+        g = np.array([n * _ray_gauge(C, p / n, tol) if n > 0.0 else 0.0
                       for p, n in zip(X, norms.tolist())])
     return float(g[0]) if one else g
-
-
-def _hull_gauge(C: GaugeSet, u, tol: float) -> float:
-    # u in mu*C  iff  u = sum c_i v_i with c >= 0, sum c_i = mu.
-    nv = C.vertices.shape[0]
-    res = linprog(np.ones(nv), A_eq=C.vertices.T, b_eq=u,
-                  bounds=[(0, None)] * nv, method="highs")
-    return float(res.fun) if res.status == 0 else INF
 
 
 def _ray_gauge(C: GaugeSet, u, tol: float) -> float:

@@ -227,8 +227,7 @@ class EGI:
         return self.lipschitz_cert["constant"]
 
     def cert_to_json(self, path) -> None:
-        doc = {k: v for k, v in self.lipschitz_cert.items()}
-        doc["kind"] = self.kind
+        doc = dict(self.lipschitz_cert, kind=self.kind)
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True, default=float)
 
@@ -290,16 +289,13 @@ def restricted_inverse_egi(lm: LinearMap, S_X, S_Y, kappa: float = 1.0,
     mag_y = as_magnitude(S_Y)
 
     sum_sx = 0.0
-    for j in range(lm.rank):
-        v = lm.preimages[:, j]
+    for v in lm.preimages.T:
         sxv = float(mag_x(v))
         if not np.isfinite(sxv):
             raise ValueError("S_X is infinite on a stored preimage")
         sum_sx += sxv
-    for j in range(lm.rank):
-        w = lm.range_basis[:, j]
-        if not mag_y(w) > 0:
-            raise ValueError("S_Y vanishes on a nonzero range point")
+    if not all(mag_y(w) > 0 for w in lm.range_basis.T):
+        raise ValueError("S_Y vanishes on a nonzero range point")
 
     eta, eta_mode = _eta_for_gauge(lm, S_Y, rng, n_eta_samples)
     tau = max(kappa ** p for p in range(1, max(2, lm.rank)))
@@ -395,9 +391,7 @@ class AffineFamily:
 
 def affine_family(L, egi: Optional[EGI] = None) -> AffineFamily:
     lm = L if isinstance(L, LinearMap) else decompose(L)
-    if egi is None:
-        egi = pseudo_inverse(lm)
-    return AffineFamily(linmap=lm, egi=egi)
+    return AffineFamily(linmap=lm, egi=egi if egi is not None else pseudo_inverse(lm))
 
 
 HOFFMAN_COLUMNS = ["pair_id", "D_H", "bound", "slack", "translation_ok", "verdict"]
@@ -550,7 +544,8 @@ def example_whole_space(f: ObjectiveFn, L, S_X, S_Yt,
 
 
 def _interior_point_in_slice(A_hs, b_hs, L, t):
-    """Strictly interior x of {A x <= b} with L x = t, via max-margin LP."""
+    """Strictly interior x of {A x <= b} with L x = t by max-margin LP, or
+    (None, 0.0); ValueError on other HiGHS statuses (unbounded: C not compact)."""
     A_hs = np.atleast_2d(np.asarray(A_hs, float))
     b_hs = np.asarray(b_hs, float).ravel()
     L = np.atleast_2d(np.asarray(L, float))
@@ -564,7 +559,9 @@ def _interior_point_in_slice(A_hs, b_hs, L, t):
     A_eq = np.hstack([L, np.zeros((L.shape[0], 1))])
     res = linprog(c, A_ub=A_ub, b_ub=b_hs, A_eq=A_eq, b_eq=t,
                   bounds=[(None, None)] * n + [(0, None)], method="highs")
-    if res.status != 0 or res.x[-1] <= 1e-12:
+    if res.status not in (0, 2):
+        raise ValueError(f"max-margin LP ended with HiGHS status {res.status}: {res.message}")
+    if res.status == 2 or res.x[-1] <= 1e-12:
         return None, 0.0
     return res.x[:n], float(res.x[-1])
 
@@ -594,8 +591,6 @@ def example_mixed_constraints(f: ObjectiveFn, L, C: GaugeSet,
     """
     if C.kind not in ("halfspaces", "vertices"):
         raise ValueError("C must be a compact polytope (halfspaces or vertices)")
-    if C.kind == "vertices":
-        raise ValueError("vertex polytopes: convert to halfspaces first")
     lm = L if isinstance(L, LinearMap) else decompose(L)
     A_hs, b_hs = C.halfspace_A, C.halfspace_b
     bound_r = float(np.max(np.abs(b_hs) / np.maximum(

@@ -108,12 +108,7 @@ class IntervalUnion(SetModel):
     intervals: Tuple[Interval, ...]
 
     def __init__(self, intervals: Sequence):
-        ivs = []
-        for iv in intervals:
-            if isinstance(iv, Interval):
-                ivs.append(iv)
-            else:
-                ivs.append(Interval(*iv))
+        ivs = [iv if isinstance(iv, Interval) else Interval(*iv) for iv in intervals]
         if not ivs:
             raise ValueError("a SetModel must be nonempty")
         ivs.sort(key=lambda iv: (iv.lo, iv.hi))

@@ -336,11 +336,8 @@ def _radial_quartic_2d(C):
 ], ids=["halfspaces", "ball", "vertices"])
 def test_2d_ladder_radii_match_the_scalar_loop(monkeypatch, C):
     P = _radial_quartic_2d(C)
-    if C.kind == "vertices":  # one linprog per sampled point: keep the samples few
-        monkeypatch.setattr(ladder, "HESSIAN_SAMPLES", 20)
-        new, ref = _ladder_both(monkeypatch, P, [1.5], 2, n_pairs=40, tol=1e-3)
-    else:  # at lambda 3 the ball of radius sqrt(3) leaves the box
-        new, ref = _ladder_both(monkeypatch, P, [0.5, 1.0, 3.0], 2, n_pairs=500)
+    # at lambda 3 the ball of radius sqrt(3) leaves the box and the triangle
+    new, ref = _ladder_both(monkeypatch, P, [0.5, 1.0, 3.0], 2, n_pairs=500)
     assert new.radii == pytest.approx(ref.radii, rel=0, abs=1e-9)
     for a, b in zip(new.verification, ref.verification):
         assert a["n_points"] == b["n_points"] and a["verified"] == b["verified"]

@@ -94,6 +94,26 @@ def test_positive_homogeneity():
             lam * minkowski_gauge(C, x), rel=1e-7)
 
 
+# a cone {x2 <= x1, x2 <= -x1} cut at x2 = -1: two zero offsets
+CONE = GaugeSet.from_halfspaces([[-1.0, 1.0], [1.0, 1.0], [0.0, -1.0]], [0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("C", [CONE, SEGMENT], ids=["cone", "segment"])
+def test_positive_homogeneity_at_every_scale(C):
+    # a zero-offset row compares a_i . x with tol ||x||; with the absolute
+    # tol, the cone gave lambda * 0.999 at (1, -0.999) for lambda <= 1e-7
+    rng = np.random.default_rng(4)
+    X = np.vstack([[[1.0, -0.999], [0.5, -2.0], [1e-3, -1.0], [2.0, 0.0], [-3.0, 1e-3],
+                    [1.0, 1e-3]], rng.standard_normal((20, 2))])
+    base = minkowski_gauge(C, X)
+    assert np.isinf(base).any() and np.isfinite(base).any()
+    for lam in np.logspace(-12, 6, 19):
+        scaled = minkowski_gauge(C, lam * X)
+        assert np.array_equal(np.isinf(scaled), np.isinf(base))
+        finite = np.isfinite(base)
+        assert scaled[finite] == pytest.approx(lam * base[finite], rel=1e-12, abs=0.0)
+
+
 def test_subadditivity_for_convex_set():
     C = GaugeSet.from_halfspaces(
         [[1.0, 1.0], [-1.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0])

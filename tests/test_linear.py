@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optstab import linear
 from optstab.distances import absolute, euclidean
 from optstab.gauges import GaugeSet
 from optstab.instances import norm_objective, random_rank_deficient_matrix
@@ -318,10 +320,12 @@ def test_example_whole_space_refuses_unbounded_below():
                             GaugeSet.from_ball(1.0, 1), [], [])
 
 
-def test_example_mixed_constraints_box():
-    C = GaugeSet.from_halfspaces(
-        [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
-        [1.0, 1.0, 1.0, 1.0])
+@pytest.mark.parametrize("C", [
+    GaugeSet.from_halfspaces([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                             [1.0, 1.0, 1.0, 1.0]),
+    GaugeSet.from_vertices([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]),
+], ids=["halfspaces", "vertices"])
+def test_example_mixed_constraints_box(C):
     f = ObjectiveFn(fn=lambda x: float(x[1]) ** 2 + float(x[0]),
                     regularity=Lipschitz(3.0), bounded_below=True)
     probes = [[t] for t in np.linspace(-0.9, 0.9, 19)]
@@ -342,6 +346,33 @@ def test_example_mixed_constraints_excludes_outside():
                                     budget=256,
                                     rng=np.random.default_rng(12))
     assert any(abs(t[0] - 2.0) < 1e-12 for t, _ in rep["excluded"])
+
+
+def _fake_linprog(status):
+    def fake(c, **kw):
+        x = np.zeros(len(c))
+        x[-1] = 1.0  # a wide margin, which the status must override
+        return SimpleNamespace(status=status, x=x, message=f"fake status {status}")
+    return fake
+
+
+@pytest.mark.parametrize("status", [1, 3, 4])
+def test_interior_point_refuses_unsolved_lps(monkeypatch, status):
+    # before, every status but 0 read as "no interior point"
+    box = np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)
+    monkeypatch.setattr(linear, "linprog", _fake_linprog(status))
+    with pytest.raises(ValueError, match=f"status {status}"):
+        linear._interior_point_in_slice(*box, [[1.0, 0.0]], [0.0])
+
+
+def test_interior_point_statuses():
+    box = np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)
+    x, margin = linear._interior_point_in_slice(*box, [[1.0, 0.0]], [0.5])
+    assert x[0] == pytest.approx(0.5) and margin == pytest.approx(0.5)
+    assert linear._interior_point_in_slice(*box, [[1.0, 0.0]], [2.0]) == (None, 0.0)  # infeasible
+    assert linear._interior_point_in_slice(*box, [[1.0, 0.0]], [1.0]) == (None, 0.0)  # no margin
+    with pytest.raises(ValueError, match="status 3"):  # the halfplane x_1 <= 1 is not compact
+        linear._interior_point_in_slice([[1.0, 0.0]], [1.0], [[0.0, 1.0]], [0.0])
 
 
 def test_matrix_txt_roundtrip(tmp_path):

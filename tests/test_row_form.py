@@ -151,8 +151,8 @@ def test_gauge_distance_rows_match_the_one_point_form(kind, pairs):
     got = d.fn(X, Y)
     assert got.shape == (len(P),)
     for g, x, y in zip(got, X, Y):
-        # the vertex gauge runs the same code per row; the others sum in
-        # another order
+        # the halfspace and vertex gauges multiply one row or many, the
+        # ball sums its squares in another order
         assert g == pytest.approx(ref(x, y), rel=1e-12, abs=1e-12)
         assert eval_distance(d, x, y) == pytest.approx(g, rel=1e-12, abs=1e-12)
 
