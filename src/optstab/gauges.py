@@ -101,8 +101,8 @@ class GaugeSet:
 
 
 def _hull_facets(V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(A, b) with conv(V) = {x : A x <= b} and b >= 0: the facets of the
-    hull in coordinates of span(V), and +-n . x <= 0 for each normal n of
+    """(A, b) with conv(V) = {x : A x <= b} and b >= 0: one row per facet of
+    the hull in coordinates of span(V), and +-n . x <= 0 for each normal n of
     that span.  InvalidGaugeError when 0 is not in the hull."""
     _, s, Wt = np.linalg.svd(V)
     tol = VERTEX_RTOL * s.max(initial=0.0)
@@ -114,6 +114,9 @@ def _hull_facets(V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Y = V @ B.T
     if k >= 2:
         eq = ConvexHull(Y).equations  # n . y + c <= 0 inside, ||n|| = 1
+        # Qhull triangulates each facet, and every simplex repeats the facet's
+        # row bit for bit: keep the first of each, in Qhull's order
+        eq = eq[np.sort(np.unique(eq, axis=0, return_index=True)[1])]
         F, c = eq[:, :-1], -eq[:, -1]
     else:  # an interval, or the origin alone
         F, c = np.vstack([np.eye(k), -np.eye(k)]), np.concatenate([Y.max(0), -Y.min(0)])

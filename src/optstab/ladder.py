@@ -90,7 +90,9 @@ def _on_sphere(y0: np.ndarray, t: float, dirs: np.ndarray) -> np.ndarray:
 def hessian_sup(P: SmoothProblem, t: float,
                 rng: Optional[np.random.Generator] = None) -> tuple:
     """sup of the Hessian norm over (ball of radius t around y0) within the
-    feasible region; nondecreasing in t by construction.
+    feasible region.  The exact path returns the closed form, which is
+    nondecreasing in t only if the closed form is; the sampled path draws
+    fresh points on every call, so its values need not be monotone in t.
 
     Returns (value, mode).  The sampled fallback yields a lower bound on
     the true sup and is flagged mode='sampled'.  A NaN Hessian norm raises
@@ -140,7 +142,9 @@ def solve_radius(P: SmoothProblem, lam: float, t_hint: float = 1.0,
                  tol: float = TOL_LADDER,
                  rng: Optional[np.random.Generator] = None) -> float:
     """Smallest-bracket t > 0 with |hessian_sup(t) - lam| <= tol, via
-    bracket expansion then bisection on the nondecreasing radial sup."""
+    bracket expansion then bisection on the radial sup.  The bisection
+    assumes that sup is nondecreasing in t; a sampled sup need not be, as
+    each call draws fresh points, so its radius is one estimate."""
     s0, _ = hessian_sup(P, 0.0, rng=rng)
     if not lam > s0:
         raise ValueError(f"lambda = {lam} must exceed the base value {s0}")

@@ -543,13 +543,17 @@ def example_whole_space(f: ObjectiveFn, L, S_X, S_Yt,
                 passed=(cont["verdict"] == "pass" and lip.passed))
 
 
+def _vec(t) -> np.ndarray:
+    return np.atleast_1d(np.asarray(t, float))
+
+
 def _interior_point_in_slice(A_hs, b_hs, L, t):
     """Strictly interior x of {A x <= b} with L x = t by max-margin LP, or
     (None, 0.0); ValueError on other HiGHS statuses (unbounded: C not compact)."""
     A_hs = np.atleast_2d(np.asarray(A_hs, float))
     b_hs = np.asarray(b_hs, float).ravel()
     L = np.atleast_2d(np.asarray(L, float))
-    t = np.atleast_1d(np.asarray(t, float))
+    t = _vec(t)
     n = A_hs.shape[1]
     row_norms = np.linalg.norm(A_hs, axis=1)
     # variables (x, m): maximize m subject to A x + m * ||a_i|| <= b, L x = t
@@ -595,10 +599,15 @@ def example_mixed_constraints(f: ObjectiveFn, L, C: GaugeSet,
     A_hs, b_hs = C.halfspace_A, C.halfspace_b
     bound_r = float(np.max(np.abs(b_hs) / np.maximum(
         np.linalg.norm(A_hs, axis=1), 1e-30))) * np.sqrt(C.dim) + 1.0
+    interior = {}   # (shape, bytes) of a parameter -> its max-margin LP's point, for this call
 
     def slice_at(t):
-        t_arr = np.atleast_1d(np.asarray(t, float))
-        x0, margin = _interior_point_in_slice(A_hs, b_hs, lm.matrix, t_arr)
+        # a fresh set on every call: sampled distances key their draws on id(set)
+        t_arr = _vec(t)
+        key = (t_arr.shape, t_arr.tobytes())
+        if key not in interior:
+            interior[key] = _interior_point_in_slice(A_hs, b_hs, lm.matrix, t_arr)[0]
+        x0 = interior[key]
         if x0 is None:
             return None
         K = lm.kernel_basis
@@ -617,19 +626,16 @@ def example_mixed_constraints(f: ObjectiveFn, L, C: GaugeSet,
             admissible.append(t)
         else:
             excluded.append((t, "no strictly interior feasible point"))
-    if slice_at(s0) is None:
+    A0 = slice_at(s0)
+    if A0 is None:
         raise ValueError("base parameter s0 has no strictly interior feasible point")
 
     d = euclidean(lm.matrix.shape[1])
-    A0 = slice_at(s0)
     rng = rng if rng is not None else np.random.default_rng(0)
 
     # set convergence: for each eps, a delta such that close params give close sets
-    d_param = PseudoDistance(
-        name="param-euclid",
-        fn=lambda s, t: float(np.linalg.norm(np.atleast_1d(np.asarray(t, float))
-                                             - np.atleast_1d(np.asarray(s, float)))),
-        ambient_dim=None)
+    d_param = PseudoDistance(name="param-euclid", ambient_dim=None,
+                             fn=lambda s, t: float(np.linalg.norm(_vec(t) - _vec(s))))
     set_rows = []
     for t in admissible:
         di = d_param.fn(s0, t)
@@ -643,20 +649,12 @@ def example_mixed_constraints(f: ObjectiveFn, L, C: GaugeSet,
     cont = empirical_value_continuity(V, s0, admissible, eps_grid,
                                       budget=budget, rng=rng)
 
-    # openness / convexity probes of the admissible parameter set
-    open_ok, convex_ok = True, True
-    for t in admissible:
-        t_arr = np.atleast_1d(np.asarray(t, float))
-        for _ in range(4):
-            pert = t_arr + rng.uniform(-1e-4, 1e-4, size=t_arr.shape)
-            if slice_at(pert) is None:
-                open_ok = False
-    for i in range(len(admissible)):
-        for j in range(i + 1, len(admissible)):
-            mid = 0.5 * (np.atleast_1d(np.asarray(admissible[i], float))
-                         + np.atleast_1d(np.asarray(admissible[j], float)))
-            if slice_at(mid) is None:
-                convex_ok = False
+    # openness / convexity probes of the admissible parameter set; rng is not
+    # drawn from after the first failed probe, nor read after these probes
+    open_ok = all(slice_at(_vec(t) + rng.uniform(-1e-4, 1e-4, size=_vec(t).shape)) is not None
+                  for t in admissible for _ in range(4))
+    convex_ok = all(slice_at(0.5 * (_vec(s) + _vec(t))) is not None
+                    for i, s in enumerate(admissible) for t in admissible[i + 1:])
 
     return dict(admissible=admissible, excluded=excluded,
                 set_convergence=set_conv, continuity=cont,

@@ -193,13 +193,13 @@ class OptValue:
     mode: str = "exact"
 
 
-def _piecewise_extreme(pieces, A: IntervalUnion, want_max: bool):
-    """Extreme value of a piecewise-linear objective (its pieces or their
-    table) over an interval union, at the ends of each (interval, piece)
-    overlap.  The intervals a piece meets (hi >= p.lo and lo <= p.hi) are one
-    run of A's sorted endpoint arrays; the first extreme in (interval, piece,
-    lo-then-hi) order gives the witness.  A NaN value raises ValueError."""
-    tab = pieces if isinstance(pieces, _PieceTable) else _PieceTable(pieces)
+def _piecewise_candidates(tab: _PieceTable, A: IntervalUnion):
+    """The values of a piecewise-linear objective's table at the ends t of
+    each (interval, piece) overlap of an interval union, in (interval,
+    piece, lo-then-hi) order, and the function j -> t_j (a float): every
+    extreme is attained among them, and the first one gives the witness.
+    The intervals a piece meets (hi >= p.lo and lo <= p.hi) are one run of
+    A's sorted endpoint arrays.  A NaN value raises ValueError."""
     lo, hi = _endpoints(A)
     r = np.searchsorted(tab.run_lo, lo, "right") - 1   # the run each interval starts in
     if not len(tab.run_lo) or not np.all((r >= 0) & (hi <= tab.run_hi[np.maximum(r, 0)])):
@@ -217,26 +217,39 @@ def _piecewise_extreme(pieces, A: IntervalUnion, want_max: bool):
     v = tab.values(np.repeat(k, 2), t)
     if np.isnan(v).any():
         raise ValueError("a piece of the objective is NaN on the interval union")
-    j = int(np.argmax(v) if want_max else np.argmin(v))
-    return float(v[j]), float(t[j])
+    return v, t.item
 
 
-def _extreme(f: ObjectiveFn, A, budget: int, rng: Optional[np.random.Generator],
-             want_max: bool) -> OptValue:
+def _point_values(f: ObjectiveFn, pts) -> np.ndarray:
+    """f at each point: a row-form objective in one call, any other once per
+    point.  A NaN value raises ValueError."""
+    if is_row_form(f.fn):
+        vals = call_rows(f.fn, len(pts), np.asarray(pts, dtype=float).reshape(len(pts), -1))
+    else:
+        vals = np.asarray([float(f.fn(p)) for p in pts])
+    if np.isnan(vals).any():
+        raise ValueError(f"{f.name} is NaN on a point of the set")
+    return vals
+
+
+def _extreme(f: ObjectiveFn, A, want_max: bool, budget: int,
+             rng: Optional[np.random.Generator], passes: dict) -> OptValue:
     """SUP_f(A) if ``want_max`` else INF_f(A): exact on probe lists, finite
     clouds, exact hooks and piecewise objectives over interval unions, and
-    a sampled estimate otherwise.  A row-form objective is called once on
-    all the points, any other once per point.  A NaN objective value, a NaN
-    from an exact hook, or pieces that do not cover the closure of every
-    interval of an interval union raise ValueError."""
-    pick = np.argmax if want_max else np.argmin
-    mode = "exact"
-    if isinstance(A, (list, tuple, np.ndarray)):
-        pts = list(A)
-        if not pts:
-            return OptValue(NEG_INF if want_max else INF, None, "exact")
-    elif isinstance(A, FiniteCloud):
-        pts = A.points
+    a sampled estimate otherwise.  The objective pass over an exact set (its
+    points, or its piece table's candidates) is kept in ``passes`` under
+    id(A), so the other extreme over A reads it instead of calling f again;
+    a set that is sampled is drawn on every call.  A row-form objective is
+    called once on all the points, any other once per point.  A NaN
+    objective value, a NaN from an exact hook, or pieces that do not cover
+    the closure of every interval of an interval union raise ValueError."""
+    key = id(A)
+    if isinstance(A, (list, tuple, np.ndarray, FiniteCloud)):
+        if key not in passes:
+            pts = A.points if isinstance(A, FiniteCloud) else list(A)
+            if not len(pts):
+                return OptValue(NEG_INF if want_max else INF, None, "exact")
+            passes[key] = _point_values(f, pts), pts.__getitem__
     else:
         hook = f.exact_sup if want_max else f.exact_inf
         v = hook(A) if hook is not None else None
@@ -245,31 +258,30 @@ def _extreme(f: ObjectiveFn, A, budget: int, rng: Optional[np.random.Generator],
             if math.isnan(v):
                 raise ValueError(f"the exact hook of {f.name} returned NaN")
             return OptValue(v, None, "exact")
-        if f.table is not None and isinstance(A, IntervalUnion):
-            v, w = _piecewise_extreme(f.table, A, want_max)
-            return OptValue(v, w, "exact")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        pts, mode = A.sample(budget, rng), "sampled"
-    if is_row_form(f.fn):
-        vals = call_rows(f.fn, len(pts), np.asarray(pts, dtype=float).reshape(len(pts), -1))
-    else:
-        vals = np.asarray([float(f.fn(p)) for p in pts])
-    if np.isnan(vals).any():
-        raise ValueError(f"{f.name} is NaN on a point of the set")
-    i = int(pick(vals))
-    return OptValue(float(vals[i]), pts[i], mode)
+        if f.table is None or not isinstance(A, IntervalUnion):
+            pts = A.sample(budget, rng if rng is not None else np.random.default_rng(0))
+            return _best(_point_values(f, pts), pts.__getitem__, want_max, "sampled")
+        if key not in passes:
+            passes[key] = _piecewise_candidates(f.table, A)
+    return _best(*passes[key], want_max, "exact")
+
+
+def _best(vals: np.ndarray, witness: Callable, want_max: bool, mode: str) -> OptValue:
+    """The first largest (smallest, unless ``want_max``) value and its witness."""
+    j = int(np.argmax(vals) if want_max else np.argmin(vals))
+    return OptValue(float(vals[j]), witness(j), mode)
 
 
 def sup_over(f: ObjectiveFn, A, budget: int = DEFAULT_BUDGET,
              rng: Optional[np.random.Generator] = None) -> OptValue:
     """SUP_f(A) with the convention sup over an empty probe list = -inf."""
-    return _extreme(f, A, budget, rng, want_max=True)
+    return _extreme(f, A, True, budget, rng, {})
 
 
 def inf_over(f: ObjectiveFn, A, budget: int = DEFAULT_BUDGET,
              rng: Optional[np.random.Generator] = None) -> OptValue:
     """INF_f(A) with the convention inf over an empty probe list = +inf."""
-    return _extreme(f, A, budget, rng, want_max=False)
+    return _extreme(f, A, False, budget, rng, {})
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +334,9 @@ def check_finite_stability(f: ObjectiveFn, d: PseudoDistance,
     rows = []
     for i, (A, Ap) in enumerate(pairs):
         dh = hausdorff(d, A, Ap, budget=budget, rng=rng).value
-        sA = sup_over(f, A, budget=budget, rng=rng).value
-        sAp = sup_over(f, Ap, budget=budget, rng=rng).value
-        iA = inf_over(f, A, budget=budget, rng=rng).value
-        iAp = inf_over(f, Ap, budget=budget, rng=rng).value
+        passes = {}   # one objective pass per exact set serves both extremes
+        sA, sAp, iA, iAp = (_extreme(f, S, want, budget, rng, passes).value
+                            for want in (True, False) for S in (A, Ap))
         if not (math.isfinite(sA) and math.isfinite(iA)):
             raise ValueError(f"pair {i}: A is outside dom(SUP_f)/dom(INF_f)")
         dsup = abs(sA - sAp)

@@ -479,13 +479,16 @@ def _closed_form(d: PseudoDistance, A: SetModel, what: str):
     return entry[what]
 
 
-def _pairwise_min(d: PseudoDistance, P, Q, orientation: str) -> np.ndarray:
+def _pairwise_min(d: PseudoDistance, P, Q, orientation: str, cols: bool = False):
     """min over q in Q of d(p, q) (of d(q, p) if "to_point"), for each p in P.
 
     P and Q hold one point per row, or one scalar per entry in dimension 1.
     The kernels of euclidean() and absolute() go to ``cdist`` and a row-form
     d to one call per block of pairs, each call with at most _CDIST_BLOCK
-    entries; any other d is called once per pair.  NaN raises ValueError.
+    entries; any other d is called once per pair.  With ``cols`` (the cdist
+    kernels only, whose matrices are bitwise symmetric) the pair (row minima,
+    column minima) of the same blocks is returned, the column minima being
+    min over p in P of d(q, p) for each q in Q.  NaN raises ValueError.
     """
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     rows_p, rows_q = P.reshape(len(P), -1), Q.reshape(len(Q), -1)
@@ -509,11 +512,16 @@ def _pairwise_min(d: PseudoDistance, P, Q, orientation: str) -> np.ndarray:
     else:
         fn = d.fn if orientation == "from_point" else (lambda p, q: d.fn(q, p))
         return np.array([min(check_extended_real(fn(p, q)) for q in Q) for p in P])
-    out = np.concatenate([block(rows_p[i:i + step]).min(axis=1)
-                          for i in range(0, max(1, len(rows_p)), step)])
-    if np.isnan(out).any():
+    out, col = [], INF
+    for i in range(0, max(1, len(rows_p)), step):
+        D = block(rows_p[i:i + step])
+        out.append(D.min(axis=1))
+        if cols:
+            col = np.minimum(col, D.min(axis=0))
+    out = np.concatenate(out)
+    if np.isnan(out).any():   # a NaN entry makes its row's minimum NaN
         raise ValueError("NaN is not an extended real")
-    return out
+    return (out, col) if cols else out
 
 
 def _draws(budget: int, rng: Optional[np.random.Generator]) -> Callable:
@@ -604,9 +612,16 @@ def hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
     """D_H(A, B) = max(D_asyH(A, B), D_asyH(B, A)).
 
     Each set that is not a finite cloud is sampled at most once, and both
-    directions use that draw.
+    directions use that draw.  Under euclidean() and absolute(), when no
+    closed form applies to either set, both directions read one distance
+    matrix: d(a, B) from its row minima and d(b, A) from its column minima.
     """
     points = _draws(budget, rng)
+    if (d.fn in _CDIST_METRICS and _closed_form(d, A, "point") is None
+            and _closed_form(d, B, "point") is None):
+        (P, exact_a), (Q, exact_b) = points(A), points(B)   # a NaN point gives NaN minima
+        to_b, to_a = _pairwise_min(d, P, Q, "from_point", cols=True)
+        return _report(max(float(to_b.max()), float(to_a.max())), exact_a and exact_b, budget)
     (v1, e1), (v2, e2) = _asym(d, A, B, points), _asym(d, B, A, points)
     return _report(max(v1, v2), e1 and e2, budget)
 
@@ -614,9 +629,14 @@ def hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
 def ball_around_set(d: PseudoDistance, A: SetModel, r: float, probe,
                     budget: int = DEFAULT_BUDGET,
                     rng: Optional[np.random.Generator] = None) -> list:
-    """Members of ``probe`` lying in B[A, r] = {x : d(x, A) <= r}; may be empty."""
+    """Members of ``probe`` lying in B[A, r] = {x : d(x, A) <= r}; may be
+    empty.  A is drawn once, and every probe is measured against that draw
+    in one distance call."""
     if r <= 0:
         raise ValueError("radius must be positive")
     pts = probe.points if isinstance(probe, FiniteCloud) else list(probe)
-    return [p for p in pts
-            if point_set_distance(d, p, A, budget=budget, rng=rng).value <= r]
+    if not len(pts):
+        return []
+    values, _ = _point_distances(d, np.asarray(pts, dtype=float), A, _draws(budget, rng),
+                                 "from_point")
+    return [p for p, v in zip(pts, values.tolist()) if v <= r]

@@ -12,6 +12,7 @@ and a triangle around 0 in R^3.  Points closer to the boundary than MARGIN,
 where the LP's own tolerances decide, are left out.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -213,6 +214,38 @@ def test_invalid_exactly_where_the_lp_misses_the_origin(kind, seed, scale):
     else:
         with pytest.raises(InvalidGaugeError):
             GaugeSet.from_vertices(V)
+
+
+def _distinct_rows(C) -> bool:
+    """No two halfspace rows (a_i, b_i) of C agree to 1e-12."""
+    rows = np.column_stack([C.halfspace_A, C.halfspace_b])
+    return len(np.unique(np.round(rows, 12), axis=0)) == len(rows)
+
+
+@SETTINGS
+@given(kind=KINDS, seed=SEEDS)
+def test_one_row_per_facet(kind, seed):
+    assert _distinct_rows(GaugeSet.from_vertices(_vertices(*kind, np.random.default_rng(seed))))
+
+
+@pytest.mark.parametrize("d, facets", [(3, 6), (5, 10)])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_cube_facets_are_merged(d, facets, rotated):
+    # Qhull triangulates each square facet: before the merge, the 3-cube had
+    # 12 rows and the 5-cube 276
+    rng = np.random.default_rng(d)
+    V = np.array(list(itertools.product([-1.0, 1.0], repeat=d)))
+    if rotated:
+        V = (V * rng.uniform(0.5, 2.0, d) + rng.uniform(-0.4, 0.4, d)) @ _rotation(rng, d).T
+    C = GaugeSet.from_vertices(V)
+    assert len(C.halfspace_b) == facets and _distinct_rows(C)
+    X = np.vstack([_ray_points(V, rng, 3.0, n=8), rng.standard_normal((8, d)) * 1.5])
+    g, inside = minkowski_gauge(C, X), C.contains(X)
+    for x, gx, got in zip(X, g.tolist(), inside.tolist()):
+        assert gx == pytest.approx(_hull_gauge(V, x), rel=1e-12, abs=0.0)
+        side = _side(V, x)
+        if side is not None:
+            assert got == side
 
 
 @pytest.mark.parametrize("V", [

@@ -1,6 +1,6 @@
 """The interval-union closed forms against the nested loops they replaced.
 
-``optima._piecewise_extreme`` and ``sets._asym_interval_union`` /
+``optima._piecewise_candidates`` and ``sets._asym_interval_union`` /
 ``sets._abs_dist_to_union`` (all query points at once) are merges over the
 sorted endpoint arrays of an interval union.  The loops below are the
 earlier implementations, kept as references: on every union the pieces
@@ -20,12 +20,19 @@ from hypothesis import strategies as st
 from optstab.distances import absolute
 from optstab.extreal import INF, NEG_INF
 from optstab.instances import oscillating_blocks, oscillating_objective
-from optstab.optima import (LinearPiece, ObjectiveFn, _piecewise_extreme, inf_over,
-                            piecewise_eval, piecewise_linear_objective, sup_over)
+from optstab.optima import (LinearPiece, ObjectiveFn, _best, _piecewise_candidates, _PieceTable,
+                            inf_over, piecewise_eval, piecewise_linear_objective, sup_over)
 from optstab.sets import (FiniteCloud, IntervalUnion, _abs_dist_to_union,
                           _asym_interval_union, _endpoints, hausdorff, point_set_distance)
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _piecewise_extreme(pieces, A, want_max):
+    """(value, witness) as ``sup_over`` / ``inf_over`` pick them from the
+    candidates of the pieces' table."""
+    best = _best(*_piecewise_candidates(_PieceTable(pieces), A), want_max, "exact")
+    return best.value, best.witness
 
 
 # ---------------------------------------------------------------------------
