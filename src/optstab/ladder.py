@@ -73,6 +73,20 @@ def _hess_values(P: SmoothProblem, X) -> np.ndarray:
     return v
 
 
+def _directions(rng: np.random.Generator, k: int, dim: int) -> np.ndarray:
+    """k unit rows from one (k, dim) standard normal block."""
+    U = rng.standard_normal((k, dim))
+    return U / np.maximum(np.linalg.norm(U, axis=1)[:, None], 1e-30)
+
+
+def _ball_points(y0: np.ndarray, t: float, k: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """k points y0 + r u drawn uniformly from the ball of radius t around
+    y0: first the k radii t U^(1/dim), then the k directions u."""
+    radii = t * rng.uniform(0, 1, size=k) ** (1.0 / len(y0))
+    return y0 + radii[:, None] * _directions(rng, k, len(y0))
+
+
 def _on_sphere(y0: np.ndarray, t: float, dirs: np.ndarray) -> np.ndarray:
     """y0 + t u for each unit row u of dirs, each pulled toward y0 until its
     rounded distance from y0 is at most t: rounding would otherwise put
@@ -120,13 +134,8 @@ def hessian_sup(P: SmoothProblem, t: float,
                 best, best_x = v[i], X[i]
 
     # boundary then interior samples, then local coordinate refinement
-    dirs = rng.standard_normal((HESSIAN_SAMPLES, P.dim))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1)[:, None], 1e-30)
-    consider(_on_sphere(P.y0, t, dirs))
-    radii = t * rng.uniform(0, 1, size=HESSIAN_SAMPLES) ** (1.0 / P.dim)
-    dirs = rng.standard_normal((HESSIAN_SAMPLES, P.dim))
-    dirs /= np.maximum(np.linalg.norm(dirs, axis=1)[:, None], 1e-30)
-    consider(P.y0 + radii[:, None] * dirs)
+    consider(_on_sphere(P.y0, t, _directions(rng, HESSIAN_SAMPLES, P.dim)))
+    consider(_ball_points(P.y0, t, HESSIAN_SAMPLES, rng))
     step = t / 8.0
     for _ in range(REFINE_ROUNDS):
         for i in range(P.dim):
@@ -189,23 +198,16 @@ def _verify_level(P: SmoothProblem, t: float, lam: float,
                   inflation: float) -> dict:
     """Sampled gradient-difference check: ||g(x)-g(y)|| <= lam ||x-y|| for
     x, y in (ball of radius t) within the feasible region.  Points are drawn
-    one at a time, in chunks of the number still needed, so the generator
-    stream does not depend on the chunking; scalar draws give the stream of
-    ``standard_normal(dim)`` then ``uniform()`` per point, at less cost per
-    call.  A NaN ratio raises ValueError."""
+    in chunks of the number still needed, each chunk as one ``_ball_points``
+    block (k radii, then a (k, dim) block of directions), until 2 n_pairs
+    are feasible or 40 n_pairs have been drawn; consecutive feasible points
+    make the pairs.  A NaN ratio raises ValueError."""
     need, tries_left = 2 * n_pairs, 40 * n_pairs
     chunks, n_pts = [np.empty((0, P.dim))], 0
-    normal, uniform, dims, power = rng.standard_normal, rng.random, range(P.dim), 1.0 / P.dim
     while n_pts < need and tries_left > 0:
         k = min(need - n_pts, tries_left)
         tries_left -= k
-        u, r = [], []
-        for _ in range(k):
-            u.extend([normal() for _ in dims])
-            r.append(t * uniform() ** power)
-        U, r = np.array(u).reshape(k, P.dim), np.array(r)
-        U /= np.maximum(np.linalg.norm(U, axis=1), 1e-30)[:, None]
-        X = P.y0 + r[:, None] * U
+        X = _ball_points(P.y0, t, k, rng)
         chunks.append(X[P.feasible(X)])
         n_pts += len(chunks[-1])
     pts = np.concatenate(chunks)

@@ -178,9 +178,15 @@ def _neg_or_none(v):
 
 def piecewise_linear_objective(pieces: Sequence[LinearPiece], regularity=None,
                                name: str = "f") -> ObjectiveFn:
+    """Without a declared regularity, Lipschitz(max |slope|) if the pieces
+    tile one interval and neighbours agree (anchors included) where they
+    meet, and ContinuousOnly() if the table jumps."""
     pieces = tuple(sorted(pieces, key=lambda p: p.lo))
     if regularity is None:
-        regularity = Lipschitz(max(abs(p.slope) for p in pieces))
+        tab, k = _PieceTable(pieces), np.arange(len(pieces))
+        joined = (np.array_equal(tab.hi[:-1], tab.lo[1:]) and np.array_equal(
+            tab.values(k[:-1], tab.hi[:-1]), tab.values(k[1:], tab.lo[1:])))
+        regularity = Lipschitz(max(abs(p.slope) for p in pieces)) if joined else ContinuousOnly()
     f = ObjectiveFn(fn=row_form(lambda X: f.table.rows(X)),
                     regularity=regularity, pieces=pieces, name=name)
     return f

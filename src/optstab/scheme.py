@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .extreal import scale
 from .optima import ContinuousOnly, Lipschitz, ObjectiveFn, UniformModulus, inf_over
 from .sets import FiniteCloud
 
@@ -83,10 +84,11 @@ def run_scheme(S: SchemeInstance, K: Optional[int] = None) -> ConvergenceCertifi
             raise ValueError(
                 f"level {k}: sigma_k is sampled; declare its tolerance solver_tol")
         sigma = float(opt.value)
+        if not math.isfinite(sigma):
+            raise ValueError(f"level {k}: sigma_k = {sigma} is not finite")
         if isinstance(reg, Lipschitz):
-            transfer = reg.lam * h_k
+            transfer = scale(reg.lam, h_k)   # 0 * inf = 0
         else:
-            # modulus transfer: smallest grid eps with delta(eps) > h_k
             transfer = _modulus_transfer(reg, h_k)
         budget = tau + transfer
         # a few ulps of slack: the transfer bound can be mathematically
@@ -105,13 +107,11 @@ def run_scheme(S: SchemeInstance, K: Optional[int] = None) -> ConvergenceCertifi
 
 
 def _modulus_transfer(reg: UniformModulus, h: float) -> float:
-    eps = 1.0
-    for _ in range(60):
-        if reg.delta(eps / 2) > h:
-            eps /= 2
-        else:
-            return eps
-    return eps
+    """The smallest eps = 2^j, |j| <= 60, with delta(eps) > h, so that points
+    within h have values within eps; +inf (the bracket is the whole line)
+    when there is none."""
+    grid = (2.0 ** j for j in range(-60, 61))
+    return next((eps for eps in grid if reg.delta(eps) > h), math.inf)
 
 
 # ---------------------------------------------------------------------------

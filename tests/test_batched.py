@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from optstab import ladder, linear
 from optstab.extreal import INF, is_row_form
@@ -212,16 +213,20 @@ def _ref_grad(P, x):
 
 
 def _ref_verify_level(P, t, lam, rng, n_pairs, inflation):
+    # per chunk of the points still needed: a block of radii, then a block
+    # of directions; each point is normalised and tested on its own
     pts = []
     tries = 0
     while len(pts) < 2 * n_pairs and tries < 40 * n_pairs:
-        tries += 1
-        u = rng.standard_normal(P.dim)
-        u /= max(np.linalg.norm(u), 1e-30)
-        r = t * rng.uniform() ** (1.0 / P.dim)
-        x = P.y0 + r * u
-        if _ref_feasible(P, x):
-            pts.append(x)
+        k = min(2 * n_pairs - len(pts), 40 * n_pairs - tries)
+        tries += k
+        radii = t * rng.uniform(0, 1, size=k) ** (1.0 / P.dim)
+        dirs = rng.standard_normal((k, P.dim))
+        for r, u in zip(radii, dirs):
+            u = u / max(np.linalg.norm(u), 1e-30)
+            x = P.y0 + r * u
+            if _ref_feasible(P, x):
+                pts.append(x)
     worst = 0.0
     for i in range(0, len(pts) - 1, 2):
         x, y = pts[i], pts[i + 1]
@@ -300,17 +305,14 @@ def test_first_strict_maximum_starts_the_refinement():
 
 
 class _ConstantDraws:
-    """Every direction (1, ..., 1) and every uniform 0.5: all points coincide.
-    Both the array draws of the reference loop and the scalar draws of
-    ``_verify_level`` are served."""
+    """Every direction (1, ..., 1) and every uniform 0.5, as sized draws: all
+    points coincide."""
 
-    def standard_normal(self, size=None):
-        return 1.0 if size is None else np.ones(size)
+    def standard_normal(self, size):
+        return np.ones(size)
 
-    def uniform(self):
-        return 0.5
-
-    random = uniform
+    def uniform(self, low, high, size):
+        return np.full(size, 0.5)
 
 
 def test_coincident_pairs_are_skipped():
@@ -320,6 +322,23 @@ def test_coincident_pairs_are_skipped():
     assert new == ref
     assert new["worst_ratio"] == 0.0 and new["n_points"] == 40
 
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_ball_points_are_uniform_in_the_ball(dim, seed):
+    # uniform in a ball: P(||x - y0|| <= r) = (r / t)^dim, and u and -u
+    # are equally likely directions
+    y0, t, n = np.array([0.3, -1.0, 2.0])[:dim], 1.7, 4000
+    X = ladder._ball_points(y0, t, n, np.random.default_rng(seed))
+    assert X.shape == (n, dim)
+    r = np.linalg.norm(X - y0, axis=1)
+    assert (r <= t * (1 + 1e-12)).all()
+    assert stats.kstest((r / t) ** dim, "uniform").pvalue > 0.01
+    U = (X - y0) / r[:, None]
+    for i in range(dim):
+        assert abs(int((U[:, i] > 0).sum()) - n / 2) <= 1.5 * math.sqrt(n)
+        assert stats.ks_2samp(U[:, i], -U[:, i]).pvalue > 0.01
 
 def _radial_quartic_2d(C):
     # ||x||^4 / 12: Hessian norm ||x||^2, gradient ||x||^2 x / 3

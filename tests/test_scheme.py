@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optstab.cli import main
 from optstab.distances import euclidean
 from optstab.instances import disk_polygon_scheme, target_distance_objective
-from optstab.optima import ContinuousOnly, Lipschitz, ObjectiveFn, inf_over
+from optstab.optima import (ContinuousOnly, LinearPiece, Lipschitz, ObjectiveFn,
+                            UniformModulus, inf_over, piecewise_eval,
+                            piecewise_linear_objective)
 from optstab.scheme import (SchemeInstance, build_inner_grid_family,
                             build_inner_polygon_family, run_scheme)
-from optstab.sets import FiniteCloud, hausdorff
+from optstab.sets import FiniteCloud, IntervalUnion, hausdorff
 
 
 def test_polygon_family_sagitta():
@@ -167,3 +171,124 @@ def test_sampled_sigma_needs_a_declared_tolerance():
     cert = run_scheme(SchemeInstance(objective=f, levels=(disk,), h_bounds=(0.0,),
                                      solver_tol=0.05))
     assert cert.contains(1.0)
+
+
+# ---------------------------------------------------------------------------
+# brackets hold the true optimum
+# ---------------------------------------------------------------------------
+
+def test_a_modulus_transfer_above_one_is_found():
+    # f = 10 x needs eps > 10 for delta(eps) = eps / 10 to exceed h = 1;
+    # before, the transfer stopped at 1 and the bracket was [9, 10]
+    f = ObjectiveFn(fn=lambda x: 10.0 * float(np.ravel(x)[0]),
+                    regularity=UniformModulus(lambda e: e / 10.0))
+    S = SchemeInstance(objective=f, levels=(FiniteCloud([[1.0]]),), h_bounds=(1.0,),
+                       inner=True)
+    cert = run_scheme(S)
+    assert cert.rows[0]["budget_k"] == 16.0
+    assert cert.contains(0.0)
+
+
+def test_a_modulus_that_never_exceeds_h_gives_the_whole_line():
+    f = ObjectiveFn(fn=lambda x: float(np.ravel(x)[0]),
+                    regularity=UniformModulus(lambda e: min(e, 0.5)))
+    cert = run_scheme(SchemeInstance(objective=f, levels=(FiniteCloud([[1.0]]),),
+                                     h_bounds=(1.0,)))
+    assert cert.rows[0]["budget_k"] == math.inf
+    assert cert.final_bracket == (-math.inf, math.inf)
+
+
+def test_a_piece_table_that_jumps_is_not_lipschitz():
+    # the pieces jump from 0 to 1 at t = 1; before, they were declared
+    # Lipschitz(0) and the bracket was [1 - 2e-15, 1 + 2e-15] around the true 0
+    f = piecewise_linear_objective([LinearPiece(0.0, 1.0, 0.0, 0.0), LinearPiece(1.0, 2.0, 0.0, 1.0)])
+    assert f.regularity == ContinuousOnly()
+    assert inf_over(f, IntervalUnion([(1.0, 1.1)])).value == 0.0
+    S = SchemeInstance(objective=f, levels=(FiniteCloud([[1.05]]),), h_bounds=(0.05,), inner=True)
+    with pytest.raises(ValueError, match="regularity"):
+        run_scheme(S)
+
+
+@pytest.mark.parametrize("pieces, lam", [
+    ([LinearPiece(0.0, 1.0, 2.0, 0.0), LinearPiece(1.0, 2.0, -1.0, 3.0)], 2.0),
+    ([LinearPiece.from_anchors(0.0, 0.3, 0.0, 0.1), LinearPiece.from_anchors(0.3, 1.0, 0.1, -0.4)],
+     abs(-0.5 / 0.7)),
+    ([LinearPiece(-math.inf, 0.0, -1.0, 0.0), LinearPiece(0.0, math.inf, 0.5, 0.0)], 1.0),
+])
+def test_a_joined_piece_table_keeps_its_lipschitz_default(pieces, lam):
+    assert piecewise_linear_objective(pieces[::-1]).regularity == Lipschitz(lam)
+
+
+@pytest.mark.parametrize("pieces", [
+    [LinearPiece(0.0, 1.0, 1.0, 0.0), LinearPiece(1.5, 2.0, 1.0, 0.0)],             # a gap
+    [LinearPiece(0.0, 2.0, 0.0, 0.0), LinearPiece(1.0, 3.0, 0.0, 0.0)],             # overlap
+    [LinearPiece(0.0, 1.0, 1.0, 0.0, val_hi=1.5), LinearPiece(1.0, 2.0, 0.0, 1.0)],  # an anchor
+])
+def test_gaps_overlaps_and_anchors_that_disagree_are_not_lipschitz(pieces):
+    assert piecewise_linear_objective(pieces).regularity == ContinuousOnly()
+
+
+
+def test_an_infinite_level_optimum_is_refused():
+    # before, sigma = inf gave the bracket [nan, inf]
+    f = ObjectiveFn(fn=lambda x: math.inf, regularity=Lipschitz(1.0))
+    with pytest.raises(ValueError, match="not finite"):
+        run_scheme(SchemeInstance(objective=f, levels=(FiniteCloud([[0.0]]),), h_bounds=(0.0,)))
+
+
+def test_an_infinite_lipschitz_constant_at_h_zero_transfers_nothing():
+    # 0 * inf = 0: before, the transfer was NaN and so was the bracket
+    f = ObjectiveFn(fn=lambda x: 2.0, regularity=Lipschitz(math.inf))
+    cert = run_scheme(SchemeInstance(objective=f, levels=(FiniteCloud([[0.0]]),), h_bounds=(0.0,)))
+    assert cert.rows[0]["budget_k"] == 0.0 and cert.contains(2.0)
+
+
+def _hausdorff_to_interval(a, b, pts) -> float:
+    """D_H([a, b], pts) by hand: d(., pts) peaks over [a, b] at a, b or a
+    midpoint of two neighbouring points."""
+    p = np.sort(np.asarray(pts, float))
+    xs = np.clip(np.r_[a, b, 0.5 * (p[1:] + p[:-1])], a, b)
+    there = np.abs(xs[:, None] - p[None, :]).min(axis=1).max()
+    back = np.maximum(np.maximum(a - p, p - b), 0.0).max()
+    return float(max(there, back))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), cuts=st.lists(st.integers(-90, 90).map(lambda i: i / 10), max_size=5),
+       ys=st.lists(st.floats(-3, 3), min_size=7, max_size=7), jump=st.sampled_from([0.0, 0.0, 0.5]),
+       ab=st.tuples(st.floats(-5, 5), st.floats(-5, 5)), inner=st.booleans(),
+       modulus=st.sampled_from(["lipschitz", "power", "cap"]),
+       scale=st.floats(0.05, 1.0), power=st.floats(1.0, 3.0), cap=st.floats(0.01, 2.0))
+def test_every_scheme_bracket_holds_the_brute_force_optimum(data, cuts, ys, jump, ab, inner,
+                                                            modulus, scale, power, cap):
+    xs = sorted({-10.0, 10.0, *cuts})
+    pieces = [LinearPiece.from_anchors(lo, hi, ys[i] + (jump if i == 1 else 0.0), ys[i + 1])
+              for i, (lo, hi) in enumerate(zip(xs, xs[1:]))]
+    f = piecewise_linear_objective(pieces)
+    a, b = sorted(ab)
+    # the true inf over [a, b], at an end or a breakpoint inside
+    true = min(piecewise_eval(f.pieces, t) for t in [a, b, *(x for x in xs if a < x < b)])
+    lo, hi = (a, b) if inner else (a - 1.0, b + 1.0)
+    clouds = [data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=6)) for _ in range(3)]
+    hs = [_hausdorff_to_interval(a, b, c) * (1 + 1e-12) for c in clouds]
+    order = np.argsort(hs)[::-1]
+    levels = tuple(FiniteCloud([[v] for v in clouds[i]]) for i in order)
+    h_bounds = tuple(hs[i] for i in order)
+    if isinstance(f.regularity, ContinuousOnly):
+        # only a table that jumps loses its Lipschitz default
+        assert jump and len(xs) > 2 and ys[1] + jump != ys[1]
+        with pytest.raises(ValueError, match="regularity"):
+            run_scheme(SchemeInstance(objective=f, levels=levels, h_bounds=h_bounds))
+        return
+    lam = f.regularity.lam
+    step = (lambda e: e / lam) if lam else (lambda e: math.inf)
+    if modulus == "power":
+        f = ObjectiveFn(fn=f.fn, pieces=f.pieces, regularity=UniformModulus(
+            lambda e: scale * min(step(e), step(e) ** power)))
+    elif modulus == "cap":
+        f = ObjectiveFn(fn=f.fn, pieces=f.pieces, regularity=UniformModulus(
+            lambda e: scale * min(step(e), cap)))
+    cert = run_scheme(SchemeInstance(objective=f, levels=levels, h_bounds=h_bounds, inner=inner))
+    for r in cert.rows:
+        assert r["bracket_lo"] <= true <= r["bracket_hi"]
+    assert cert.contains(true)
