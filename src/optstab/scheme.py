@@ -92,8 +92,9 @@ def run_scheme(S: SchemeInstance, K: Optional[int] = None) -> ConvergenceCertifi
             transfer = _modulus_transfer(reg, h_k)
         budget = tau + transfer
         # a few ulps of slack: the transfer bound can be mathematically
-        # tight, so rounding must not push the true value off the bracket
-        fp = 8 * np.finfo(float).eps * max(1.0, abs(sigma) + budget)
+        # tight, so rounding must not push the true value off the bracket;
+        # with an infinite budget only the inner side sigma + tau is finite
+        fp = 8 * np.finfo(float).eps * max(1.0, abs(sigma) + (budget if budget < math.inf else tau))
         lo = sigma - budget - fp
         hi = (sigma + tau if S.inner else sigma + budget) + fp
         lo_best, hi_best = max(lo_best, lo), min(hi_best, hi)
@@ -108,7 +109,7 @@ def run_scheme(S: SchemeInstance, K: Optional[int] = None) -> ConvergenceCertifi
 
 def _modulus_transfer(reg: UniformModulus, h: float) -> float:
     """The smallest eps = 2^j, |j| <= 60, with delta(eps) > h, so that points
-    within h have values within eps; +inf (the bracket is the whole line)
+    within h have values within eps; +inf (no lower bound from this level)
     when there is none."""
     grid = (2.0 ** j for j in range(-60, 61))
     return next((eps for eps in grid if reg.delta(eps) > h), math.inf)

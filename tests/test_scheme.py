@@ -189,13 +189,17 @@ def test_a_modulus_transfer_above_one_is_found():
     assert cert.contains(0.0)
 
 
-def test_a_modulus_that_never_exceeds_h_gives_the_whole_line():
+@pytest.mark.parametrize("inner, hi", [(False, math.inf), (True, 1.0 + 8 * np.finfo(float).eps)])
+def test_a_modulus_that_never_exceeds_h_transfers_inf(inner, hi):
+    # no eps has delta(eps) > h: the lower side is -inf, and an inner level
+    # still bounds the infimum from above by sigma (before the upper side's
+    # rounding slack was scaled by the infinite budget, it was +inf too)
     f = ObjectiveFn(fn=lambda x: float(np.ravel(x)[0]),
                     regularity=UniformModulus(lambda e: min(e, 0.5)))
     cert = run_scheme(SchemeInstance(objective=f, levels=(FiniteCloud([[1.0]]),),
-                                     h_bounds=(1.0,)))
+                                     h_bounds=(1.0,), inner=inner))
     assert cert.rows[0]["budget_k"] == math.inf
-    assert cert.final_bracket == (-math.inf, math.inf)
+    assert cert.final_bracket == (-math.inf, hi)
 
 
 def test_a_piece_table_that_jumps_is_not_lipschitz():
