@@ -7,7 +7,8 @@ a legal value; the helpers below guard the two places where IEEE and
 extended-real arithmetic disagree (0 * inf, empty sup/inf).
 
 The module also holds :func:`row_form`, the mark of callables that take
-one point per row, which the distance, set and optimum layers all read.
+one point per row, which the distance, set and optimum layers all read, and
+:func:`linprog`, the one entry to scipy's LP solver.
 """
 
 from __future__ import annotations
@@ -103,3 +104,10 @@ def scale(alpha: float, x: float) -> float:
     if alpha == 0.0 or x == 0.0:
         return 0.0
     return alpha * x
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call so that
+    ``import optstab`` loads no scipy module."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)

@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog  # noqa: F401  (traced by name by the benchmark)
-from scipy.spatial import ConvexHull
 
-from .extreal import INF
+from .extreal import INF, linprog  # noqa: F401  (linprog: traced by name by the benchmark)
 
 DEFAULT_GAUGE_TOL = 1e-10
 VERTEX_RTOL = 1e-12  # times ||V||_2: rank cut of V, facet offsets snapped to 0
@@ -113,6 +111,7 @@ def _hull_facets(V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     B, N = Wt[:k], Wt[k:]
     Y = V @ B.T
     if k >= 2:
+        from scipy.spatial import ConvexHull
         eq = ConvexHull(Y).equations  # n . y + c <= 0 inside, ||n|| = 1
         # Qhull triangulates each facet, and every simplex repeats the facet's
         # row bit for bit: keep the first of each, in Qhull's order

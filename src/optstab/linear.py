@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .distances import PseudoDistance, euclidean
-from .extreal import INF, row_form
+from .extreal import INF, linprog, row_form
 from .gauges import GaugeSet, as_magnitude, minkowski_gauge
 from .optima import Lipschitz, ObjectiveFn, VerdictReport
 from .parametric import (ParamFamily, ValueFunction, _delta_search,

@@ -75,8 +75,17 @@ class LinearPiece:
 
     @staticmethod
     def from_anchors(lo: float, hi: float, val_lo: float, val_hi: float) -> "LinearPiece":
+        """The piece through (lo, val_lo) and (hi, val_hi).  ValueError when
+        finite ends and anchors overflow the slope or intercept (a rise too
+        steep for a float, as on a piece 1e-311 wide): its values between
+        the anchors would be wrong."""
         slope = 0.0 if hi == lo else (val_hi - val_lo) / (hi - lo)
-        return LinearPiece(lo, hi, slope, val_lo - _times(slope, lo), val_lo, val_hi)
+        intercept = val_lo - _times(slope, lo)
+        if (not (math.isfinite(slope) and math.isfinite(intercept))
+                and all(map(math.isfinite, (lo, hi, val_lo, val_hi)))):
+            raise ValueError(f"linear piece on [{lo}, {hi}] through {val_lo} and "
+                             f"{val_hi} has an infinite slope or intercept")
+        return LinearPiece(lo, hi, slope, intercept, val_lo, val_hi)
 
 
 def _times(a: float, t: float) -> float:

@@ -42,12 +42,12 @@ GOLDEN_SHA256 = {
     "ce34": "b6eeac822f4b656f8e29b1c639a4eb8deb75b57368e92f2cc75c326b7fd61bf1",
     "hausdorff_axis": "d1ac07df26d36c6be4855d3ca050a1683879214087356d4fe620263e5b3e0dde",
     "hausdorff_intervals": "e39a445be1396f5d6182fe549b11d5d2a432b7eb67d7c069c9e100a9c3b78b3b",
-    "ladder_s1_n1": "01f507ab9d5afe3cc66a41cf16190fee513eb8acf5c786e88db1b5587533efcb",
-    "ladder_s1_n3": "dd3821ab1fb6e5da96521e670c3db7d6485c39386a7c059e36a11ae3398cac7e",
-    "ladder_s1_n10": "52c8ef740260c8e84d268739d4f1874d5362f2285f872e662ae82e94b7fb1ea8",
-    "ladder_s7_n1": "7c7ee53fca7985197cc45901e69459d9e825b5371fdee60579e4b6e5d275a1ec",
-    "ladder_s7_n3": "7e35883b09feba5ae6e469d3e3cb69a8023c17303bbd463ea254cfcbf3ce270e",
-    "ladder_s7_n10": "9d44bf9a019bfb725270577971e42164c4094ac2e605c5b37b43d045e1047662",
+    "ladder_s1_n1": "fa93a664d46efd3b78683373a9ed1c407dfc7b433111378097e585c1e7dbb17f",
+    "ladder_s1_n3": "d595f996e5fbf05b63e08c2a554ccd56fbd32643f319df21dbc825b182e7b822",
+    "ladder_s1_n10": "a272cf660267c6c1c720c2e2b0a03bb8937fbccbc4d93b4528f6eff2ae1e218c",
+    "ladder_s7_n1": "56e50d6aa10195149b9d79caa1d7d3936a5a4c1b4a09da9ae7b0c02fe8137298",
+    "ladder_s7_n3": "ecce8d9ba5d5ce42d181adb85d3084c419216aea165deef956a11193ec7ac5f9",
+    "ladder_s7_n10": "b6788ea1eacf0127e5de3f52b5d4f039ba7c924f359fb617778e1e51063fb870",
     "scheme": "d1f612100574e5fa1daf78773beedfd47cc545ad96d71a85ff8f0592af5b3fa9",
     "stability": "c83b6ad46266ca37aaebeaf1ffbf5542a5ddf0ab53528e63f67c611dfeb82cec",
 }

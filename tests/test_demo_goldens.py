@@ -19,7 +19,7 @@ GOLDEN_SHA256 = {
     "counterexample_walkthrough": "cb6ca64973535c448d9bdb020e03246a168f2816a60bf89b483f1edd10c76384",
     "gauges_tour": "e70d96bedc8b147ee0c997aeaa0b95066c72890f139e7dae70646a9baf1c84bf",
     "hoffman_and_egi": "454933513737d24b556b5b3e063f8f0ead6e4b1fe035aa275f42c141bf0f5478",
-    "ladder_and_scheme": "d543bc84c70e86a13de2b1f912dc11896747ad35d80049d08f94b772dac2762e",
+    "ladder_and_scheme": "b3e36f62e88d2b79544966c82544b97bff87c37085c82fe681ecbfb609e01a9e",
 }
 
 

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optstab.distances import absolute
@@ -22,7 +22,7 @@ from optstab.extreal import INF, NEG_INF
 from optstab.instances import oscillating_blocks, oscillating_objective
 from optstab.optima import (LinearPiece, ObjectiveFn, _best, _piecewise_candidates, _PieceTable,
                             inf_over, piecewise_eval, piecewise_linear_objective, sup_over)
-from optstab.sets import (FiniteCloud, IntervalUnion, _abs_dist_to_union,
+from optstab.sets import (FiniteCloud, Interval, IntervalUnion, _abs_dist_to_union,
                           _asym_interval_union, _endpoints, hausdorff, point_set_distance)
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -169,13 +169,21 @@ def test_interval_union_distances_equal_the_nested_loop(A, B, xs):
 @SETTINGS
 @given(unions(FINITE), st.lists(FINITE, min_size=1, max_size=6),
        st.lists(st.floats(-3, 3), min_size=8, max_size=8), st.booleans())
+@example(A=IntervalUnion([Interval(-1.0, 1.0)]), cuts=[0.0, 2.225073858507203e-309],
+         ys=[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0], want_max=False)
 def test_sup_and_inf_match_a_grid_oracle(A, cuts, ys, want_max):
     # a continuous piecewise-linear objective on [-10, 10], anchored at its
     # breakpoints, so its extremes on A are at breakpoints or endpoints of A
     xs = sorted({-10.0, 10.0, *cuts})
-    f = piecewise_linear_objective(
-        [LinearPiece.from_anchors(a, b, ys[i], ys[i + 1])
-         for i, (a, b) in enumerate(zip(xs, xs[1:]))])
+    anchors = [(a, b, ys[i], ys[i + 1]) for i, (a, b) in enumerate(zip(xs, xs[1:]))]
+    slopes = [(vb - va) / (b - a) for a, b, va, vb in anchors]
+    if not all(math.isfinite(s) and math.isfinite(va - s * a)
+               for s, (a, _, va, _) in zip(slopes, anchors)):
+        # cuts closer than about 1e-308 overflow a slope: no such piece exists
+        with pytest.raises(ValueError, match="infinite slope or intercept"):
+            [LinearPiece.from_anchors(*p) for p in anchors]
+        return
+    f = piecewise_linear_objective([LinearPiece.from_anchors(*p) for p in anchors])
     grid = np.concatenate([np.linspace(iv.lo, iv.hi, 201) for iv in A.intervals]
                           + [[x for x in xs if any(iv.lo <= x <= iv.hi for iv in A.intervals)]])
     vals = [piecewise_eval(f.pieces, float(t)) for t in grid]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optstab import ladder
 from optstab.cli import main
@@ -184,3 +186,98 @@ def test_nan_hessian_norm_raises():
     for t in (0.0, 1.0):
         with pytest.raises(ValueError, match="NaN"):
             hessian_sup(P0, t)
+
+
+# ---------------------------------------------------------------------------
+# ITP radius search: sweep counts, the stopping rule and the bracket
+# ---------------------------------------------------------------------------
+
+def _counted_sweeps(monkeypatch):
+    """The radii of every hessian_sup call of ``ladder``, in call order."""
+    radii, orig = [], ladder.hessian_sup
+    monkeypatch.setattr(ladder, "hessian_sup",
+                        lambda P, t, rng=None: radii.append(t) or orig(P, t, rng=rng))
+    return radii
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29, 47])
+def test_itp_sweeps_per_level_on_the_sampled_quartic(monkeypatch, seed):
+    # the benchmark's ladder shape: ||x||^4 / 12 on a box, Hessian sup sampled;
+    # bisection took 24-26 sweeps per level here
+    radii = _counted_sweeps(monkeypatch)
+    rng = np.random.default_rng(seed)
+    for lam in (1.0, 2.0, 4.0):
+        C = GaugeSet.from_halfspaces(np.vstack([np.eye(2), -np.eye(2)]), rng.uniform(2.5, 4.0, 4))
+        P = SmoothProblem(f=lambda x: float(np.dot(x, x)) ** 2 / 12.0,
+                          grad=lambda x: (float(np.dot(x, x)) / 3.0) * np.asarray(x, float),
+                          hess_norm=lambda x: float(np.dot(x, x)), dim=2, y0=[0.0, 0.0], C=C)
+        radii.clear()
+        res = build_ladder(P, [lam], rng=np.random.default_rng(int(rng.integers(2 ** 31))),
+                           n_pairs=500)
+        assert len(radii) <= 10
+        assert res.passed and abs(res.radii[0] - math.sqrt(lam)) <= 1e-5
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.0, 5.0, 10.0])
+def test_itp_sweeps_on_the_closed_form_quartic(monkeypatch, lam):
+    # bisection took 23-26 calls of the closed form t^2
+    radii = _counted_sweeps(monkeypatch)
+    assert solve_radius(quartic_problem(), lam) == pytest.approx(math.sqrt(lam), abs=1e-6)
+    assert len(radii) <= 10
+
+
+def _radial_form(draw):
+    """(g, lam): g a closed-form radial sup on t >= 0 with g(0) < lam, from
+    one of four families, all crossing lam near a root t* in [1e-3, 1e3]."""
+    lam = draw(st.floats(1e-3, 1e3))
+    root = 10.0 ** draw(st.floats(-3, 3))
+    p = draw(st.floats(0.5, 8))
+    kind = draw(st.sampled_from(["power", "flat", "steep", "noisy"]))
+    if kind == "power":
+        return (lambda t: lam * (t / root) ** p), lam
+    if kind == "flat":                     # zero up to c, then a power
+        c = root * draw(st.floats(0.0, 0.99))
+        return (lambda t: lam * (max(t - c, 0.0) / (root - c)) ** p), lam
+    if kind == "steep":                    # a jump to 2 lam, or an exponential
+        if draw(st.booleans()):
+            return (lambda t: 2.0 * lam if t >= root else 0.0), lam
+        k = draw(st.floats(1.0, 50.0)) / root
+        return (lambda t: lam * math.exp(min(k * (t - root), 700.0))), lam
+    e, w = draw(st.floats(0.0, 0.5)), draw(st.floats(1.0, 1e4))
+    return (lambda t: lam * (t / root) ** p * (1.0 + e * math.sin(w * t))), lam
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.floats(0.0, 100.0), st.floats(-8, -2))
+def test_itp_stops_by_the_rule_inside_the_bracket_within_its_bound(data, t_hint, log_tol):
+    g, lam = _radial_form(data.draw)
+    tol, calls = 10.0 ** log_tol, []
+    P = SmoothProblem(f=lambda x: 0.0, grad=lambda x: np.zeros(1), hess_norm=lambda x: 0.0,
+                      dim=1, y0=[0.0],
+                      hessian_sup_closed_form=lambda t: calls.append((t, g(t))) or g(t))
+    t = solve_radius(P, lam, t_hint=t_hint, tol=tol)
+    # replay the expansion: doubling from max(t_hint, 1) until g(hi) >= lam
+    assert calls[0] == (0.0, g(0.0))
+    lo, hi, i = 0.0, max(t_hint, 1.0), 1
+    v_lo, v_hi = calls[0][1], g(hi)
+    while v_hi < lam:
+        assert calls[i][0] == hi
+        lo, hi, v_lo, v_hi, i = hi, 2.0 * hi, v_hi, g(2.0 * hi), i + 1
+    assert calls[i][0] == hi
+    w0, steps = hi - lo, calls[i + 1:]
+    # replay the search: every point inside the bracket, the rule met last only
+    for j, (x, v) in enumerate(steps):
+        assert v_lo < lam <= v_hi
+        assert lo <= x <= hi
+        stop = abs(v - lam) <= tol or hi - lo < tol * 1e-3
+        assert stop == (j == len(steps) - 1)
+        if v < lam:
+            lo, v_lo = x, v
+        else:
+            hi, v_hi = x, v
+    assert t == steps[-1][0] > 0.0
+    # at most n0 sweeps more than bisection's worst case
+    n_bisect = 1
+    while w0 / 2.0 ** (n_bisect - 1) >= tol * 1e-3:
+        n_bisect += 1
+    assert len(steps) <= n_bisect + ladder.ITP_N0

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -346,6 +350,30 @@ def test_example_mixed_constraints_excludes_outside():
                                     budget=256,
                                     rng=np.random.default_rng(12))
     assert any(abs(t[0] - 2.0) < 1e-12 for t, _ in rep["excluded"])
+
+
+_NO_SCIPY_AT_IMPORT = """
+import sys
+import optstab, optstab.cli
+from optstab import extreal, gauges, linear
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:3]
+assert linear.linprog is gauges.linprog is extreal.linprog
+res = linear.linprog([1.0, -1.0], bounds=[(0.0, 2.0)] * 2, method="highs")
+assert res.status == 0 and res.x.tolist() == [0.0, 2.0], res
+G = gauges.GaugeSet.from_vertices([[2.0, 0.0], [0.0, 2.0], [-2.0, -2.0]])
+assert len(G.halfspace_b) == 3 and gauges.minkowski_gauge(G, [1.0, 0.0]) == 0.5
+"""
+
+
+def test_import_loads_no_scipy_module_and_the_first_lp_and_hull_still_work():
+    # before, gauges and linear imported scipy.optimize and scipy.spatial
+    src = str(Path(linear.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY_AT_IMPORT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def _fake_linprog(status):

@@ -267,6 +267,23 @@ def test_zero_slope_at_an_infinite_endpoint_is_zero():
     assert (p.slope, p.intercept, p.value(-INF), p.value(0.0)) == (0.0, 3.0, 3.0, 3.0)
 
 
+def test_from_anchors_refuses_a_slope_or_intercept_that_overflows():
+    # anchors 0 and 1 on a piece 2.2e-311 wide: slope 1 / 2.2e-311 = inf and
+    # intercept +inf, and inf_over at t = 0 used to read OptValue(inf, 'exact')
+    with pytest.raises(ValueError, match="infinite slope or intercept"):
+        LinearPiece.from_anchors(-2.2e-311, 2.2e-313, 0.0, 1.0)
+    with pytest.raises(ValueError, match="infinite slope or intercept"):
+        LinearPiece.from_anchors(0.0, 2.2e-309, 0.0, 1.0)   # slope inf, intercept 0
+    with pytest.raises(ValueError, match="infinite slope or intercept"):
+        # slope 5.6e307, intercept 10 times that
+        LinearPiece.from_anchors(-10.0, math.nextafter(-10.0, 0.0), 0.0, 1e293)
+    # a narrow piece whose slope is a float, and infinite ends or anchors, are kept
+    p = LinearPiece.from_anchors(0.0, 1e-300, 0.0, 1e-10)
+    assert (p.slope, p.value(0.0), p.value(1e-300)) == (1e290, 0.0, 1e-10)
+    assert LinearPiece.from_anchors(0.0, 1.0, 0.0, INF).slope == INF
+    assert LinearPiece.from_anchors(-INF, 1.0, 3.0, 3.0).intercept == 3.0
+
+
 @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.nan), (INF, -INF)])
 def test_empty_or_nan_pieces_are_refused(lo, hi):
     with pytest.raises(ValueError):
