@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .extreal import INF, call_one, check_extended_real, is_row_form, row_form
+from .extreal import INF, call_one, check_extended_real, row_form
 from .gauges import GaugeSet, minkowski_gauge
 
 SYMMETRIC = "symmetric"
@@ -42,9 +42,7 @@ def eval_distance(d: PseudoDistance, x, y) -> float:
         for p in (x, y):
             p = np.asarray(p, dtype=float)
             _check_dim(d, 1 if p.ndim == 0 else p.shape[-1])
-    if is_row_form(d.fn):
-        return check_extended_real(call_one(d.fn, x, y))
-    return check_extended_real(d.fn(x, y))
+    return check_extended_real(call_one(d.fn, x, y))
 
 
 # The kernels of euclidean() and absolute(): set closed forms are keyed by

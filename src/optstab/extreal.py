@@ -78,17 +78,29 @@ def is_row_form(fn) -> bool:
     return getattr(fn, "_row_form", False) is True
 
 
-def call_rows(fn, n: int, *rows, dtype=float, width: Optional[int] = None) -> np.ndarray:
-    """fn(*rows) for a row-form ``fn`` on n rows; any other result shape
-    than (n,), or (n, width) for a vector-valued ``fn``, raises ValueError."""
-    out = np.asarray(fn(*rows), dtype=dtype)
+def call_rows(fn, n: int, *points, dtype=float, width: Optional[int] = None) -> np.ndarray:
+    """fn at n points, one value (a row of ``width``) per point: the one
+    place that tells a row-form ``fn`` from a per-point one.  A row-form
+    ``fn`` is called once on float (n, dim) rows, and any other result shape
+    raises ValueError.  Any other ``fn`` is called once per point, in order,
+    on the points as given: a 1-D array's float64 scalars, an (n, dim)
+    array's rows, a list's own items."""
+    if not is_row_form(fn):
+        if width is None:
+            return np.fromiter(map(dtype, map(fn, *points)), dtype, n)
+        return np.array([np.atleast_1d(np.asarray(v, float)) for v in map(fn, *points)])
+    rows = [np.asarray(p, dtype=float) for p in points]
+    out = np.asarray(fn(*(a if a.ndim == 2 else a.reshape(n, -1) for a in rows)), dtype=dtype)
     if out.shape != ((n,) if width is None else (n, width)):
         raise ValueError(f"a row-form callable returned shape {out.shape} for {n} rows")
     return out
 
 
 def call_one(fn, *points, dtype=float):
-    """A row-form ``fn`` at single points, each passed as a row of one."""
+    """fn at one point: a row-form ``fn`` on rows of one, any other on the
+    arguments as given."""
+    if not is_row_form(fn):
+        return dtype(fn(*points))
     return call_rows(fn, 1, *(np.reshape(np.asarray(p, dtype=float), (1, -1))
                               for p in points), dtype=dtype)[0]
 

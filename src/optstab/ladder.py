@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .extreal import INF, call_rows, is_row_form
+from .extreal import INF, call_rows
 from .gauges import GaugeSet
 
 TOL_LADDER = 1e-6
@@ -66,10 +66,7 @@ class SmoothProblem:
 
 def _hess_values(P: SmoothProblem, X) -> np.ndarray:
     """hess_norm at each row of X, in order; a NaN value raises ValueError."""
-    if is_row_form(P.hess_norm):
-        v = call_rows(P.hess_norm, len(X), np.asarray(X, dtype=float))
-    else:
-        v = np.array([float(P.hess_norm(x)) for x in X])
+    v = call_rows(P.hess_norm, len(X), X)
     if np.isnan(v).any():
         raise ValueError("hess_norm is NaN at a point of the feasible region")
     return v
@@ -154,7 +151,8 @@ def solve_radius(P: SmoothProblem, lam: float, t_hint: float = 1.0,
                  tol: float = TOL_LADDER,
                  rng: Optional[np.random.Generator] = None) -> float:
     """t > 0 with |hessian_sup(t) - lam| <= tol, or the last point tried
-    once the bracket is narrower than tol 1e-3: bracket expansion (doubling
+    once the bracket is narrower than tol 1e-3 or holds no float strictly
+    inside, whichever comes first: bracket expansion (doubling
     from max(t_hint, 1)), then ITP (Oliveira and Takahashi, ACM TOMS 47(1),
     2020) on v_lo < lam <= v_hi.  A step tries the regula-falsi point,
     moved toward the midpoint by k1 (hi - lo)^k2, k1 = ITP_K1 / w0, and held
@@ -193,14 +191,15 @@ def solve_radius(P: SmoothProblem, lam: float, t_hint: float = 1.0,
         if not lo < x < hi:
             x = mid
         v, _ = hessian_sup(P, x, rng=rng)
-        if abs(v - lam) <= tol or hi - lo < tol * 1e-3:
-            if x <= 0.0:
-                raise ValueError("solved radius is not positive")
-            return x
+        done = abs(v - lam) <= tol or hi - lo < tol * 1e-3
         if v < lam:
             lo, val_lo = x, v
         else:
             hi, val_hi = x, v
+        if done or math.nextafter(lo, hi) == hi:   # or no float is left inside
+            if x <= 0.0:
+                raise ValueError("solved radius is not positive")
+            return x
 
 
 @dataclass(frozen=True)
@@ -237,10 +236,7 @@ def _verify_level(P: SmoothProblem, t: float, lam: float,
     dx = np.linalg.norm(pairs[:, 0] - pairs[:, 1], axis=1)
     pairs, dx = pairs[dx != 0.0], dx[dx != 0.0]
     X = pairs.reshape(-1, P.dim)
-    if is_row_form(P.grad):
-        g = call_rows(P.grad, len(X), X, width=P.dim)
-    else:
-        g = np.array([np.atleast_1d(np.asarray(P.grad(x), float)) for x in X])
+    g = call_rows(P.grad, len(X), X, width=P.dim)
     ratios = np.linalg.norm(g[0::2] - g[1::2], axis=-1) / dx
     if np.isnan(ratios).any():
         raise ValueError("gradient difference ratio is NaN at a sampled pair")

@@ -65,21 +65,15 @@ class LinearPiece:
         if any(v != v for v in (self.slope, self.intercept, self.val_lo, self.val_hi)):
             raise ValueError(f"linear piece on [{self.lo}, {self.hi}] has a NaN coefficient")
 
-    def value(self, t: float) -> float:
-        if self.val_lo is not None and t == self.lo:
-            return self.val_lo
-        if self.val_hi is not None and t == self.hi:
-            return self.val_hi
-        st = self.slope * t   # NaN only for 0 * (+/-inf) or a NaN slope
-        return (st if st == st else _times(self.slope, t)) + self.intercept
-
     @staticmethod
     def from_anchors(lo: float, hi: float, val_lo: float, val_hi: float) -> "LinearPiece":
-        """The piece through (lo, val_lo) and (hi, val_hi).  ValueError when
-        finite ends and anchors overflow the slope or intercept (a rise too
-        steep for a float, as on a piece 1e-311 wide): its values between
-        the anchors would be wrong."""
-        slope = 0.0 if hi == lo else (val_hi - val_lo) / (hi - lo)
+        """The piece through (lo, val_lo) and (hi, val_hi).  Finite ends
+        whose width overflows are halved with the anchors, exactly for
+        normal floats.  ValueError when finite ends and anchors overflow the
+        slope or intercept (a rise too steep for a float, as on a piece
+        1e-311 wide): its values between the anchors would be wrong."""
+        h = 0.5 if math.isinf(hi - lo) and math.isfinite(lo) and math.isfinite(hi) else 1.0
+        slope = 0.0 if hi == lo else (h * val_hi - h * val_lo) / (h * hi - h * lo)
         intercept = val_lo - _times(slope, lo)
         if (not (math.isfinite(slope) and math.isfinite(intercept))
                 and all(map(math.isfinite, (lo, hi, val_lo, val_hi)))):
@@ -94,13 +88,6 @@ def _times(a: float, t: float) -> float:
     everywhere else."""
     p = a * t
     return 0.0 if math.isnan(p) and (a == 0.0 or t == 0.0) else p
-
-
-def piecewise_eval(pieces: Sequence[LinearPiece], t: float) -> float:
-    for p in pieces:
-        if p.lo <= t <= p.hi:
-            return p.value(t)
-    raise ValueError(f"t={t} not covered by the piecewise descriptor")
 
 
 class _PieceTable:
@@ -123,8 +110,9 @@ class _PieceTable:
         self.run_lo, self.run_hi = self.starts[new_run], self.reach[np.r_[new_run[1:], True][:n]]
 
     def values(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """``LinearPiece.value`` of piece k at t, elementwise.  No slope and
-        no t is NaN, so a NaN product is 0 * (+/-inf) = 0."""
+        """Piece k at t, elementwise: its anchor at an anchored end, else
+        slope t + intercept.  No slope and no t is NaN, so a NaN product is
+        0 * (+/-inf) = 0."""
         with np.errstate(invalid="ignore"):
             st = self.slope[k] * t
             st[st != st] = 0.0
@@ -133,8 +121,9 @@ class _PieceTable:
         return np.where(t == self.at_lo[k], self.val_lo[k], v)
 
     def rows(self, X) -> np.ndarray:
-        """``piecewise_eval`` at each row t of X (n, 1), for pieces sorted by
-        lo: the first piece whose reach is >= t holds t if it starts <= t."""
+        """At each row t of X (n, 1), the value of the first piece in order
+        of lo that holds t: the first piece whose reach is >= t holds t if it
+        starts <= t."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != 1:
             raise ValueError(f"a piecewise-linear objective takes rows of width 1, not {X.shape}")
@@ -160,9 +149,7 @@ class ObjectiveFn:
         object.__setattr__(self, "table", None if self.pieces is None else _PieceTable(self.pieces))
 
     def __call__(self, x) -> float:
-        if is_row_form(self.fn):
-            return float(call_one(self.fn, x))
-        return float(self.fn(x))
+        return float(call_one(self.fn, x))
 
     def negated(self) -> "ObjectiveFn":
         pieces = None if self.pieces is None else tuple(
@@ -236,12 +223,8 @@ def _piecewise_candidates(tab: _PieceTable, A: IntervalUnion):
 
 
 def _point_values(f: ObjectiveFn, pts) -> np.ndarray:
-    """f at each point: a row-form objective in one call, any other once per
-    point.  A NaN value raises ValueError."""
-    if is_row_form(f.fn):
-        vals = call_rows(f.fn, len(pts), np.asarray(pts, dtype=float).reshape(len(pts), -1))
-    else:
-        vals = np.asarray([float(f.fn(p)) for p in pts])
+    """f at each point (``call_rows``).  A NaN value raises ValueError."""
+    vals = call_rows(f.fn, len(pts), pts)
     if np.isnan(vals).any():
         raise ValueError(f"{f.name} is NaN on a point of the set")
     return vals
@@ -251,20 +234,20 @@ def _extreme(f: ObjectiveFn, A, want_max: bool, budget: int,
              rng: Optional[np.random.Generator], passes: dict) -> OptValue:
     """SUP_f(A) if ``want_max`` else INF_f(A): exact on probe lists, finite
     clouds, exact hooks and piecewise objectives over interval unions, and
-    a sampled estimate otherwise.  The objective pass over an exact set (its
-    points, or its piece table's candidates) is kept in ``passes`` under
-    id(A), so the other extreme over A reads it instead of calling f again;
-    a set that is sampled is drawn on every call.  A row-form objective is
-    called once on all the points, any other once per point.  A NaN
-    objective value, a NaN from an exact hook, or pieces that do not cover
-    the closure of every interval of an interval union raise ValueError."""
+    a sampled estimate otherwise.  The objective pass over a set (its points,
+    its piece table's candidates, or its ``default_rng(0)`` draw when ``rng``
+    is None) is kept in ``passes`` under id(A), so the other extreme over A
+    reads it instead of calling f again; a set sampled from a given ``rng``
+    is drawn on every call.  A NaN objective value, a NaN from an exact
+    hook, or pieces that do not cover the closure of every interval of an
+    interval union raise ValueError."""
     key = id(A)
     if isinstance(A, (list, tuple, np.ndarray, FiniteCloud)):
         if key not in passes:
             pts = A.points if isinstance(A, FiniteCloud) else list(A)
             if not len(pts):
                 return OptValue(NEG_INF if want_max else INF, None, "exact")
-            passes[key] = _point_values(f, pts), pts.__getitem__
+            passes[key] = _point_values(f, pts), pts.__getitem__, "exact"
     else:
         hook = f.exact_sup if want_max else f.exact_inf
         v = hook(A) if hook is not None else None
@@ -274,11 +257,13 @@ def _extreme(f: ObjectiveFn, A, want_max: bool, budget: int,
                 raise ValueError(f"the exact hook of {f.name} returned NaN")
             return OptValue(v, None, "exact")
         if f.table is None or not isinstance(A, IntervalUnion):
-            pts = A.sample(budget, rng if rng is not None else np.random.default_rng(0))
-            return _best(_point_values(f, pts), pts.__getitem__, want_max, "sampled")
-        if key not in passes:
-            passes[key] = _piecewise_candidates(f.table, A)
-    return _best(*passes[key], want_max, "exact")
+            if rng is not None or key not in passes:
+                pts = A.sample(budget, rng if rng is not None else np.random.default_rng(0))
+                passes[key] = _point_values(f, pts), pts.__getitem__, "sampled"
+        elif key not in passes:
+            passes[key] = *_piecewise_candidates(f.table, A), "exact"
+    vals, witness, mode = passes[key]
+    return _best(vals, witness, want_max, mode)
 
 
 def _best(vals: np.ndarray, witness: Callable, want_max: bool, mode: str) -> OptValue:

@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .distances import PseudoDistance, _absolute, _check_dim, _euclidean
-from .extreal import INF, call_one, call_rows, check_extended_real, is_row_form
+from .extreal import INF, call_one, call_rows
 
 DEFAULT_BUDGET = 2048
 
@@ -215,8 +215,7 @@ class ImplicitSampled(SetModel):
 
     def __init__(self, member, sampler, dim, witness, budget=DEFAULT_BUDGET):
         witness = np.asarray(witness, dtype=float)
-        if not (call_one(member, witness, dtype=bool) if is_row_form(member)
-                else member(witness)):
+        if not call_one(member, witness, dtype=bool):
             raise ValueError("witness point fails the membership oracle")
         object.__setattr__(self, "member", member)
         object.__setattr__(self, "sampler", sampler)
@@ -233,10 +232,7 @@ class ImplicitSampled(SetModel):
         holds one point per entry."""
         pts = np.asarray(self.sampler(n, rng), dtype=float)
         pts = pts[:, None] if pts.ndim == 1 and self.dim == 1 else np.atleast_2d(pts)
-        if is_row_form(self.member):
-            keep = call_rows(self.member, len(pts), pts, dtype=bool)
-        else:
-            keep = np.array([bool(self.member(p)) for p in pts], dtype=bool)
+        keep = call_rows(self.member, len(pts), pts, dtype=bool)
         return np.concatenate([pts[keep], self._witness.reshape(1, -1)])
 
 
@@ -483,9 +479,9 @@ def _pairwise_min(d: PseudoDistance, P, Q, orientation: str, cols: bool = False)
     """min over q in Q of d(p, q) (of d(q, p) if "to_point"), for each p in P.
 
     P and Q hold one point per row, or one scalar per entry in dimension 1.
-    The kernels of euclidean() and absolute() go to ``cdist`` and a row-form
-    d to one call per block of pairs, each call with at most _CDIST_BLOCK
-    entries; any other d is called once per pair.  With ``cols`` (the cdist
+    The kernels of euclidean() and absolute() go to ``cdist``, and any other
+    d to ``call_rows`` on blocks of pairs (p, q) in order of p, then q, each
+    block with at most _CDIST_BLOCK entries.  With ``cols`` (the cdist
     kernels only, whose matrices are bitwise symmetric) the pair (row minima,
     column minima) of the same blocks is returned, the column minima being
     min over p in P of d(q, p) for each q in Q.  NaN raises ValueError.
@@ -499,22 +495,20 @@ def _pairwise_min(d: PseudoDistance, P, Q, orientation: str, cols: bool = False)
         from scipy.spatial.distance import cdist
         step = max(1, _CDIST_BLOCK // max(1, len(rows_q)))
 
-        def block(rows):
-            return cdist(rows, rows_q, metric)
-    elif is_row_form(d.fn):
-        step = max(1, _CDIST_BLOCK // max(1, rows_q.size))
+        def block(i):
+            return cdist(rows_p[i:i + step], rows_q, metric)
+    else:
+        step = max(1, _CDIST_BLOCK // max(1, Q.size))
 
-        def block(rows):
-            X, Y = np.repeat(rows, len(rows_q), axis=0), np.tile(rows_q, (len(rows), 1))
+        def block(i):
+            p = P[i:i + step]
+            X, Y = np.repeat(p, len(Q), axis=0), np.tile(Q, (len(p),) + (1,) * (Q.ndim - 1))
             if orientation == "to_point":
                 X, Y = Y, X
-            return call_rows(d.fn, len(X), X, Y).reshape(len(rows), len(rows_q))
-    else:
-        fn = d.fn if orientation == "from_point" else (lambda p, q: d.fn(q, p))
-        return np.array([min(check_extended_real(fn(p, q)) for q in Q) for p in P])
+            return call_rows(d.fn, len(X), X, Y).reshape(len(p), len(Q))
     out, col = [], INF
     for i in range(0, max(1, len(rows_p)), step):
-        D = block(rows_p[i:i + step])
+        D = block(i)
         out.append(D.min(axis=1))
         if cols:
             col = np.minimum(col, D.min(axis=0))

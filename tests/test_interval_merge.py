@@ -7,7 +7,7 @@ earlier implementations, kept as references: on every union the pieces
 cover, values and witnesses must be equal, not close.  Unions include
 infinite, zero-length and touching intervals; pieces may overlap.  The
 row form of ``piecewise_linear_objective`` is held to ``piecewise_eval``
-bit for bit.
+(``piecewise_reference``) bit for bit.
 """
 
 import math
@@ -21,9 +21,10 @@ from optstab.distances import absolute
 from optstab.extreal import INF, NEG_INF
 from optstab.instances import oscillating_blocks, oscillating_objective
 from optstab.optima import (LinearPiece, ObjectiveFn, _best, _piecewise_candidates, _PieceTable,
-                            inf_over, piecewise_eval, piecewise_linear_objective, sup_over)
+                            inf_over, piecewise_linear_objective, sup_over)
 from optstab.sets import (FiniteCloud, Interval, IntervalUnion, _abs_dist_to_union,
                           _asym_interval_union, _endpoints, hausdorff, point_set_distance)
+from piecewise_reference import piece_value, piecewise_eval
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -50,7 +51,7 @@ def _ref_piecewise_extreme(pieces, A, want_max):
             if lo > hi:
                 continue
             for t in (lo, hi):
-                v = p.value(t)
+                v = piece_value(p, t)
                 if best is None or (want_max and v > best) or (not want_max and v < best):
                     best, witness = v, t
     if witness is None:

@@ -226,6 +226,24 @@ def test_itp_sweeps_on_the_closed_form_quartic(monkeypatch, lam):
     assert len(radii) <= 10
 
 
+def test_solve_radius_stops_when_the_bracket_holds_no_float(monkeypatch):
+    # a tol far below the float spacing of the radius: once lo and hi are
+    # adjacent floats the bracket cannot shrink, and the search used to loop
+    # for ever.  It now stops there; the counter raises instead of hanging
+    # the test if it does not.
+    radii, orig = [], ladder.hessian_sup
+
+    def counted(P, t, rng=None):
+        radii.append(t)
+        if len(radii) > 200:
+            raise AssertionError("solve_radius does not stop")
+        return orig(P, t, rng=rng)
+    monkeypatch.setattr(ladder, "hessian_sup", counted)
+    t = solve_radius(quartic_problem(), 2.0, tol=1e-30)
+    assert t == radii[-1] and abs(t - math.sqrt(2.0)) <= 2 * math.ulp(math.sqrt(2.0))
+    assert len(radii) <= 70   # bisection reaches adjacent floats in about 60
+
+
 def _radial_form(draw):
     """(g, lam): g a closed-form radial sup on t >= 0 with g(0) < lam, from
     one of four families, all crossing lam near a root t* in [1e-3, 1e3]."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from optstab.distances import PseudoDistance, absolute, constant_infinite, euclidean
-from optstab.extreal import INF, NEG_INF
+from optstab.extreal import INF, NEG_INF, row_form
 from optstab.instances import (build, oscillating_blocks,
                                oscillating_objective, random_cloud,
                                random_piecewise_objective)
@@ -14,7 +14,8 @@ from optstab.optima import (ContinuousOnly, LinearPiece, Lipschitz,
                             domain_transfer_check, inf_over,
                             minimizer_set_instability_demo,
                             piecewise_linear_objective, sup_over)
-from optstab.sets import FiniteCloud, Interval, IntervalUnion
+from optstab.sets import FiniteCloud, ImplicitSampled, Interval, IntervalUnion, hausdorff
+from piecewise_reference import piece_value
 
 
 def test_empty_probe_conventions():
@@ -260,11 +261,11 @@ def test_zero_slope_at_an_infinite_endpoint_is_zero():
         for op in (sup_over, inf_over):
             out = op(f, A)
             assert (out.value, out.mode) == (5.0, "exact")
-    assert LinearPiece(-INF, 0.0, -0.0, 1.0).value(-INF) == 1.0
-    assert LinearPiece(0.0, INF, -2.0, 1.0).value(INF) == -INF
+    assert piece_value(LinearPiece(-INF, 0.0, -0.0, 1.0), -INF) == 1.0
+    assert piece_value(LinearPiece(0.0, INF, -2.0, 1.0), INF) == -INF
     # an anchored piece with an infinite end keeps a finite intercept
     p = LinearPiece.from_anchors(-INF, 1.0, 3.0, 3.0)
-    assert (p.slope, p.intercept, p.value(-INF), p.value(0.0)) == (0.0, 3.0, 3.0, 3.0)
+    assert (p.slope, p.intercept, piece_value(p, -INF), piece_value(p, 0.0)) == (0.0, 3.0, 3.0, 3.0)
 
 
 def test_from_anchors_refuses_a_slope_or_intercept_that_overflows():
@@ -279,9 +280,65 @@ def test_from_anchors_refuses_a_slope_or_intercept_that_overflows():
         LinearPiece.from_anchors(-10.0, math.nextafter(-10.0, 0.0), 0.0, 1e293)
     # a narrow piece whose slope is a float, and infinite ends or anchors, are kept
     p = LinearPiece.from_anchors(0.0, 1e-300, 0.0, 1e-10)
-    assert (p.slope, p.value(0.0), p.value(1e-300)) == (1e290, 0.0, 1e-10)
+    assert (p.slope, piece_value(p, 0.0), piece_value(p, 1e-300)) == (1e290, 0.0, 1e-10)
     assert LinearPiece.from_anchors(0.0, 1.0, 0.0, INF).slope == INF
     assert LinearPiece.from_anchors(-INF, 1.0, 3.0, 3.0).intercept == 3.0
+
+
+def test_from_anchors_halves_finite_ends_whose_width_overflows():
+    # hi - lo = inf used to give slope 0 and intercept 0: sup_over at t = 0
+    # read OptValue(0.0, 'exact') where the line through the anchors is 5e307
+    p = LinearPiece.from_anchors(-1e308, 1e308, 0.0, 1e308)
+    assert (p.slope, p.intercept) == (0.5, 5e307)
+    out = sup_over(piecewise_linear_objective([p]), FiniteCloud([[0.0]]))
+    assert (out.value, out.mode) == (5e307, "exact")
+    # a rise that overflows as well
+    p = LinearPiece.from_anchors(-1.5e308, 1.5e308, -1.5e308, 1.5e308)
+    assert (p.slope, p.intercept) == (1.0, 0.0)
+    assert piece_value(p, 1e308) == 1e308
+    # the widest piece: a subnormal slope, rounded, but never zero for a rise
+    hi = math.nextafter(INF, 0.0)
+    p = LinearPiece.from_anchors(-hi, hi, 0.0, 1.0)
+    assert p.slope > 0.0 and p.intercept == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("lo, hi, val_lo, val_hi", [
+    (0.0, 1.0, 0.1, 0.7), (-3.5, 2.25, 1e300, -1e300), (1e-300, 3e-300, 0.0, 1.0),
+    (-1e307, 1e307, 2.0, -5.0), (-INF, 1.0, 3.0, 3.0), (0.0, INF, 1.0, 1.0)])
+def test_from_anchors_keeps_the_bits_of_pieces_of_finite_width(lo, hi, val_lo, val_hi):
+    slope = 0.0 if hi == lo else (val_hi - val_lo) / (hi - lo)
+    p = LinearPiece.from_anchors(lo, hi, val_lo, val_hi)
+    assert p.slope == slope and math.copysign(1.0, p.slope) == math.copysign(1.0, slope)
+
+
+def test_sup_and_inf_share_one_default_draw_of_a_sampled_set():
+    # with rng None, both extremes read the same default_rng(0) draw: one
+    # objective pass serves both, with the bits of two separate calls
+    calls = []
+
+    def f_rows(X):
+        calls.append(len(X))
+        return np.sin(3.0 * X[:, 0]) + X[:, 1]
+    f = ObjectiveFn(fn=row_form(f_rows), regularity=Lipschitz(4.0))
+    disk = ImplicitSampled(member=lambda x: bool(np.dot(x, x) <= 1.0),
+                           sampler=lambda n, rg: rg.uniform(-1, 1, (n, 2)), dim=2,
+                           witness=[0.0, 0.0], budget=64)
+    A = FiniteCloud([[0.0, 0.0], [0.5, 0.5]])
+    row = check_finite_stability(f, euclidean(2), [(A, disk)], budget=64).rows[0]
+    assert len(calls) == 2
+    sup, inf = sup_over(f, disk, budget=64), inf_over(f, disk, budget=64)
+    assert (row["sup_Ap"], row["inf_Ap"]) == (sup.value, inf.value)
+    assert sup.mode == inf.mode == "sampled"
+    # an explicit rng keeps its stream: each extreme draws the set again
+    calls.clear()
+    rng = np.random.default_rng(5)
+    row = check_finite_stability(f, euclidean(2), [(A, disk)], budget=64, rng=rng).rows[0]
+    assert len(calls) == 3
+    rng = np.random.default_rng(5)
+    hausdorff(euclidean(2), A, disk, budget=64, rng=rng)
+    s = sup_over(f, disk, budget=64, rng=rng).value
+    assert row["sup_Ap"] == s
+    assert row["inf_Ap"] == inf_over(f, disk, budget=64, rng=rng).value
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.nan), (INF, -INF)])

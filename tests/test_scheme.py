@@ -10,11 +10,11 @@ from optstab.cli import main
 from optstab.distances import euclidean
 from optstab.instances import disk_polygon_scheme, target_distance_objective
 from optstab.optima import (ContinuousOnly, LinearPiece, Lipschitz, ObjectiveFn,
-                            UniformModulus, inf_over, piecewise_eval,
-                            piecewise_linear_objective)
+                            UniformModulus, inf_over, piecewise_linear_objective)
 from optstab.scheme import (SchemeInstance, build_inner_grid_family,
                             build_inner_polygon_family, run_scheme)
 from optstab.sets import FiniteCloud, IntervalUnion, hausdorff
+from piecewise_reference import piecewise_eval
 
 
 def test_polygon_family_sagitta():

@@ -410,7 +410,7 @@ def test_one_objective_call_per_exact_set(monkeypatch):
     calls.clear()
     disk = _disk([0.5], 1.0, budget=32)
     check_finite_stability(f, absolute(), [(A, disk)], budget=32)
-    assert len(calls) == 3 and calls[0] == 3   # the sampled set is drawn once per extreme
+    assert len(calls) == 2 and calls[0] == 3   # the sampled set is drawn once for both extremes
 
 
 # ---------------------------------------------------------------------------
