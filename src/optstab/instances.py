@@ -2,10 +2,12 @@
 
 Each entry wires together a pseudo-distance, an objective, and set models,
 and carries golden values that the library must reproduce on construction
-(``self_test``).  The two oscillating instances demonstrate that optimal
-values can jump under arbitrarily small Hausdorff perturbations when the
-objective is merely continuous; the remaining entries are the worked gauge,
-affine, polygon-scheme and ladder examples used across the test suite.
+(``self_test``).  ``_CATALOG`` declares each name once, with its builder
+(which returns the objects and goldens) and its description.  The two
+oscillating instances demonstrate that optimal values can jump under
+arbitrarily small Hausdorff perturbations when the objective is merely
+continuous; the remaining entries are the worked gauge, affine,
+polygon-scheme and ladder examples used across the test suite.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def oscillating_blocks(K: int, extended_j: Optional[int] = None) -> IntervalUnio
     return IntervalUnion(ivs)
 
 
-def _build_ce33(K: int = 60, j: int = 10) -> InstanceCatalogEntry:
+def _build_ce33(K: int = 60, j: int = 10) -> tuple:
     if not 2 <= j <= K - 1:
         raise ValueError("need 2 <= j <= K-1")
     f = oscillating_objective(K)
@@ -112,12 +114,7 @@ def _build_ce33(K: int = 60, j: int = 10) -> InstanceCatalogEntry:
         ("SUP_f(A_j)", 1.0, sup_over(f, A_j).value),
         ("D_H(A, A_j)", 1.0 / j, hausdorff(d, A, A_j).value),
     ]
-    return InstanceCatalogEntry(
-        name="ce33",
-        description=("1-d interval-union family: optimal values jump by 1 "
-                     "while the Hausdorff distance is 1/j"),
-        objects=dict(objective=f, distance=d, A=A, A_j=A_j, j=j, K=K),
-        goldens=goldens)
+    return dict(objective=f, distance=d, A=A, A_j=A_j, j=j, K=K), goldens
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +207,7 @@ def axis_segment_family(K: int, extended_j: Optional[int] = None) -> AxisSegment
     return AxisSegments(extents, dim=K)
 
 
-def _build_ce34(K: int = 60, j: int = 7) -> InstanceCatalogEntry:
+def _build_ce34(K: int = 60, j: int = 7) -> tuple:
     if not 2 <= j <= K:
         raise ValueError("need 2 <= j <= K")
     f = segment_sine_objective(K)
@@ -224,34 +221,24 @@ def _build_ce34(K: int = 60, j: int = 7) -> InstanceCatalogEntry:
         ("SUP_f(A_j)", 1.0, sup_over(f, A_j).value),
         ("D_H(A, A_j)", 1.0 / j, hausdorff(d, A, A_j).value),
     ]
-    return InstanceCatalogEntry(
-        name="ce34",
-        description=("axis-segment family in a truncated sequence space: "
-                     "half-open tip extensions flip the optimal values"),
-        objects=dict(objective=f, distance=d, A=A, A_j=A_j, j=j, K=K),
-        goldens=goldens)
+    return dict(objective=f, distance=d, A=A, A_j=A_j, j=j, K=K), goldens
 
 
 # ---------------------------------------------------------------------------
 # remaining catalog entries
 # ---------------------------------------------------------------------------
 
-def _build_minset_sin(eps: float = 0.1) -> InstanceCatalogEntry:
+def _build_minset_sin(eps: float = 0.1) -> tuple:
     rep = minimizer_set_instability_demo(eps)
     goldens = [
         ("D_H(argmin sets)", math.pi, rep["d_h_argmins"]),
         ("D_asyH(argmin', argmin)", 0.0, rep["d_asy_argmins"]),
         ("D_H(A', A)", eps, rep["d_h_sets"]),
     ]
-    return InstanceCatalogEntry(
-        name="minset_sin",
-        description=("minimizer sets of |sin| under an eps-shift of [0, pi]: "
-                     "optimal values are stable, minimizer sets are not"),
-        objects=dict(report=rep, eps=eps),
-        goldens=goldens)
+    return dict(report=rep, eps=eps), goldens
 
 
-def _build_gauge_segment() -> InstanceCatalogEntry:
+def _build_gauge_segment() -> tuple:
     C = GaugeSet.from_vertices([[-2.0, 0.0], [1.0, 0.0]])
     probes = [np.array([3.0, 0.0]), np.array([-4.0, 0.0]), np.array([1.0, 1.0])]
     vals = [minkowski_gauge(C, p) for p in probes]
@@ -260,11 +247,7 @@ def _build_gauge_segment() -> InstanceCatalogEntry:
         ("M_C((-4,0))", 2.0, vals[1]),
         ("M_C((1,1))", INF, vals[2]),
     ]
-    return InstanceCatalogEntry(
-        name="gauge_segment",
-        description="gauge of the segment [-2,1] x {0}: asymmetric and infinite off-axis",
-        objects=dict(C=C, distance=gauge_distance(C), probes=probes),
-        goldens=goldens)
+    return dict(C=C, distance=gauge_distance(C), probes=probes), goldens
 
 
 def _slab_hook(value: Callable) -> Callable:
@@ -293,7 +276,7 @@ def norm_objective(dim: int) -> ObjectiveFn:
                        bounded_below=True, name="norm")
 
 
-def _build_affine_whole() -> InstanceCatalogEntry:
+def _build_affine_whole() -> tuple:
     L = np.array([[1.0, 0.0]])
     lm = decompose(L)
     egi = pseudo_inverse(lm)
@@ -310,14 +293,10 @@ def _build_affine_whole() -> InstanceCatalogEntry:
         ("phi(0)", 0.0, phi(0.0)),
         ("alpha (EGI constant)", 1.0, egi.constant),
     ]
-    return InstanceCatalogEntry(
-        name="affine_whole",
-        description="phi(t) = inf{||x|| : x1 = t} = |t|: 1-Lipschitz value function",
-        objects=dict(L=lm, egi=egi, objective=f, family=fam),
-        goldens=goldens)
+    return dict(L=lm, egi=egi, objective=f, family=fam), goldens
 
 
-def _build_mixed_box() -> InstanceCatalogEntry:
+def _build_mixed_box() -> tuple:
     C = GaugeSet.from_halfspaces(
         [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
         [1.0, 1.0, 1.0, 1.0])
@@ -331,11 +310,7 @@ def _build_mixed_box() -> InstanceCatalogEntry:
         ("phi(-0.25)", -0.25, f(np.array([-0.25, 0.0]))),
         ("phi(0)", 0.0, f(np.array([0.0, 0.0]))),
     ]
-    return InstanceCatalogEntry(
-        name="mixed_box",
-        description="box-constrained slice family: phi(t) = t on the open slab (-1, 1)",
-        objects=dict(C=C, L=decompose(L), objective=f),
-        goldens=goldens)
+    return dict(C=C, L=decompose(L), objective=f), goldens
 
 
 def target_distance_objective(target) -> ObjectiveFn:
@@ -362,18 +337,11 @@ def disk_polygon_scheme(m_seq, orientation: str = "midpoint") -> SchemeInstance:
                           inner=True)
 
 
-def _build_disk_polygon(m_seq=(3, 4, 8, 16)) -> InstanceCatalogEntry:
+def _build_disk_polygon(m_seq=(3, 4, 8, 16)) -> tuple:
     S = disk_polygon_scheme(m_seq)
-    sig = [inf_over(S.objective, A).value for A in S.levels]
-    goldens = []
-    for m, s in zip(m_seq, sig):
-        goldens.append((f"sigma_{m}", 2.0 - math.cos(math.pi / m), s))
-    return InstanceCatalogEntry(
-        name="disk_polygon",
-        description=("inscribed polygon surrogates of the unit disk under a "
-                     "distance objective: the transfer bound is tight"),
-        objects=dict(scheme=S, m_seq=tuple(m_seq)),
-        goldens=goldens)
+    goldens = [(f"sigma_{m}", 2.0 - math.cos(math.pi / m), inf_over(S.objective, A).value)
+               for m, A in zip(m_seq, S.levels)]
+    return dict(scheme=S, m_seq=tuple(m_seq)), goldens
 
 
 def quartic_problem() -> SmoothProblem:
@@ -403,21 +371,17 @@ def exp_problem() -> SmoothProblem:
         hessian_sup_closed_form=lambda t: math.exp(t))
 
 
-def _build_quartic_ladder() -> InstanceCatalogEntry:
+def _build_quartic_ladder() -> tuple:
     P = quartic_problem()
     goldens = [
         ("hessian_sup(2)", 4.0, P.hessian_sup_closed_form(2.0)),
         ("hessian_sup(0)", 0.0, P.hessian_sup_closed_form(0.0)),
         ("h(1.5)", 2.25, float(call_one(P.hess_norm, [1.5]))),
     ]
-    return InstanceCatalogEntry(
-        name="quartic_ladder",
-        description="quartic objective: radial Hessian sup t^2, ladder radii sqrt(lambda)",
-        objects=dict(problem=P),
-        goldens=goldens)
+    return dict(problem=P), goldens
 
 
-def _build_energy_ladder() -> InstanceCatalogEntry:
+def _build_energy_ladder() -> tuple:
     d = energy_ladder()
     A = FiniteCloud([2.0])
     B = FiniteCloud([1.0])
@@ -426,12 +390,7 @@ def _build_energy_ladder() -> InstanceCatalogEntry:
         ("d(2, 1)", binding_energy(1) - binding_energy(2), eval_distance(d, 2, 1)),
         ("D_H({2}, {1})", 10.2, hausdorff(d, A, B).value),
     ]
-    return InstanceCatalogEntry(
-        name="energy_ladder",
-        description=("signed level-transition pseudo-distance: negative and "
-                     "asymmetric values, Hausdorff still well defined"),
-        objects=dict(distance=d, A=A, B=B),
-        goldens=goldens)
+    return dict(distance=d, A=A, B=B), goldens
 
 
 # ---------------------------------------------------------------------------
@@ -473,44 +432,39 @@ def random_rank_deficient_matrix(rng: np.random.Generator,
             if r > 0 else np.zeros((m, n)))
 
 
-_BUILDERS: Dict[str, Callable[..., InstanceCatalogEntry]] = {
-    "ce33": _build_ce33,
-    "ce34": _build_ce34,
-    "minset_sin": _build_minset_sin,
-    "gauge_segment": _build_gauge_segment,
-    "affine_whole": _build_affine_whole,
-    "mixed_box": _build_mixed_box,
-    "disk_polygon": _build_disk_polygon,
-    "quartic_ladder": _build_quartic_ladder,
-    "energy_ladder": _build_energy_ladder,
-}
-
-_DESCRIPTIONS = {
-    "ce33": "interval-union blocks with oscillating piecewise-linear objective",
-    "ce34": "axis segments with high-frequency sine objective near open tips",
-    "minset_sin": "minimizer-set instability of |sin| under interval shifts",
-    "gauge_segment": "asymmetric/infinite gauge of a planar segment",
-    "affine_whole": "affine solution family phi(t) = |t| over the whole plane",
-    "mixed_box": "box-constrained slice family with phi(t) = t",
-    "disk_polygon": "inner polygon scheme for the unit disk",
-    "quartic_ladder": "gradient-Lipschitz ladder for the quartic objective",
-    "energy_ladder": "signed level-transition pseudo-distance",
+_CATALOG: Dict[str, Tuple[Callable[..., tuple], str]] = {
+    # name: (builder returning (objects, goldens), the text `optstab describe` prints)
+    "ce33": (_build_ce33, "interval-union blocks with oscillating piecewise-linear objective"),
+    "ce34": (_build_ce34, "axis segments with high-frequency sine objective near open tips"),
+    "minset_sin": (_build_minset_sin, "minimizer-set instability of |sin| under interval shifts"),
+    "gauge_segment": (_build_gauge_segment, "asymmetric/infinite gauge of a planar segment"),
+    "affine_whole": (_build_affine_whole,
+                     "affine solution family phi(t) = |t| over the whole plane"),
+    "mixed_box": (_build_mixed_box, "box-constrained slice family with phi(t) = t"),
+    "disk_polygon": (_build_disk_polygon, "inner polygon scheme for the unit disk"),
+    "quartic_ladder": (_build_quartic_ladder,
+                       "gradient-Lipschitz ladder for the quartic objective"),
+    "energy_ladder": (_build_energy_ladder, "signed level-transition pseudo-distance"),
 }
 
 
 def catalog_names() -> tuple:
-    return tuple(_BUILDERS)
+    return tuple(_CATALOG)
+
+
+def _lookup(name: str) -> Tuple[Callable[..., tuple], str]:
+    if name not in _CATALOG:
+        raise CatalogError(f"unknown instance {name!r}")
+    return _CATALOG[name]
 
 
 def describe(name: str) -> str:
-    if name not in _DESCRIPTIONS:
-        raise CatalogError(f"unknown instance {name!r}")
-    return _DESCRIPTIONS[name]
+    return _lookup(name)[1]
 
 
 def build(name: str, **params) -> InstanceCatalogEntry:
-    if name not in _BUILDERS:
-        raise CatalogError(f"unknown instance {name!r}")
-    entry = _BUILDERS[name](**params)
+    """The named entry, built with ``params`` and self-tested."""
+    builder, description = _lookup(name)
+    entry = InstanceCatalogEntry(name, description, *builder(**params))
     entry.self_test()
     return entry

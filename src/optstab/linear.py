@@ -536,9 +536,7 @@ def example_whole_space(f: ObjectiveFn, L, S_X, S_Yt,
         name="param-gauge",
         fn=lambda s, t: float(mag_t(np.asarray(t, float) - np.asarray(s, float))),
         ambient_dim=None)
-    pf = ParamFamily(index_distance=d_param, member=fam.members,
-                     admissible_class="all-nonempty",
-                     hausdorff_rate=lambda t, s: alpha * max(1.0, beta))
+    pf = fam.as_param_family(d_param, alpha=alpha * max(1.0, beta))
     V = ValueFunction(mode="inf", family=pf, objective=f)
 
     cont = empirical_value_continuity(V, probe_params[0], probe_params,

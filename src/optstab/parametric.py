@@ -61,8 +61,8 @@ class ValueFunction:
             raise ValueError("mode must be 'sup' or 'inf'")
 
 
-def _nonempty(t, A: SetModel) -> SetModel:
-    if A.witness() is None:
+def _nonempty(t, A: Optional[SetModel]) -> SetModel:
+    if A is None or A.witness() is None:
         raise ValueError(f"family member at t={t} is empty")
     return A
 
@@ -94,6 +94,10 @@ def _values(V: ValueFunction, params: Sequence, budget: int,
     needs f bounded on every A_t."""
     F, f, want_max = V.family, V.objective, V.mode == "sup"
     sets = call_rows(F.member, len(params), params, dtype=object)
+    if isinstance(sets, list):   # per-parameter members: a None is refused before any hook
+        for t, A in zip(params, sets):
+            if A is None:
+                _nonempty(t, A)
     hook = f.exact_sup if want_max else f.exact_inf
     vals = np.full(len(params), np.nan) if hook is None else _hook_values(f, hook, sets)
     for i in np.flatnonzero(np.isnan(vals)):

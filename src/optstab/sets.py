@@ -99,8 +99,10 @@ class Interval:
     closed_hi: bool = True
 
     def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"interval [{self.lo}, {self.hi}] is empty")
+        # a point needs both ends closed: (a, a], [a, a) and (a, a) are empty
+        if not (self.lo < self.hi or self.lo == self.hi and self.closed_lo and self.closed_hi):
+            lo, hi = "[" if self.closed_lo else "(", "]" if self.closed_hi else ")"
+            raise ValueError(f"interval {lo}{self.lo}, {self.hi}{hi} is empty")
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,9 @@ class IntervalUnion(SetModel):
 class AxisSegments(SetModel):
     """Union over k of the segment {t e_k : 0 <= t <= u_k} (or < u_k if open).
 
-    ``extents`` maps the axis index k to (u_k, closed_end).  The origin
-    belongs to every segment, so the model is always nonempty.
+    ``extents`` maps the axis index k to (u_k, closed_end).  The segment
+    [0, 0) is empty; every other one holds the origin.  A model whose every
+    segment is [0, 0) is refused, so the model is always nonempty.
     """
     extents: Dict[int, Tuple[float, bool]]
     dim: int
@@ -167,6 +170,8 @@ class AxisSegments(SetModel):
         for k, (u, _) in ext.items():
             if k < 0 or u < 0:
                 raise ValueError("axis indices and extents must be nonnegative")
+        if all(e == (0.0, False) for e in ext.values()):
+            raise ValueError("every axis segment is the empty [0, 0)")
         object.__setattr__(self, "extents", ext)
         object.__setattr__(self, "dim", dim if dim is not None else max(ext) + 1)
 
@@ -210,10 +215,9 @@ class ImplicitSampled(SetModel):
     member: Callable[[np.ndarray], bool] = field(repr=False)
     sampler: Callable[[int, np.random.Generator], np.ndarray] = field(repr=False)
     dim: int = 1
-    budget: int = DEFAULT_BUDGET
     _witness: Optional[np.ndarray] = None
 
-    def __init__(self, member, sampler, dim, witness, budget=DEFAULT_BUDGET):
+    def __init__(self, member, sampler, dim, witness):
         witness = np.asarray(witness, dtype=float).ravel()   # a (dim,) point, as sampled ones are
         if witness.size != dim:
             raise ValueError(f"a witness of {witness.size} coordinates for a set of dim {dim}")
@@ -222,7 +226,6 @@ class ImplicitSampled(SetModel):
         object.__setattr__(self, "member", member)
         object.__setattr__(self, "sampler", sampler)
         object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "budget", int(budget))
         object.__setattr__(self, "_witness", witness)
 
     def witness(self):

@@ -169,8 +169,12 @@ def test_hausdorff_kind_refuses_a_slab_basis_of_another_dim(tmp_path, capsys):
     ([[0.0, 0.0]], "JSON object"),
     ({"kind": "affine_slab", "particular": [0.0], "kernel_basis": [[[1.0]]],
       "box_halfwidth": 1.0}, "must be a matrix"),
+    ({"kind": "interval_union", "intervals": [[1.0, 1.0, False, True]]},
+     "interval (1.0, 1.0] is empty"),
+    ({"kind": "axis_segments", "extents": {"0": [0.0, False], "1": [0.0, False]}, "dim": 2},
+     "every axis segment is the empty [0, 0)"),
 ], ids=["slab-without-basis", "union-without-intervals", "union-of-a-number", "list",
-        "slab-basis-of-three-dims"])
+        "slab-basis-of-three-dims", "point-with-an-open-end", "only-empty-segments"])
 def test_hausdorff_kind_refuses_a_set_file_that_lacks_a_field(tmp_path, capsys, doc, message):
     (tmp_path / "a.json").write_text(json.dumps(doc))
     (tmp_path / "b.json").write_text('{"kind": "finite_cloud", "points": [[0.0, 0.0]]}')

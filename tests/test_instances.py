@@ -20,7 +20,8 @@ def test_catalog_lists_all_names():
 def test_every_entry_builds_and_self_tests():
     for name in catalog_names():
         entry = build(name)
-        assert entry.description
+        # one table names the entry and gives the text `optstab describe` prints
+        assert entry.name == name and entry.description == describe(name) != ""
         entry.self_test()  # idempotent
 
 

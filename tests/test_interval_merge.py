@@ -123,10 +123,12 @@ ENDS = st.one_of(st.sampled_from([NEG_INF, INF]), FINITE, FINITE)
 @st.composite
 def unions(draw, ends=ENDS):
     """Sorted endpoint lists cut into consecutive pairs: equal neighbours
-    give zero-length and touching intervals."""
+    give zero-length and touching intervals.  A zero-length interval is a
+    point, closed at both ends ((a, a] is empty)."""
     e = sorted(draw(st.lists(ends, min_size=2, max_size=12)))
-    return IntervalUnion([(e[i], e[i + 1], draw(st.booleans()), draw(st.booleans()))
-                          for i in range(0, len(e) - 1, 2)])
+    return IntervalUnion([(lo, hi, lo == hi or draw(st.booleans()),
+                           lo == hi or draw(st.booleans()))
+                          for lo, hi in zip(e[0::2], e[1::2])])
 
 
 @st.composite

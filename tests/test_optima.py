@@ -322,7 +322,7 @@ def test_sup_and_inf_share_one_default_draw_of_a_sampled_set():
     f = ObjectiveFn(fn=row_form(f_rows), regularity=Lipschitz(4.0))
     disk = ImplicitSampled(member=lambda x: bool(np.dot(x, x) <= 1.0),
                            sampler=lambda n, rg: rg.uniform(-1, 1, (n, 2)), dim=2,
-                           witness=[0.0, 0.0], budget=64)
+                           witness=[0.0, 0.0])
     A = FiniteCloud([[0.0, 0.0], [0.5, 0.5]])
     row = check_finite_stability(f, euclidean(2), [(A, disk)], budget=64).rows[0]
     assert len(calls) == 2

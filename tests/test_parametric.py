@@ -5,7 +5,7 @@ from optstab.distances import absolute, euclidean
 from optstab.instances import (build, norm_objective, oscillating_blocks,
                                oscillating_objective)
 from optstab.linear import affine_family, decompose, pseudo_inverse
-from optstab.optima import inf_over, sup_over
+from optstab.optima import Lipschitz, ObjectiveFn, inf_over, sup_over
 from optstab.parametric import (ParamFamily, ValueFunction,
                                 certify_value_lipschitz,
                                 empirical_hausdorff_limsup,
@@ -116,6 +116,22 @@ def test_empty_member_rejected():
     pf = ParamFamily(index_distance=absolute(),
                      member=lambda t: IntervalUnion([Interval(0.0, 1.0)]))
     assert pf.set_at(0.0) is not None
+
+
+@pytest.mark.parametrize("hook", [None, "norm", "reads-the-set"])
+def test_a_none_member_is_refused_as_empty(hook):
+    pf = ParamFamily(index_distance=absolute(),
+                     member=lambda t: None if t > 1 else FiniteCloud([t]),
+                     hausdorff_rate=lambda t, s: 1.0)
+    f = norm_objective(1) if hook == "norm" else ObjectiveFn(
+        fn=lambda x: float(np.ravel(x)[0]), regularity=Lipschitz(1.0),
+        exact_inf=(lambda A: float(A.points.min())) if hook else None)
+    V = ValueFunction(mode="inf", family=pf, objective=f)
+    for call in (lambda: eval_value_function(V, 2.0),
+                 lambda: empirical_value_continuity(V, 0.0, [2.0], [0.5]),
+                 lambda: certify_value_lipschitz(V, [(0.0, 2.0)])):
+        with pytest.raises(ValueError, match=r"family member at t=2.0 is empty"):
+            call()
 
 
 def test_ball_closure_probe():

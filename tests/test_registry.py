@@ -7,7 +7,7 @@ discretization of the sets.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optstab.distances import PseudoDistance, _absolute, _euclidean, absolute, euclidean
@@ -170,7 +170,8 @@ def interval_unions(draw):
     for i in range(n):
         lo = cur + (0.0 if i == 0 else draw(st.floats(0, 3)))
         hi = lo + draw(st.floats(0, 3))
-        ivs.append((lo, hi, draw(st.booleans()), draw(st.booleans())))
+        point = hi == lo    # a point needs both ends closed: (a, a] is empty
+        ivs.append((lo, hi, point or draw(st.booleans()), point or draw(st.booleans())))
         cur = hi
     return IntervalUnion(ivs)
 
@@ -178,8 +179,9 @@ def interval_unions(draw):
 @st.composite
 def axis_segments(draw, dim):
     axes = draw(st.sets(st.integers(0, dim - 1), min_size=1))
-    return AxisSegments({k: (draw(st.floats(0, 3)), draw(st.booleans())) for k in axes},
-                        dim=dim)
+    extents = {k: (draw(st.floats(0, 3)), draw(st.booleans())) for k in axes}
+    assume(any(e != (0.0, False) for e in extents.values()))   # not only empty [0, 0)
+    return AxisSegments(extents, dim=dim)
 
 
 coords = st.floats(-3, 3)

@@ -6,6 +6,8 @@ from scipy.spatial.distance import cdist
 
 from optstab.distances import absolute, energy_ladder, euclidean
 from optstab.extreal import INF
+from optstab.instances import segment_sine_objective
+from optstab.optima import LinearPiece, piecewise_linear_objective, sup_over
 from optstab.sets import (AffineSlab, AxisSegments, DistanceReport,
                           FiniteCloud, ImplicitSampled, Interval, IntervalUnion,
                           asym_hausdorff, ball_around_set, hausdorff, load_set,
@@ -76,6 +78,29 @@ def test_interval_union_overlap_gives_zero_gap():
 def test_interval_union_rejects_overlapping_members():
     with pytest.raises(ValueError):
         IntervalUnion([Interval(0.0, 2.0), Interval(1.0, 3.0)])
+
+
+@pytest.mark.parametrize("closed_lo, closed_hi", [(False, True), (True, False), (False, False)],
+                         ids=["(1, 1]", "[1, 1)", "(1, 1)"])
+def test_a_point_interval_with_an_open_end_is_refused(closed_lo, closed_hi):
+    # the closed point [1, 1] has sup 1.0; with an open end the empty set once
+    # got that value too, labelled "exact"
+    f = piecewise_linear_objective([LinearPiece(0.0, 2.0, 1.0, 0.0)])
+    assert sup_over(f, IntervalUnion([Interval(1.0, 1.0)])).value == 1.0
+    with pytest.raises(ValueError, match=r"interval [\[(]1.0, 1.0[\])] is empty"):
+        Interval(1.0, 1.0, closed_lo, closed_hi)
+    with pytest.raises(ValueError, match="is empty"):
+        IntervalUnion([(1.0, 1.0, closed_lo, closed_hi), (2.0, 3.0)])
+
+
+def test_axis_segments_of_only_empty_segments_are_refused():
+    # every [0, 0) is empty; the model once gave sup 0.0 with mode "exact"
+    with pytest.raises(ValueError, match=r"empty \[0, 0\)"):
+        AxisSegments({0: (0.0, False), 1: (0.0, False)}, dim=2)
+    # one closed segment beside an empty one holds the origin
+    A = AxisSegments({0: (0.0, False), 1: (0.0, True)}, dim=2)
+    got = sup_over(segment_sine_objective(2), A)
+    assert (got.value, got.mode) == (0.0, "exact")
 
 
 def test_axis_segments_exact_vs_sampled():

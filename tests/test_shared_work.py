@@ -207,14 +207,13 @@ def _cloud(rng, n, dim, flat=False):
     return FiniteCloud(P[:, 0] if flat else P)
 
 
-def _disk(center, radius, budget=None, marked=True):
+def _disk(center, radius, marked=True):
     center = np.asarray(center, float)
     member = (row_form(lambda X: np.linalg.norm(X - center, axis=1) <= radius) if marked
               else lambda x: bool(np.linalg.norm(x - center) <= radius))
-    kw = {} if budget is None else dict(budget=budget)
     return ImplicitSampled(
         member=member, dim=len(center), witness=center,
-        sampler=lambda n, rg: center + rg.uniform(-radius, radius, (n, len(center))), **kw)
+        sampler=lambda n, rg: center + rg.uniform(-radius, radius, (n, len(center))))
 
 
 def _slab(rng, dim):
@@ -342,13 +341,12 @@ def _objectives(counter):
             "continuous": ObjectiveFn(fn=point, name="continuous")}
 
 
-def _one_d_sets(rng, budget):
+def _one_d_sets(rng):
     return {"cloud": lambda: _cloud(rng, int(rng.integers(1, 9)), 1, flat=rng.random() < 0.5),
             "probes": lambda: list(rng.uniform(-3.0, 3.0, int(rng.integers(1, 6)))),
             "interval": lambda: IntervalUnion([(rng.uniform(-3.0, 0.0), rng.uniform(0.0, 1.0)),
                                                (2.5, rng.uniform(2.5, 4.0))]),
-            "disk": lambda: _disk([float(rng.uniform(-1, 1))], float(rng.uniform(0.1, 2.0)),
-                                  budget=budget)}
+            "disk": lambda: _disk([float(rng.uniform(-1, 1))], float(rng.uniform(0.1, 2.0)))}
 
 
 SET_KINDS = st.sampled_from(["cloud", "probes", "interval", "disk"])
@@ -361,7 +359,7 @@ PAIR_KINDS = st.sampled_from(["cloud", "interval", "disk"])   # set models, for 
 def test_sup_and_inf_over_equal_the_one_extreme_body(seed, kind, set_kind, explicit):
     rng = np.random.default_rng(seed)
     f = _objectives([])[kind]
-    A = _one_d_sets(rng, 64)[set_kind]()
+    A = _one_d_sets(rng)[set_kind]()
     for op, want_max in ((sup_over, True), (inf_over, False)):
         draw = (lambda: np.random.default_rng(seed)) if explicit else (lambda: None)
         got, ref = (_outcome(op, f, A, budget=64, rng=draw()),
@@ -376,7 +374,7 @@ def test_sup_and_inf_over_equal_the_one_extreme_body(seed, kind, set_kind, expli
 def test_stability_rows_equal_the_four_call_loop(seed, kind, kinds, explicit):
     rng = np.random.default_rng(seed)
     f = _objectives([])[kind]
-    make = _one_d_sets(rng, 48)
+    make = _one_d_sets(rng)
     pairs = [(make[a](), make[b]()) for a, b in kinds]
     kw = dict(eps=0.5, diagnostic=kind == "continuous", budget=48)
     draw = (lambda: np.random.default_rng(seed)) if explicit else (lambda: None)
@@ -408,7 +406,7 @@ def test_one_objective_call_per_exact_set(monkeypatch):
     check_finite_stability(f, absolute(), [(A, Ap)])
     assert calls == [3, 2]
     calls.clear()
-    disk = _disk([0.5], 1.0, budget=32)
+    disk = _disk([0.5], 1.0)
     check_finite_stability(f, absolute(), [(A, disk)], budget=32)
     assert len(calls) == 2 and calls[0] == 3   # the sampled set is drawn once for both extremes
 
@@ -484,7 +482,7 @@ def test_ball_around_set_equals_the_per_probe_loop(seed, kind, r):
     rng = np.random.default_rng(seed)
     d, A = {"interval": lambda: (absolute(), IntervalUnion([(-1.0, 0.0), (1.5, 2.0)])),
             "cloud": lambda: (euclidean(2), _cloud(rng, 9, 2)),
-            "disk": lambda: (euclidean(2), _disk(rng.standard_normal(2), 1.0, budget=40)),
+            "disk": lambda: (euclidean(2), _disk(rng.standard_normal(2), 1.0)),
             "axis": lambda: (euclidean(3), AxisSegments({0: (1.0, True), 2: (2.0, True)}, dim=3)),
             "slab": lambda: (euclidean(3), _slab(rng, 3)),
             "gauge": lambda: (gauge_distance(BOX), _cloud(rng, 6, 2))}[kind]()

@@ -232,7 +232,7 @@ def _sampled_family():
         c = np.array([t, 0.0])
         return ImplicitSampled(member=lambda x: bool(np.linalg.norm(x - c) <= 1.0),
                                sampler=lambda n, rg: c + rg.uniform(-1, 1, (n, 2)),
-                               dim=2, witness=c, budget=64)
+                               dim=2, witness=c)
     f = ObjectiveFn(fn=lambda x: float(x[0] + 0.5 * x[1] ** 2), regularity=Lipschitz(2.0))
     pf = ParamFamily(index_distance=absolute(), member=member, hausdorff_rate=lambda t, s: 1.0)
     ts = np.random.default_rng(5).uniform(-2, 2, 12).tolist()
