@@ -29,7 +29,7 @@ import numpy as np
 
 from . import instances
 from .distances import absolute, euclidean
-from .linear import decompose, hoffman_table, penrose_table, penrose_tolerances
+from .linear import _hoffman_table_of_svds, _svd, penrose_table, penrose_tolerances
 from .ladder import build_ladder
 from .optima import VerdictReport, check_finite_stability
 from .parametric import certify_value_lipschitz
@@ -161,19 +161,21 @@ def _exp_hoffman(cfg: dict, out_dir: str):
     n = _int_at_least(cfg, "n_triples", 50, 1)
     max_dim = _int_at_least(cfg, "max_dim", 6, 1)
     # each rank decides the draws that follow, so it is taken matrix by matrix
-    triples, maps, pairs, draws = [], [], [], []
+    triples, svds, pairs, draws = [], [], [], []
     for i in range(n):
-        lm = decompose(instances.random_rank_deficient_matrix(rng, max_dim))
-        if lm.rank == 0:
+        L = instances.random_rank_deficient_matrix(rng, max_dim)
+        svd = _svd(L)
+        rank = int(svd[3])
+        if rank == 0:
             continue
-        cols = lm.matrix.shape[1]
-        s = lm.matrix @ rng.standard_normal(cols)
-        t = lm.matrix @ rng.standard_normal(cols)
+        cols = L.shape[1]
+        s = L @ rng.standard_normal(cols)
+        t = L @ rng.standard_normal(cols)
         triples.append(i)
-        maps.append(lm)
+        svds.append((L, *svd))
         pairs.append((s, t))
-        draws.append(rng.random((7, cols - lm.rank)))  # the translation check's sample
-    rep = hoffman_table(maps, pairs, draws)
+        draws.append(rng.random((7, cols - rank)))  # the translation check's sample
+    rep = _hoffman_table_of_svds(svds, pairs, draws)
     rows = [dict(triple=i, D_H=r["D_H"], bound=r["bound"], slack=r["slack"],
                  verdict=r["verdict"]) for i, r in zip(triples, rep.rows)]
     _write_table(os.path.join(out_dir, "hoffman.csv"),

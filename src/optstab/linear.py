@@ -77,23 +77,27 @@ def _checked_preimages(L, P, T, tol) -> np.ndarray:
     return X
 
 
-def _svd_pinv(L: np.ndarray) -> tuple:
-    """(U, s, Vt, rank, s_plus, pinv) of a matrix (m, n) or of each matrix
-    of a stack (k, m, n): the full SVD, the rank cut at sigma_i > TOL_RANK *
-    sigma_max (0 when sigma_max = 0), the diagonal s_plus of S^+ (1 / sigma_i
-    above the cut, 0 below it) and the Moore-Penrose inverse
-    Vt^T S^+ U^T.  S^+ keeps the zero-padded (n, m) shape of the
-    per-matrix code, so that the products add their terms in the same order
-    for a stack and for each of its matrices alone."""
+def _svd(L: np.ndarray) -> tuple:
+    """(U, s, Vt, rank) of a matrix (m, n) or of each matrix of a stack
+    (k, m, n): the full SVD and the rank cut at sigma_i > TOL_RANK *
+    sigma_max (0 when sigma_max = 0)."""
     U, s, Vt = np.linalg.svd(L, full_matrices=True)
+    return U, s, Vt, (s > TOL_RANK * s[..., :1]).sum(-1)
+
+
+def _pinv(U: np.ndarray, s: np.ndarray, Vt: np.ndarray) -> tuple:
+    """(s_plus, pinv) from a full SVD, one matrix or a stack: the diagonal
+    s_plus of S^+ (1 / sigma_i above the rank cut, 0 below it) and the
+    Moore-Penrose inverse Vt^T S^+ U^T.  S^+ keeps the zero-padded (n, m)
+    shape of the per-matrix code, so that the products add their terms in
+    the same order for a stack and for each of its matrices alone."""
     keep = s > TOL_RANK * s[..., :1]
-    *stack, m, n = L.shape
-    s_inv = np.zeros((*stack, n, m))
+    m, n = U.shape[-1], Vt.shape[-1]
+    s_inv = np.zeros((*s.shape[:-1], n, m))
     diag = np.arange(s.shape[-1])
     s_plus = 1.0 / np.where(keep, s, INF)
     s_inv[..., diag, diag] = s_plus
-    pinv = np.swapaxes(Vt, -1, -2) @ s_inv @ np.swapaxes(U, -1, -2)
-    return U, s, Vt, keep.sum(-1), s_plus, pinv
+    return s_plus, np.swapaxes(Vt, -1, -2) @ s_inv @ np.swapaxes(U, -1, -2)
 
 
 def _finite_matrix(L) -> np.ndarray:
@@ -106,8 +110,8 @@ def _finite_matrix(L) -> np.ndarray:
 def decompose(L) -> LinearMap:
     """SVD decomposition with rank cut at sigma_i > TOL_RANK * sigma_max."""
     L = _finite_matrix(L)
-    U, s, Vt, r, _, pinv = _svd_pinv(L)
-    r = int(r)
+    U, s, Vt, r = _svd(L)
+    r, pinv = int(r), _pinv(U, s, Vt)[1]
     range_b = U[:, :r]
     return LinearMap(matrix=L, singular_values=s[:r], rank=r,
                      kernel_basis=Vt[r:, :].T, range_basis=range_b,
@@ -168,7 +172,8 @@ def penrose_table(mats: Sequence) -> tuple:
         groups.setdefault(L.shape, []).append(i)
     for idx in groups.values():
         L = _finite_matrix(np.stack([mats[i] for i in idx]))
-        _, s, _, rank[idx], s_plus, P = _svd_pinv(L)
+        U, s, Vt, rank[idx] = _svd(L)
+        s_plus, P = _pinv(U, s, Vt)
         resid[idx] = _penrose_norms(L, P)
         fro[idx] = _frobenius(L)
         norm_L[idx] = s.max(-1, initial=0.0)
@@ -478,19 +483,46 @@ def hoffman_table(maps: Sequence[LinearMap], pairs: Sequence,
     bases, range check, slab distance and translation check; each row has
     the bits that ``hoffman_check`` gives for its item alone.
     """
-    n = len(maps)
+    def stacks(idx):
+        return (*(np.stack([getattr(maps[i], a) for i in idx])
+                  for a in ("matrix", "pinv", "kernel_basis")),
+                np.array([maps[i].tol_lin for i in idx]))
+    return _hoffman_groups([(*lm.matrix.shape, lm.rank) for lm in maps], stacks,
+                           pairs, unit_draws)
+
+
+def _hoffman_table_of_svds(svds: Sequence, pairs: Sequence,
+                           unit_draws: Sequence) -> VerdictReport:
+    """``hoffman_table`` of the maps ``decompose(L)`` for each (L, U, s, Vt,
+    rank) of ``svds``, where (U, s, Vt, rank) is ``_svd(L)``: the
+    pseudo-inverses and kernel bases of one (m, n, rank) are formed as one
+    stack, with the bits ``decompose`` gives each matrix alone, and no
+    ``LinearMap`` is built."""
+    def stacks(idx):
+        L, U, s, Vt = (np.stack([svds[i][j] for i in idx]) for j in range(4))
+        rank = int(svds[idx[0]][4])
+        return (L, _pinv(U, s, Vt)[1], np.swapaxes(Vt[:, rank:, :], -1, -2),
+                1e-10 * np.maximum(1.0, s[:, 0]))   # LinearMap.tol_lin
+    return _hoffman_groups([(*sv[0].shape, int(sv[4])) for sv in svds], stacks,
+                           pairs, unit_draws)
+
+
+def _hoffman_groups(keys: Sequence, stacks: Callable, pairs: Sequence,
+                    unit_draws: Sequence) -> VerdictReport:
+    """The rows of ``hoffman_table`` for items grouped by their key (m, n,
+    rank); ``stacks(idx)`` gives the matrices, pseudo-inverses, kernel bases
+    and range tolerances ``tol_lin`` of the items idx of one key, stacked."""
+    n = len(keys)
     dh, bound, slack = np.zeros((3, n))
     ok = np.zeros(n, dtype=bool)
     groups = {}
-    for i, lm in enumerate(maps):
-        groups.setdefault((*lm.matrix.shape, lm.rank), []).append(i)
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     for idx in groups.values():
-        L, P, K = (np.stack([getattr(maps[i], a) for i in idx])
-                   for a in ("matrix", "pinv", "kernel_basis"))
+        L, P, K, tol_lin = stacks(idx)
         S, T = (np.array([np.asarray(pairs[i][j], dtype=float).ravel() for i in idx])
                 for j in (0, 1))
         U = np.array([np.reshape(unit_draws[i], (7, K.shape[-1])) for i in idx])
-        tol_lin = np.array([maps[i].tol_lin for i in idx])
         Xs = _checked_preimages(L, P, S, tol_lin)
         Xt = _checked_preimages(L, P, T, tol_lin)
         rate = _spectral_norms(P) * _norms(S - T)

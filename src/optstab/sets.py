@@ -168,7 +168,7 @@ class AxisSegments(SetModel):
         if not ext:
             raise ValueError("a SetModel must be nonempty")
         for k, (u, _) in ext.items():
-            if k < 0 or u < 0:
+            if k < 0 or not u >= 0:   # NaN fails u >= 0
                 raise ValueError("axis indices and extents must be nonnegative")
         if all(e == (0.0, False) for e in ext.values()):
             raise ValueError("every axis segment is the empty [0, 0)")
@@ -487,6 +487,7 @@ _CLOSED_FORMS = {
 }
 _CDIST_METRICS = {_euclidean: "euclidean", _absolute: "cityblock"}
 _CDIST_BLOCK = 1 << 22      # matrix entries per cdist call: 32 MB of float64
+_CROSS = 256                # rows and columns of the exact cross of hausdorff's sweep
 
 
 def _closed_form(d: PseudoDistance, A: SetModel, what: str):
@@ -497,21 +498,25 @@ def _closed_form(d: PseudoDistance, A: SetModel, what: str):
     return entry[what]
 
 
-def _pairwise_min(d: PseudoDistance, P, Q, orientation: str, cols: bool = False):
+def _as_rows(d: PseudoDistance, X) -> np.ndarray:
+    """X as float rows (n, dim), a scalar per row in dimension 1, its
+    dimension checked against d."""
+    X = np.asarray(X, dtype=float)
+    X = X.reshape(len(X), -1)
+    _check_dim(d, X.shape[1])
+    return X
+
+
+def _pairwise_min(d: PseudoDistance, P, Q, orientation: str) -> np.ndarray:
     """min over q in Q of d(p, q) (of d(q, p) if "to_point"), for each p in P.
 
     P and Q hold one point per row, or one scalar per entry in dimension 1.
     The kernels of euclidean() and absolute() go to ``cdist``, and any other
     d to ``call_rows`` on blocks of pairs (p, q) in order of p, then q, each
-    block with at most _CDIST_BLOCK entries.  With ``cols`` (the cdist
-    kernels only, whose matrices are bitwise symmetric) the pair (row minima,
-    column minima) of the same blocks is returned, the column minima being
-    min over p in P of d(q, p) for each q in Q.  NaN raises ValueError.
+    block with at most _CDIST_BLOCK entries.  NaN raises ValueError.
     """
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
-    rows_p, rows_q = P.reshape(len(P), -1), Q.reshape(len(Q), -1)
-    _check_dim(d, rows_p.shape[1])
-    _check_dim(d, rows_q.shape[1])
+    rows_p, rows_q = _as_rows(d, P), _as_rows(d, Q)
     metric = _CDIST_METRICS.get(d.fn)
     if metric is not None:
         from scipy.spatial.distance import cdist
@@ -528,16 +533,68 @@ def _pairwise_min(d: PseudoDistance, P, Q, orientation: str, cols: bool = False)
             if orientation == "to_point":
                 X, Y = Y, X
             return call_rows(d.fn, len(X), X, Y).reshape(len(p), len(Q))
-    out, col = [], INF
-    for i in range(0, max(1, len(rows_p)), step):
-        D = block(i)
-        out.append(D.min(axis=1))
-        if cols:
-            col = np.minimum(col, D.min(axis=0))
-    out = np.concatenate(out)
+    out = np.concatenate([block(i).min(axis=1) for i in range(0, max(1, len(rows_p)), step)])
     if np.isnan(out).any():   # a NaN entry makes its row's minimum NaN
         raise ValueError("NaN is not an extended real")
-    return (out, col) if cols else out
+    return out
+
+
+def _cdist_mins(P: np.ndarray, Q: np.ndarray, metric: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column minima of cdist(P, Q, metric), one tile of at most
+    _CDIST_BLOCK entries at a time.  A NaN entry (a NaN coordinate, or
+    inf - inf) makes its row's minimum NaN and raises ValueError."""
+    from scipy.spatial.distance import cdist
+    if len(P) * len(Q) <= _CDIST_BLOCK:   # one tile
+        D = cdist(P, Q, metric)
+        rows, cols = D.min(axis=1), D.min(axis=0)
+    else:
+        rows, cols = np.full(len(P), INF), np.full(len(Q), INF)
+        width = min(len(Q), _CDIST_BLOCK)
+        step = _CDIST_BLOCK // width
+        for i in range(0, len(P), step):
+            for j in range(0, len(Q), width):
+                D = cdist(P[i:i + step], Q[j:j + width], metric)
+                r, c = rows[i:i + step], cols[j:j + width]
+                np.minimum(r, D.min(axis=1), out=r)
+                np.minimum(c, D.min(axis=0), out=c)
+    if np.isnan(rows).any():
+        raise ValueError("NaN is not an extended real")
+    return rows, cols
+
+
+def _finish(best: float, part: np.ndarray, X: np.ndarray, Y: np.ndarray, metric: str) -> float:
+    """max(best, min(part_i, min over y in Y of cdist(X_i, y)) over the rows
+    i that can raise it): a row with part_i <= best cannot, and is skipped
+    unless part_i is inf, where a NaN pair (inf - inf) may hide."""
+    idx = np.flatnonzero((part > best) | (part == INF))
+    if len(idx):
+        best = max(best, float(np.minimum(part[idx], _cdist_mins(X[idx], Y, metric)[0]).max()))
+    return best
+
+
+def _cdist_hausdorff(P: np.ndarray, Q: np.ndarray, metric: str) -> float:
+    """max(max over rows of the row minima, max over columns of the column
+    minima) of cdist(P, Q, metric), without the whole matrix (the exact
+    early break of Taha and Hanbury, IEEE TPAMI 37(11), 2015).
+
+    The first _CROSS rows against all of Q and the first _CROSS columns
+    against all of P give exact minima there and partial minima elsewhere;
+    then only the rows and columns whose partial minimum still exceeds the
+    largest exact one are finished.  ``min`` and ``max`` are exact, cdist
+    computes each pair on its own, and its kernels are symmetric bit for bit
+    (x - y is exactly -(y - x)), so the value is that of the whole matrix,
+    bit for bit.  When either set has at most _CROSS points the cross is the
+    whole matrix.
+    """
+    t = _CROSS
+    if len(P) <= t or len(Q) <= t:
+        rows, cols = _cdist_mins(P, Q, metric)
+        return max(float(rows.max()), float(cols.max()))
+    rows, cols = _cdist_mins(P[:t], Q, metric)             # exact rows, partial columns
+    part_rows, head_cols = _cdist_mins(P[t:], Q[:t], metric)
+    np.minimum(cols[:t], head_cols, out=cols[:t])           # exact columns
+    return max(_finish(float(rows.max()), part_rows, P[t:], Q[t:], metric),
+               _finish(float(cols[:t].max()), cols[t:], Q[t:], P[t:], metric))
 
 
 def _draws(budget: int, rng: Optional[np.random.Generator]) -> Callable:
@@ -629,15 +686,18 @@ def hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
 
     Each set that is not a finite cloud is sampled at most once, and both
     directions use that draw.  Under euclidean() and absolute(), when no
-    closed form applies to either set, both directions read one distance
-    matrix: d(a, B) from its row minima and d(b, A) from its column minima.
+    closed form applies to either set, both directions come from one sweep
+    over the pairs (a, b) that computes only the pairs that can move the
+    max of minima (Taha and Hanbury's exact early break): the value is that
+    of the whole distance matrix, bit for bit.
     """
     points = _draws(budget, rng)
-    if (d.fn in _CDIST_METRICS and _closed_form(d, A, "point") is None
+    metric = _CDIST_METRICS.get(d.fn)
+    if (metric is not None and _closed_form(d, A, "point") is None
             and _closed_form(d, B, "point") is None):
         (P, exact_a), (Q, exact_b) = points(A), points(B)   # a NaN point gives NaN minima
-        to_b, to_a = _pairwise_min(d, P, Q, "from_point", cols=True)
-        return _report(max(float(to_b.max()), float(to_a.max())), exact_a and exact_b, budget)
+        value = _cdist_hausdorff(_as_rows(d, P), _as_rows(d, Q), metric)
+        return _report(value, exact_a and exact_b, budget)
     (v1, e1), (v2, e2) = _asym(d, A, B, points), _asym(d, B, A, points)
     return _report(max(v1, v2), e1 and e2, budget)
 

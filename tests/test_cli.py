@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -173,8 +174,11 @@ def test_hausdorff_kind_refuses_a_slab_basis_of_another_dim(tmp_path, capsys):
      "interval (1.0, 1.0] is empty"),
     ({"kind": "axis_segments", "extents": {"0": [0.0, False], "1": [0.0, False]}, "dim": 2},
      "every axis segment is the empty [0, 0)"),
+    ({"kind": "axis_segments", "extents": {"0": [math.nan, True]}, "dim": 2},
+     "extents must be nonnegative"),
 ], ids=["slab-without-basis", "union-without-intervals", "union-of-a-number", "list",
-        "slab-basis-of-three-dims", "point-with-an-open-end", "only-empty-segments"])
+        "slab-basis-of-three-dims", "point-with-an-open-end", "only-empty-segments",
+        "nan-extent"])
 def test_hausdorff_kind_refuses_a_set_file_that_lacks_a_field(tmp_path, capsys, doc, message):
     (tmp_path / "a.json").write_text(json.dumps(doc))
     (tmp_path / "b.json").write_text('{"kind": "finite_cloud", "points": [[0.0, 0.0]]}')

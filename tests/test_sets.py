@@ -103,6 +103,16 @@ def test_axis_segments_of_only_empty_segments_are_refused():
     assert (got.value, got.mode) == (0.0, "exact")
 
 
+def test_axis_segments_refuse_a_nan_extent():
+    # NaN passed the old check u < 0: D_H read 0.0 and sup 0.0, both "exact"
+    with pytest.raises(ValueError, match="nonnegative"):
+        AxisSegments({0: (math.nan, True)}, dim=2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        AxisSegments({0: (1.0, True), 1: (math.nan, False)})
+    B = AxisSegments({0: (1.0, True)}, dim=2)
+    assert hausdorff(euclidean(2), B, B) == DistanceReport(0.0, "exact")
+
+
 def test_axis_segments_exact_vs_sampled():
     d = euclidean(4)
     A = AxisSegments({0: (1.0, True), 1: (1.0, True), 2: (1.0, True)}, dim=4)

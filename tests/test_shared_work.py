@@ -1,9 +1,9 @@
 """Shared intermediates computed once per call, against the bodies that
 computed them again.
 
-* ``sets.hausdorff`` under euclidean() / absolute() reads both directions
-  from one distance matrix (row and column minima) when no closed form
-  applies; the reference runs the two one-sided ``_asym`` passes.
+* ``sets.hausdorff`` under euclidean() / absolute() takes both directions
+  from one sweep over the pairs when no closed form applies; the reference
+  runs the two one-sided ``_asym`` passes.
 * ``optima`` evaluates the objective once per exact set for both extremes;
   the reference is the one-extreme-per-call body with the four-call
   stability loop (sup A, sup A', inf A, inf A').
@@ -308,9 +308,9 @@ def test_row_form_hausdorff_keeps_both_directions(seed, na, nb):
 
 
 def test_one_block_at_a_time(monkeypatch):
-    monkeypatch.setattr(sets, "_CDIST_BLOCK", 7)   # many row blocks, one column pass each
+    monkeypatch.setattr(sets, "_CROSS", 3)   # a cross of 3 rows and columns, many rows swept
     rng = np.random.default_rng(5)
-    A, B = _cloud(rng, 40, 3), _cloud(rng, 3, 3)
+    A, B = _cloud(rng, 40, 3), _cloud(rng, 25, 3)
     for X, Y in ((A, B), (B, A)):
         assert hausdorff(euclidean(3), X, Y) == _ref_hausdorff(euclidean(3), X, Y)
 
