@@ -147,6 +147,16 @@ def scale_rows(alpha, x) -> np.ndarray:
         return np.where((alpha == 0.0) | (x == 0.0), 0.0, alpha * x)
 
 
+def finite_array(x, what: str, allow_inf: bool = False) -> np.ndarray:
+    """x as a float array; ValueError naming ``what`` if an entry is NaN,
+    or infinite unless ``allow_inf``."""
+    x = np.asarray(x, dtype=float)
+    ok = ~np.isnan(x) if allow_inf else np.isfinite(x)
+    if not ok.all():
+        raise ValueError(f"{what} must not be NaN" if allow_inf else f"{what} must be finite")
+    return x
+
+
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first call so that
     ``import optstab`` loads no scipy module."""

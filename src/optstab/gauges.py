@@ -19,7 +19,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .extreal import INF, linprog  # noqa: F401  (linprog: traced by name by the benchmark)
+from .extreal import INF, finite_array
+from .extreal import linprog  # noqa: F401  (traced by name by the benchmark)
 
 DEFAULT_GAUGE_TOL = 1e-10
 VERTEX_RTOL = 1e-12  # times ||V||_2: rank cut of V, facet offsets snapped to 0
@@ -44,8 +45,8 @@ class GaugeSet:
 
     @staticmethod
     def from_halfspaces(A, b) -> "GaugeSet":
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.asarray(b, dtype=float).ravel()
+        A = np.atleast_2d(finite_array(A, "halfspace rows"))
+        b = finite_array(b, "halfspace offsets", allow_inf=True).ravel()
         if A.shape[0] != b.shape[0]:
             raise ValueError("halfspace row/offset count mismatch")
         if np.any(b < 0):
@@ -56,14 +57,14 @@ class GaugeSet:
     @staticmethod
     def from_vertices(V) -> "GaugeSet":
         """The hull of the rows of V, held in facet form as well."""
-        V = np.atleast_2d(np.asarray(V, dtype=float))
+        V = np.atleast_2d(finite_array(V, "vertices"))
         A, b = _hull_facets(V)
         return GaugeSet(kind="vertices", dim=V.shape[1], halfspace_A=A,
                         halfspace_b=b, vertices=V)
 
     @staticmethod
     def from_ball(radius: float, dim: int) -> "GaugeSet":
-        if radius <= 0:
+        if not radius > 0:   # NaN fails radius > 0
             raise InvalidGaugeError("ball radius must be positive")
         return GaugeSet(kind="ball", dim=dim, radius=float(radius))
 

@@ -32,7 +32,12 @@ TOL_OPT = 1e-9
 
 @dataclass(frozen=True)
 class Lipschitz:
+    """|f(x) - f(y)| <= lam d(x, y); lam = inf is legal, NaN or lam < 0 raises."""
     lam: float
+
+    def __post_init__(self):
+        if not self.lam >= 0:   # NaN fails lam >= 0
+            raise ValueError(f"Lipschitz constant must be >= 0, not {self.lam}")
 
 
 @dataclass(frozen=True)

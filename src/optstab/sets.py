@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .distances import PseudoDistance, _absolute, _check_dim, _euclidean
-from .extreal import INF, call_one, call_rows
+from .extreal import INF, call_one, call_rows, finite_array
 
 DEFAULT_BUDGET = 2048
 
@@ -255,8 +255,11 @@ class AffineSlab(SetModel):
     box_halfwidth: float = 1e3
 
     def __init__(self, particular, kernel_basis, box_halfwidth=1e3):
-        particular = np.asarray(particular, dtype=float).ravel()
-        K = np.asarray(kernel_basis, dtype=float)
+        particular = finite_array(particular, "slab particular point").ravel()
+        K = finite_array(kernel_basis, "slab kernel basis")
+        box_halfwidth = float(box_halfwidth)
+        if box_halfwidth != box_halfwidth:
+            raise ValueError("slab box half-width must not be NaN")
         if K.ndim > 2:
             raise ValueError(f"kernel_basis must be a matrix, not an array of {K.ndim} dimensions")
         if K.size == 0:
@@ -268,7 +271,7 @@ class AffineSlab(SetModel):
                              f"has dim {particular.shape[0]}")
         object.__setattr__(self, "particular", particular)
         object.__setattr__(self, "kernel_basis", _orthonormal(K))
-        object.__setattr__(self, "box_halfwidth", float(box_halfwidth))
+        object.__setattr__(self, "box_halfwidth", box_halfwidth)
 
     @property
     def dim(self) -> int:
@@ -597,6 +600,19 @@ def _cdist_hausdorff(P: np.ndarray, Q: np.ndarray, metric: str) -> float:
                _finish(float(cols[:t].max()), cols[t:], Q[t:], P[t:], metric))
 
 
+def _cdist_asym(P: np.ndarray, Q: np.ndarray, metric: str) -> float:
+    """max over rows of the row minima of cdist(P, Q, metric): the one-sided
+    sweep of ``_cdist_hausdorff``, bit for bit the whole matrix's value.
+    The first _CROSS rows against all of Q (where a NaN coordinate of Q
+    shows) set the bar; the other rows are measured against the first
+    _CROSS points of Q and finished only if they can still raise it."""
+    t = _CROSS
+    if len(P) <= t or len(Q) <= t:
+        return float(_cdist_mins(P, Q, metric)[0].max())
+    best = float(_cdist_mins(P[:t], Q, metric)[0].max())
+    return _finish(best, _cdist_mins(P[t:], Q[:t], metric)[0], P[t:], Q[t:], metric)
+
+
 def _draws(budget: int, rng: Optional[np.random.Generator]) -> Callable:
     """S -> (points of S, whether they are all of S): a finite cloud's own
     points, else ``budget`` sampled points, drawn at the first request for S
@@ -632,13 +648,18 @@ def _point_distances(d: PseudoDistance, P, B: SetModel, points: Callable,
 
 def _asym(d: PseudoDistance, A: SetModel, B: SetModel, points: Callable) -> Tuple[float, bool]:
     """D_asyH(A, B) and whether it is exact: the closed form for A and B if
-    one applies, else the max of d(a, B) over ``points(A)``."""
+    one applies, else the max of d(a, B) over ``points(A)``, by the one-sided
+    sweep under euclidean() and absolute() when B has no closed form."""
     if type(A) is type(B):
         closed = _closed_form(d, A, "asym")
         value = closed(A, B) if closed is not None else None
         if value is not None:
             return value, True
     P, exact_a = points(A)
+    metric = _CDIST_METRICS.get(d.fn)
+    if metric is not None and _closed_form(d, B, "point") is None:
+        Q, exact_b = points(B)
+        return _cdist_asym(_as_rows(d, P), _as_rows(d, Q), metric), exact_a and exact_b
     values, exact_b = _point_distances(d, P, B, points, "from_point")
     return float(values.max()), exact_a and exact_b
 

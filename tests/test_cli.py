@@ -176,9 +176,15 @@ def test_hausdorff_kind_refuses_a_slab_basis_of_another_dim(tmp_path, capsys):
      "every axis segment is the empty [0, 0)"),
     ({"kind": "axis_segments", "extents": {"0": [math.nan, True]}, "dim": 2},
      "extents must be nonnegative"),
+    ({"kind": "affine_slab", "particular": [math.nan, 0.0], "kernel_basis": [[1.0], [0.0]],
+      "box_halfwidth": 1.0}, "particular point must be finite"),
+    ({"kind": "affine_slab", "particular": [0.0, 0.0], "kernel_basis": [[math.nan], [0.0]],
+      "box_halfwidth": 1.0}, "kernel basis must be finite"),
+    ({"kind": "affine_slab", "particular": [0.0, 0.0], "kernel_basis": [[1.0], [0.0]],
+      "box_halfwidth": math.nan}, "half-width must not be NaN"),
 ], ids=["slab-without-basis", "union-without-intervals", "union-of-a-number", "list",
         "slab-basis-of-three-dims", "point-with-an-open-end", "only-empty-segments",
-        "nan-extent"])
+        "nan-extent", "nan-slab-particular", "nan-slab-kernel", "nan-slab-box"])
 def test_hausdorff_kind_refuses_a_set_file_that_lacks_a_field(tmp_path, capsys, doc, message):
     (tmp_path / "a.json").write_text(json.dumps(doc))
     (tmp_path / "b.json").write_text('{"kind": "finite_cloud", "points": [[0.0, 0.0]]}')

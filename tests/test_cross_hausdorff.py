@@ -5,7 +5,9 @@ takes the exact minima of the first ``_CROSS`` rows and columns of the
 distance matrix, then finishes only the rows and columns whose partial
 minimum can still raise the max.  The reference below fills the whole
 matrix with one ``cdist`` call and reads its row and column minima; the two
-must give ``==`` reports, non-finite inputs included.
+must give ``==`` reports, non-finite inputs included.  ``asym_hausdorff``
+sweeps one side the same way and is checked against the max of the whole
+matrix's row minima.
 
 The exactness property runs derandomized.  With ``OPTSTAB_RANDOMIZE=1`` it
 draws at the ``--hypothesis-seed`` given to pytest instead, so a failure
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 from optstab import sets
 from optstab.distances import absolute, euclidean
 from optstab.extreal import INF, row_form
-from optstab.sets import DistanceReport, FiniteCloud, ImplicitSampled, hausdorff
+from optstab.sets import DistanceReport, FiniteCloud, ImplicitSampled, asym_hausdorff, hausdorff
 
 T = sets._CROSS
 SETTINGS = settings(max_examples=60, deadline=None, database=None,
@@ -38,17 +40,20 @@ def _size(name, t, rng):
             "any": int(rng.integers(1, 4 * t + 8))}[name]
 
 
-def _whole_matrix(d, A, B, budget=sets.DEFAULT_BUDGET, rng=None):
-    """D_H from one cdist matrix over the drawn points, as ``hausdorff``
-    computed it before the sweep: NaN anywhere raises ValueError."""
+def _whole_matrix(d, A, B, budget=sets.DEFAULT_BUDGET, rng=None, one_sided=False):
+    """D_H (D_asyH if one_sided) from one cdist matrix over the drawn points,
+    as ``hausdorff`` and ``asym_hausdorff`` computed it before the sweep:
+    NaN anywhere raises ValueError."""
     points = sets._draws(budget, rng)
     (P, exact_a), (Q, exact_b) = points(A), points(B)
     P, Q = (np.asarray(X, dtype=float).reshape(len(X), -1) for X in (P, Q))
     D = ssd.cdist(P, Q, sets._CDIST_METRICS[d.fn])
     if np.isnan(D).any():
         raise ValueError("NaN is not an extended real")
-    return sets._report(max(float(D.min(axis=1).max()), float(D.min(axis=0).max())),
-                        exact_a and exact_b, budget)
+    value = float(D.min(axis=1).max())
+    if not one_sided:
+        value = max(value, float(D.min(axis=0).max()))
+    return sets._report(value, exact_a and exact_b, budget)
 
 
 def _outcome(fn, *args, **kw):
@@ -106,8 +111,10 @@ def test_sweep_equals_the_whole_matrix(seed, dim, sizes, cross, styles, swap):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sets, "_CROSS", cross)
         got = hausdorff(d, A, B)
+        got_asym = asym_hausdorff(d, A, B)
     assert got == _whole_matrix(d, A, B)
     assert got.mode == "exact"
+    assert got_asym == _whole_matrix(d, A, B, one_sided=True)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -138,6 +145,11 @@ def test_sampled_and_cloud_mixes_keep_value_and_draws(seed, dim, budget, cross, 
         got = hausdorff(d, A, B, budget=budget, rng=r_got)
     assert got == _whole_matrix(d, A, B, budget=budget, rng=r_ref)
     assert got.mode == "sampled"
+    assert r_got.bit_generator.state == r_ref.bit_generator.state
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sets, "_CROSS", cross)
+        got = asym_hausdorff(d, A, B, budget=budget, rng=r_got)
+    assert got == _whole_matrix(d, A, B, budget=budget, rng=r_ref, one_sided=True)
     assert r_got.bit_generator.state == r_ref.bit_generator.state
 
 
@@ -179,6 +191,9 @@ def test_non_finite_points_in_the_pruned_part(cross, side, case, monkeypatch):
     want = _outcome(_whole_matrix, d, A, B)
     assert _outcome(hausdorff, d, A, B) == want
     assert want == (DistanceReport(INF, "exact") if case == "lone-inf" else ValueError)
+    for X, Y in ((A, B), (B, A)):
+        assert _outcome(asym_hausdorff, d, X, Y) == _outcome(_whole_matrix, d, X, Y,
+                                                             one_sided=True)
 
 
 # ---------------------------------------------------------------------------

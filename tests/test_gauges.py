@@ -156,3 +156,27 @@ def test_nan_coordinates_raise(C, x):
         minkowski_gauge(C, x)
     with pytest.raises(ValueError, match="NaN"):
         C.contains(x)
+
+
+@pytest.mark.parametrize("build, message", [
+    # a NaN offset gave a gauge of +inf at [1, 0.5], a NaN row a gauge of NaN
+    (lambda: GaugeSet.from_halfspaces([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0]),
+     "offsets must not be NaN"),
+    (lambda: GaugeSet.from_halfspaces([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+     "rows must be finite"),
+    (lambda: GaugeSet.from_halfspaces([[INF, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+     "rows must be finite"),
+    # the gauge of a NaN-radius ball was NaN
+    (lambda: GaugeSet.from_ball(np.nan, 2), "radius must be positive"),
+    # NaN vertices ended in the hull's SVD, which did not converge
+    (lambda: GaugeSet.from_vertices([[np.nan, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
+     "vertices must be finite"),
+], ids=["nan-offset", "nan-row", "inf-row", "nan-radius", "nan-vertex"])
+def test_gauge_constructors_refuse_nan(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_an_infinite_offset_is_an_unconstraining_row():
+    C = GaugeSet.from_halfspaces([[1.0, 0.0], [0.0, 1.0]], [INF, 2.0])
+    assert minkowski_gauge(C, [5.0, 1.0]) == 0.5

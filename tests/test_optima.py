@@ -345,3 +345,15 @@ def test_sup_and_inf_share_one_default_draw_of_a_sampled_set():
 def test_empty_or_nan_pieces_are_refused(lo, hi):
     with pytest.raises(ValueError):
         LinearPiece(lo, hi, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, -1.0, -INF])
+def test_lipschitz_refuses_a_nan_or_negative_constant(lam):
+    # Lipschitz(nan) and Lipschitz(-1.0) were built, and refused only by
+    # scale at the first verdict
+    with pytest.raises(ValueError, match="Lipschitz constant"):
+        Lipschitz(lam)
+
+
+def test_lipschitz_takes_zero_and_inf():
+    assert Lipschitz(0.0).lam == 0.0 and Lipschitz(INF).lam == INF

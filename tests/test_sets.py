@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -101,6 +102,23 @@ def test_axis_segments_of_only_empty_segments_are_refused():
     A = AxisSegments({0: (0.0, False), 1: (0.0, True)}, dim=2)
     got = sup_over(segment_sine_objective(2), A)
     assert (got.value, got.mode) == (0.0, "exact")
+
+
+@pytest.mark.parametrize("args, message", [
+    # hausdorff(euclidean(2), ., line) read DistanceReport(nan, "exact")
+    (([math.nan, 0.0], [[1.0], [0.0]]), "particular point must be finite"),
+    # _orthonormal turned [[nan], [0]] into [[1], [-0]]: D_H read 1.0 "exact"
+    (([0.0, 0.0], [[math.nan], [0.0]]), "kernel basis must be finite"),
+    (([0.0, 0.0], [[1.0], [0.0]], math.nan), "half-width must not be NaN"),
+], ids=["particular", "kernel", "box"])
+def test_affine_slabs_refuse_nan(args, message, tmp_path):
+    with pytest.raises(ValueError, match=message):
+        AffineSlab(*args)
+    doc = dict(zip(["particular", "kernel_basis", "box_halfwidth"], args), kind="affine_slab")
+    doc.setdefault("box_halfwidth", 1e3)
+    (tmp_path / "slab.json").write_text(json.dumps(doc))   # NaN is written as the literal NaN
+    with pytest.raises(ValueError, match=message):
+        load_set(tmp_path / "slab.json")
 
 
 def test_axis_segments_refuse_a_nan_extent():

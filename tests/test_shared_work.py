@@ -8,7 +8,8 @@ computed them again.
   the reference is the one-extreme-per-call body with the four-call
   stability loop (sup A, sup A', inf A, inf A').
 * ``linear.example_mixed_constraints`` solves one max-margin LP per distinct
-  parameter in a call; the reference solves one per ``slice_at``.
+  parameter whose slice it samples, and an openness or midpoint probe only
+  when its witness fails; the reference solves one per ``slice_at``.
 * ``sets.ball_around_set`` draws A once per call; the reference measures
   each probe with its own ``point_set_distance``.
 
@@ -412,7 +413,7 @@ def test_one_objective_call_per_exact_set(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# linear.example_mixed_constraints: one LP per distinct parameter
+# linear.example_mixed_constraints: one LP per distinct sampled parameter
 # ---------------------------------------------------------------------------
 
 def _counted_linprog(monkeypatch):
@@ -443,10 +444,22 @@ def test_mixed_box_solves_one_lp_per_distinct_parameter(monkeypatch, C):
     ref = _ref_example_mixed_constraints(*args, rng=np.random.default_rng(11), **kw)
     ref_keys = list(keys)
     keys.clear()
+    failed, witness = [], linear._witness_admits
+
+    def recorded(lm, A_hs, b_hs, t, x):
+        ok = witness(lm, A_hs, b_hs, t, x)
+        if not ok:
+            failed.append(np.asarray(t, float).tobytes())
+        return ok
+    monkeypatch.setattr(linear, "_witness_admits", recorded)
     got = linear.example_mixed_constraints(*args, rng=np.random.default_rng(11), **kw)
     assert got == ref and got["passed"]
-    # 307 LPs before, 152 now: one per distinct parameter of the call
-    assert sorted(keys) == sorted(set(ref_keys)) and len(keys) < len(ref_keys)
+    # 307 LPs with one per slice, 152 with one per distinct parameter, 19 now:
+    # s0 and the probes, then only the openness and midpoint parameters whose
+    # witness failed (none here: every slice keeps a margin of at least 0.09)
+    probe_keys = [np.asarray(t, float).tobytes() for t in [*args[3], kw["s0"]]]
+    assert keys == list(dict.fromkeys(probe_keys)) + failed and len(keys) < len(ref_keys)
+    assert failed == [] and len(keys) == 19
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
