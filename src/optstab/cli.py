@@ -20,6 +20,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -29,7 +30,8 @@ import numpy as np
 
 from . import instances
 from .distances import absolute, euclidean
-from .linear import _hoffman_table_of_svds, _svd, penrose_table, penrose_tolerances
+from .linear import (_hoffman_table_of_svds, _stacked_svds, penrose_table,
+                     penrose_tolerances)
 from .ladder import build_ladder
 from .optima import VerdictReport, check_finite_stability
 from .parametric import certify_value_lipschitz
@@ -89,9 +91,10 @@ def _exp_counterexample(cfg: dict, out_dir: str):
     j_max = _int_at_least(cfg, "j_max", 50, j_min)
     rows = []
     ok = True
+    steps = instances._oscillating_steps(name, K, range(j_min, j_max + 1))
     for j in range(j_min, j_max + 1):
         try:
-            e = instances.build(name, K=K, j=j)
+            e = next(steps)
         except ValueError as exc:  # j outside the range the instance allows for K
             raise ConfigError(f"{name} with K = {K}, j = {j}: {exc}") from exc
         g = dict((q, a) for q, _, a in e.goldens)
@@ -155,29 +158,48 @@ def _exp_stability(cfg: dict, out_dir: str):
     return ok, {"n_trials": n}
 
 
-def _exp_hoffman(cfg: dict, out_dir: str):
-    _require(cfg, "hoffman", {"seed"}, {"n_triples", "max_dim", "out_dir"})
-    rng = _seeded_rng(cfg)
-    n = _int_at_least(cfg, "n_triples", 50, 1)
-    max_dim = _int_at_least(cfg, "max_dim", 6, 1)
-    # each rank decides the draws that follow, so it is taken matrix by matrix
-    triples, svds, pairs, draws = [], [], [], []
+def _hoffman_draws(seed: int, n: int, max_dim: int, fixed: dict) -> list:
+    """(triple, L, rank, s, t, unit draws) of each triple with a nonzero rank,
+    drawn from the seed in the order of the per-matrix loop, which takes
+    each rank from an SVD: here a matrix's rank is the one it was built
+    with, or ``fixed[triple]``."""
+    rng = np.random.default_rng(seed)
+    items = []
     for i in range(n):
-        L = instances.random_rank_deficient_matrix(rng, max_dim)
-        svd = _svd(L)
-        rank = int(svd[3])
+        L, rank = instances._rank_deficient_draw(rng, max_dim)
+        rank = fixed.get(i, rank)
         if rank == 0:
             continue
         cols = L.shape[1]
         s = L @ rng.standard_normal(cols)
         t = L @ rng.standard_normal(cols)
-        triples.append(i)
-        svds.append((L, *svd))
-        pairs.append((s, t))
-        draws.append(rng.random((7, cols - rank)))  # the translation check's sample
-    rep = _hoffman_table_of_svds(svds, pairs, draws)
-    rows = [dict(triple=i, D_H=r["D_H"], bound=r["bound"], slack=r["slack"],
-                 verdict=r["verdict"]) for i, r in zip(triples, rep.rows)]
+        items.append((i, L, rank, s, t, rng.random((7, cols - rank))))  # the translation check's sample
+    return items
+
+
+def _exp_hoffman(cfg: dict, out_dir: str):
+    _require(cfg, "hoffman", {"seed"}, {"n_triples", "max_dim", "out_dir"})
+    seed = _int_at_least(cfg, "seed", None, 0)
+    n = _int_at_least(cfg, "n_triples", 50, 1)
+    max_dim = _int_at_least(cfg, "max_dim", 6, 1)
+    # each rank decides the draws that follow: the first matrix whose SVD
+    # rank is not the rank it was built with gets its SVD rank, and the
+    # draws are replayed from the seed
+    fixed = {}
+    while True:
+        items = _hoffman_draws(seed, n, max_dim, fixed)
+        svds = _stacked_svds([item[1] for item in items])
+        rank = np.zeros(len(items), dtype=int)
+        for idx, *_, r in svds:
+            rank[idx] = r
+        wrong = np.flatnonzero(rank != [item[2] for item in items])
+        if not len(wrong):
+            break
+        fixed[items[wrong[0]][0]] = int(rank[wrong[0]])
+    rep = _hoffman_table_of_svds(svds, [(s, t) for _, _, _, s, t, _ in items],
+                                 [item[5] for item in items])
+    rows = [dict(triple=item[0], D_H=r["D_H"], bound=r["bound"], slack=r["slack"],
+                 verdict=r["verdict"]) for item, r in zip(items, rep.rows)]
     _write_table(os.path.join(out_dir, "hoffman.csv"),
                  ["triple", "D_H", "bound", "slack", "verdict"], rows)
     return rep.passed, {"n_triples": n, "rows": len(rows), "skipped_rank0": n - len(rows)}
@@ -192,14 +214,13 @@ def _exp_egi(cfg: dict, out_dir: str):
     rank, resid, _, norm_L, norm_P = penrose_table(mats)
     tol = penrose_tolerances([max(L.shape) for L in mats], norm_L, norm_P)
     good = np.all(resid <= tol, axis=1)
-    ok = bool(good.all())
-    rows = [dict(matrix=i, shape=f"{L.shape[0]}x{L.shape[1]}", rank=int(rank[i]),
-                 worst_residual=float(resid[i].max()),
-                 verdict="pass" if good[i] else "fail")
-            for i, L in enumerate(mats)]
+    rows = [dict(matrix=i, shape=f"{L.shape[0]}x{L.shape[1]}", rank=r,
+                 worst_residual=w, verdict="pass" if g else "fail")
+            for i, (L, r, w, g) in enumerate(zip(mats, rank.tolist(),
+                                                 resid.max(axis=1).tolist(), good.tolist()))]
     _write_table(os.path.join(out_dir, "egi.csv"),
                  ["matrix", "shape", "rank", "worst_residual", "verdict"], rows)
-    return ok, {"n_matrices": n}
+    return bool(good.all()), {"n_matrices": n}
 
 
 def _exp_ladder(cfg: dict, out_dir: str):
@@ -297,7 +318,9 @@ def run_config(path: str) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="optstab", description="batch experiments over the library")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -306,7 +329,11 @@ def main(argv=None) -> int:
     sub.add_parser("list-instances", help="list catalog instances")
     p_desc = sub.add_parser("describe", help="describe a catalog instance")
     p_desc.add_argument("instance")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "run":
         return run_config(args.config)

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .extreal import INF, call_one, check_extended_real, row_form
+from .extreal import INF, call_one, call_rows, check_extended_real, row_form
 from .gauges import GaugeSet, minkowski_gauge
 
 SYMMETRIC = "symmetric"
@@ -28,6 +28,10 @@ class PseudoDistance:
     fn: Callable = field(repr=False)
     ambient_dim: Optional[int] = None
     properties: frozenset = frozenset()
+
+    def __post_init__(self):
+        if self.ambient_dim is not None and not self.ambient_dim >= 1:   # NaN fails too
+            raise ValueError(f"ambient dimension {self.ambient_dim} is not positive")
 
 
 def _check_dim(d: PseudoDistance, n: int) -> None:
@@ -45,6 +49,24 @@ def eval_distance(d: PseudoDistance, x, y) -> float:
     return check_extended_real(call_one(d.fn, x, y))
 
 
+def eval_distances(d: PseudoDistance, xs, ys) -> np.ndarray:
+    """d(x_i, y_i) for the n points of two sequences, as ``eval_distance``
+    gives each pair, with one dimension check, one ``call_rows`` and one NaN
+    check.  The kernels of ``euclidean()`` and ``absolute()`` take all the
+    rows in one call, with the bits of their one-point forms."""
+    n = len(xs)
+    if not n:
+        return np.zeros(0)
+    if d.ambient_dim is not None:
+        for P in (xs, ys):
+            P = np.asarray(P, dtype=float)
+            _check_dim(d, 1 if P.ndim == 1 else P.shape[-1])
+    vals = call_rows(_ROW_KERNELS.get(d.fn, d.fn), n, xs, ys)
+    if np.isnan(vals).any():
+        raise ValueError("NaN is not an extended real")
+    return vals
+
+
 # The kernels of euclidean() and absolute(): set closed forms are keyed by
 # these function objects, never by a distance's name.
 def _euclidean(x, y) -> float:
@@ -54,6 +76,15 @@ def _euclidean(x, y) -> float:
 def _absolute(x, y) -> float:
     return abs(float(np.squeeze(np.asarray(y, float)))
                - float(np.squeeze(np.asarray(x, float))))
+
+
+# the two kernels in row form, with the bits of their one-point forms: the
+# Euclidean one is one dot product of y - x with itself per row, as
+# np.linalg.norm takes it
+_ROW_KERNELS = {
+    _euclidean: row_form(lambda X, Y: np.sqrt(np.vecdot(Y - X, Y - X))),
+    _absolute: row_form(lambda X, Y: np.abs(Y[:, 0] - X[:, 0])),
+}
 
 
 def euclidean(dim: Optional[int] = None) -> PseudoDistance:

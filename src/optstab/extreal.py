@@ -151,8 +151,7 @@ def finite_array(x, what: str, allow_inf: bool = False) -> np.ndarray:
     """x as a float array; ValueError naming ``what`` if an entry is NaN,
     or infinite unless ``allow_inf``."""
     x = np.asarray(x, dtype=float)
-    ok = ~np.isnan(x) if allow_inf else np.isfinite(x)
-    if not ok.all():
+    if (np.isnan(x).any() if allow_inf else not np.isfinite(x).all()):
         raise ValueError(f"{what} must not be NaN" if allow_inf else f"{what} must be finite")
     return x
 

@@ -66,6 +66,8 @@ class GaugeSet:
     def from_ball(radius: float, dim: int) -> "GaugeSet":
         if not radius > 0:   # NaN fails radius > 0
             raise InvalidGaugeError("ball radius must be positive")
+        if not dim >= 1:
+            raise ValueError(f"dimension {dim} is not positive")
         return GaugeSet(kind="ball", dim=dim, radius=float(radius))
 
     @staticmethod
@@ -77,8 +79,10 @@ class GaugeSet:
         dominate sup{||c|| : c in C}); the behaviour of the gauge for
         unbounded oracle sets is not defined here.
         """
-        if bounding_radius <= 0:
-            raise InvalidGaugeError("bounding radius must be positive")
+        if not 0 < bounding_radius < INF:   # NaN fails too
+            raise InvalidGaugeError("bounding radius must be finite and positive")
+        if not dim >= 1:
+            raise ValueError(f"dimension {dim} is not positive")
         if not member(np.zeros(dim)):
             raise InvalidGaugeError("0 is not in C according to the oracle")
         return GaugeSet(kind="oracle", dim=dim, member=member,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,23 +98,6 @@ def oscillating_blocks(K: int, extended_j: Optional[int] = None) -> IntervalUnio
             hi = 2.0 * k + 1.0
         ivs.append(Interval(2.0 * k, hi))
     return IntervalUnion(ivs)
-
-
-def _build_ce33(K: int = 60, j: int = 10) -> tuple:
-    if not 2 <= j <= K - 1:
-        raise ValueError("need 2 <= j <= K-1")
-    f = oscillating_objective(K)
-    d = absolute()
-    A = oscillating_blocks(K)
-    A_j = oscillating_blocks(K, extended_j=j)
-    goldens = [
-        ("INF_f(A)", 0.0, inf_over(f, A).value),
-        ("SUP_f(A)", 0.0, sup_over(f, A).value),
-        ("INF_f(A_j)", -1.0, inf_over(f, A_j).value),
-        ("SUP_f(A_j)", 1.0, sup_over(f, A_j).value),
-        ("D_H(A, A_j)", 1.0 / j, hausdorff(d, A, A_j).value),
-    ]
-    return dict(objective=f, distance=d, A=A, A_j=A_j, j=j, K=K), goldens
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +190,46 @@ def axis_segment_family(K: int, extended_j: Optional[int] = None) -> AxisSegment
     return AxisSegments(extents, dim=K)
 
 
-def _build_ce34(K: int = 60, j: int = 7) -> tuple:
-    if not 2 <= j <= K:
-        raise ValueError("need 2 <= j <= K")
-    f = segment_sine_objective(K)
-    d = euclidean(K)
-    A = axis_segment_family(K)
-    A_j = axis_segment_family(K, extended_j=j)
-    goldens = [
-        ("INF_f(A)", 0.0, inf_over(f, A).value),
-        ("SUP_f(A)", 0.0, sup_over(f, A).value),
-        ("INF_f(A_j)", -1.0, inf_over(f, A_j).value),
-        ("SUP_f(A_j)", 1.0, sup_over(f, A_j).value),
-        ("D_H(A, A_j)", 1.0 / j, hausdorff(d, A, A_j).value),
-    ]
-    return dict(objective=f, distance=d, A=A, A_j=A_j, j=j, K=K), goldens
+# ---------------------------------------------------------------------------
+# the two counterexamples, one entry per j
+# ---------------------------------------------------------------------------
+
+# name: (objective of K, distance of K, set family of K and extended_j, and
+# how far below K the largest j lies)
+_OSCILLATING = {
+    "ce33": (oscillating_objective, lambda K: absolute(), oscillating_blocks, 1),
+    "ce34": (segment_sine_objective, euclidean, axis_segment_family, 0),
+}
+
+
+def _oscillating_steps(name: str, K: int, js) -> Iterator[InstanceCatalogEntry]:
+    """The self-tested entry ``build(name, K=K, j=j)`` for each j of ``js``,
+    in order.  The objective, the distance, A and the goldens INF_f(A) and
+    SUP_f(A) depend on K alone, so they are built once, after the first j
+    has passed its range check; a j outside its range raises ValueError
+    when its turn comes."""
+    objective, distance, family, below = _OSCILLATING[name]
+    f = None
+    for j in js:
+        if not 2 <= j <= K - below:
+            raise ValueError(f"need 2 <= j <= {'K-1' if below else 'K'}")
+        if f is None:
+            f, d, A = objective(K), distance(K), family(K)
+            on_A = [("INF_f(A)", 0.0, inf_over(f, A).value),
+                    ("SUP_f(A)", 0.0, sup_over(f, A).value)]
+        A_j = family(K, extended_j=j)
+        entry = InstanceCatalogEntry(name, describe(name), dict(
+            objective=f, distance=d, A=A, A_j=A_j, j=j, K=K), on_A + [
+            ("INF_f(A_j)", -1.0, inf_over(f, A_j).value),
+            ("SUP_f(A_j)", 1.0, sup_over(f, A_j).value),
+            ("D_H(A, A_j)", 1.0 / j, hausdorff(d, A, A_j).value)])
+        entry.self_test()
+        yield entry
+
+
+def _one_step(name: str, K: int, j: int) -> tuple:
+    entry = next(_oscillating_steps(name, K, [j]))
+    return entry.objects, entry.goldens
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +433,26 @@ def random_cloud(rng: np.random.Generator, lo: float = 0.0, hi: float = 100.0,
 
 def random_rank_deficient_matrix(rng: np.random.Generator,
                                  max_dim: int = 8) -> np.ndarray:
+    return _rank_deficient_draw(rng, max_dim)[0]
+
+
+def _rank_deficient_draw(rng: np.random.Generator, max_dim: int) -> tuple:
+    """(L, r): the matrix ``random_rank_deficient_matrix`` draws, an (m x r)
+    times (r x n) product of standard normal draws, and that r, which is
+    its rank cut at TOL_RANK unless sigma_r < TOL_RANK sigma_1."""
     m = int(rng.integers(1, max_dim + 1))
     n = int(rng.integers(1, max_dim + 1))
     r = int(rng.integers(0, min(m, n) + 1))
     return (rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
-            if r > 0 else np.zeros((m, n)))
+            if r > 0 else np.zeros((m, n))), r
 
 
 _CATALOG: Dict[str, Tuple[Callable[..., tuple], str]] = {
     # name: (builder returning (objects, goldens), the text `optstab describe` prints)
-    "ce33": (_build_ce33, "interval-union blocks with oscillating piecewise-linear objective"),
-    "ce34": (_build_ce34, "axis segments with high-frequency sine objective near open tips"),
+    "ce33": (lambda K=60, j=10: _one_step("ce33", K, j),
+             "interval-union blocks with oscillating piecewise-linear objective"),
+    "ce34": (lambda K=60, j=7: _one_step("ce34", K, j),
+             "axis segments with high-frequency sine objective near open tips"),
     "minset_sin": (_build_minset_sin, "minimizer-set instability of |sin| under interval shifts"),
     "gauge_segment": (_build_gauge_segment, "asymmetric/infinite gauge of a planar segment"),
     "affine_whole": (_build_affine_whole,

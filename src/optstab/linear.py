@@ -86,6 +86,27 @@ def _svd(L: np.ndarray) -> tuple:
     return U, s, Vt, (s > TOL_RANK * s[..., :1]).sum(-1)
 
 
+def _index_groups(keys: Sequence) -> list:
+    """The positions of each distinct key of ``keys``, in order of first
+    appearance."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _stacked_svds(mats: Sequence) -> list:
+    """(idx, L, U, s, Vt, rank) for the matrices idx of ``mats`` of each
+    shape: the stack L of those matrices and one ``_svd`` of it, whose
+    factors and ranks have the bits ``_svd`` gives each matrix alone.
+    ValueError if an entry is NaN or infinite."""
+    out = []
+    for idx in _index_groups([np.shape(L) for L in mats]):
+        L = finite_array(np.stack([mats[i] for i in idx]), "matrix entries")
+        out.append((idx, L, *_svd(L)))
+    return out
+
+
 def _pinv(U: np.ndarray, s: np.ndarray, Vt: np.ndarray) -> tuple:
     """(s_plus, pinv) from a full SVD, one matrix or a stack: the diagonal
     s_plus of S^+ (1 / sigma_i above the rank cut, 0 below it) and the
@@ -161,12 +182,8 @@ def penrose_table(mats: Sequence) -> tuple:
     rank = np.zeros(len(mats), dtype=int)
     resid = np.zeros((len(mats), len(PENROSE_IDENTITIES)))
     fro, norm_L, norm_P = np.zeros((3, len(mats)))
-    groups = {}
-    for i, L in enumerate(mats):
-        groups.setdefault(L.shape, []).append(i)
-    for idx in groups.values():
-        L = finite_array(np.stack([mats[i] for i in idx]), "matrix entries")
-        U, s, Vt, rank[idx] = _svd(L)
+    for idx, L, U, s, Vt, r in _stacked_svds(mats):
+        rank[idx] = r
         s_plus, P = _pinv(U, s, Vt)
         resid[idx] = _penrose_norms(L, P)
         fro[idx] = _frobenius(L)
@@ -477,43 +494,42 @@ def hoffman_table(maps: Sequence[LinearMap], pairs: Sequence,
     bases, range check, slab distance and translation check; each row has
     the bits that ``hoffman_check`` gives for its item alone.
     """
-    def stacks(idx):
-        return (*(np.stack([getattr(maps[i], a) for i in idx])
-                  for a in ("matrix", "pinv", "kernel_basis")),
-                np.array([maps[i].tol_lin for i in idx]))
-    return _hoffman_groups([(*lm.matrix.shape, lm.rank) for lm in maps], stacks,
-                           pairs, unit_draws)
+    groups = _index_groups([(*lm.matrix.shape, lm.rank) for lm in maps])
+    return _hoffman_groups(
+        [(idx, *(np.stack([getattr(maps[i], a) for i in idx])
+                 for a in ("matrix", "pinv", "kernel_basis")),
+          np.array([maps[i].tol_lin for i in idx])) for idx in groups],
+        pairs, unit_draws)
 
 
 def _hoffman_table_of_svds(svds: Sequence, pairs: Sequence,
                            unit_draws: Sequence) -> VerdictReport:
-    """``hoffman_table`` of the maps ``decompose(L)`` for each (L, U, s, Vt,
-    rank) of ``svds``, where (U, s, Vt, rank) is ``_svd(L)``: the
-    pseudo-inverses and kernel bases of one (m, n, rank) are formed as one
-    stack, with the bits ``decompose`` gives each matrix alone, and no
+    """``hoffman_table`` of the maps ``decompose(L)`` of the matrices of
+    ``svds``, a list of shape stacks (idx, L, U, s, Vt, rank) as
+    ``_stacked_svds`` gives them, idx indexing ``pairs``: the
+    pseudo-inverses and kernel bases of one rank in a stack are formed as
+    one stack, with the bits ``decompose`` gives each matrix alone, and no
     ``LinearMap`` is built."""
-    def stacks(idx):
-        L, U, s, Vt = (np.stack([svds[i][j] for i in idx]) for j in range(4))
-        rank = int(svds[idx[0]][4])
-        return (L, _pinv(U, s, Vt)[1], np.swapaxes(Vt[:, rank:, :], -1, -2),
-                1e-10 * np.maximum(1.0, s[:, 0]))   # LinearMap.tol_lin
-    return _hoffman_groups([(*sv[0].shape, int(sv[4])) for sv in svds], stacks,
-                           pairs, unit_draws)
+    groups = []
+    for idx, L, U, s, Vt, rank in svds:
+        for sub in _index_groups(rank.tolist()):
+            r, s_sub = rank[sub[0]], s[sub]
+            groups.append(([idx[k] for k in sub], L[sub], _pinv(U[sub], s_sub, Vt[sub])[1],
+                           np.swapaxes(Vt[sub, r:, :], -1, -2),
+                           1e-10 * np.maximum(1.0, s_sub[:, 0])))   # LinearMap.tol_lin
+    return _hoffman_groups(groups, pairs, unit_draws)
 
 
-def _hoffman_groups(keys: Sequence, stacks: Callable, pairs: Sequence,
+def _hoffman_groups(groups: Sequence, pairs: Sequence,
                     unit_draws: Sequence) -> VerdictReport:
-    """The rows of ``hoffman_table`` for items grouped by their key (m, n,
-    rank); ``stacks(idx)`` gives the matrices, pseudo-inverses, kernel bases
-    and range tolerances ``tol_lin`` of the items idx of one key, stacked."""
-    n = len(keys)
+    """The rows of ``hoffman_table`` for items in groups of one (m, n,
+    rank): each group (idx, L, P, K, tol_lin) holds the positions idx of
+    its items and their matrices, pseudo-inverses, kernel bases and range
+    tolerances ``tol_lin``, stacked."""
+    n = len(pairs)
     dh, bound, slack = np.zeros((3, n))
     ok = np.zeros(n, dtype=bool)
-    groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    for idx in groups.values():
-        L, P, K, tol_lin = stacks(idx)
+    for idx, L, P, K, tol_lin in groups:
         S, T = (np.array([np.asarray(pairs[i][j], dtype=float).ravel() for i in idx])
                 for j in (0, 1))
         U = np.array([np.reshape(unit_draws[i], (7, K.shape[-1])) for i in idx])

@@ -19,7 +19,8 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .distances import PseudoDistance
-from .extreal import INF, NEG_INF, call_one, call_rows, is_row_form, row_form, scale
+from .extreal import (INF, NEG_INF, call_one, call_rows, check_extended_real, is_row_form,
+                      row_form, scale)
 from .sets import (DEFAULT_BUDGET, FiniteCloud, Interval, IntervalUnion,
                    SetModel, _endpoints, asym_hausdorff, hausdorff)
 
@@ -201,6 +202,9 @@ class OptValue:
     value: float
     witness: Optional[object] = None
     mode: str = "exact"
+
+    def __post_init__(self):
+        check_extended_real(self.value)   # the last guard: no optimum is NaN
 
 
 def _piecewise_candidates(tab: _PieceTable, A: IntervalUnion):

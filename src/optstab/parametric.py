@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distances import PseudoDistance, eval_distance
+from .distances import PseudoDistance, eval_distance, eval_distances
 from .extreal import call_one, call_rows, scale_rows
 from .optima import (TOL_OPT, Lipschitz, ObjectiveFn, OptValue, VerdictReport,
                      _by_points, _hook_values, inf_over, sup_over)
@@ -169,7 +169,7 @@ def certify_value_lipschitz(V: ValueFunction, sample_pairs: Sequence,
 
     columns = ["t", "s", "d_I", "bound", "observed", "slack", "verdict"]
     pairs = list(sample_pairs)
-    di = np.array([eval_distance(F.index_distance, t, s) for t, s in pairs])
+    di = eval_distances(F.index_distance, [t for t, _ in pairs], [s for _, s in pairs])
     alpha = np.array([F.hausdorff_rate(t, s) for t, s in pairs])
     lam = np.array([lam_of_pair(t, s) for t, s in pairs])
     phi = _values(V, [p for pair in pairs for p in pair], budget, rng).reshape(-1, 2)
@@ -189,14 +189,11 @@ def measured_lipschitz_ratio(V: ValueFunction, sample_pairs: Sequence,
     """sup over sampled pairs of |phi(t) - phi(s)| / d_I(t, s), over the
     pairs with d_I > 0 (phi is not taken at the others), through
     ``_values`` as in ``certify_value_lipschitz``."""
-    pairs, di = [], []
-    for t, s in sample_pairs:
-        d = eval_distance(V.family.index_distance, t, s)
-        if d > 0:
-            pairs.append((t, s))
-            di.append(d)
-    phi = _values(V, [p for pair in pairs for p in pair], budget, rng).reshape(-1, 2)
-    return float(np.max(np.abs(phi[:, 0] - phi[:, 1]) / np.array(di), initial=0.0))
+    pairs = list(sample_pairs)
+    di = eval_distances(V.family.index_distance, [t for t, _ in pairs], [s for _, s in pairs])
+    keep = np.flatnonzero(di > 0)
+    phi = _values(V, [p for i in keep for p in pairs[i]], budget, rng).reshape(-1, 2)
+    return float(np.max(np.abs(phi[:, 0] - phi[:, 1]) / di[keep], initial=0.0))
 
 
 def empirical_value_continuity(V: ValueFunction, t0, probes: Sequence,
@@ -208,7 +205,7 @@ def empirical_value_continuity(V: ValueFunction, t0, probes: Sequence,
     t0, then the probes, through ``_values`` as in
     ``certify_value_lipschitz``."""
     probes = list(probes)
-    di = [eval_distance(V.family.index_distance, t0, t) for t in probes]
+    di = eval_distances(V.family.index_distance, [t0] * len(probes), probes).tolist()
     phi = _values(V, [t0, *probes], budget, rng)
     rows = list(zip(probes, di, np.abs(phi[1:] - phi[0]).tolist()))
     results = {eps: _delta_search(rows, eps) for eps in eps_grid}

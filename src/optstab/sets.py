@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .distances import PseudoDistance, _absolute, _check_dim, _euclidean
-from .extreal import INF, call_one, call_rows, finite_array
+from .extreal import INF, call_one, call_rows, check_extended_real, finite_array
 
 DEFAULT_BUDGET = 2048
 
@@ -41,6 +41,7 @@ class DistanceReport:
     certified_error: float = 0.0
 
     def __post_init__(self):
+        check_extended_real(self.value)   # the last guard: no distance is NaN
         if self.mode == "exact" and self.certified_error != 0.0:
             raise ValueError("exact reports must carry certified_error 0")
 
@@ -62,7 +63,7 @@ class FiniteCloud(SetModel):
     points: np.ndarray  # shape (n,) for scalars or (n, d)
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = finite_array(points, "cloud points", allow_inf=True)   # +-inf coordinates are legal
         if pts.size == 0:
             raise ValueError("a SetModel must be nonempty")
         object.__setattr__(self, "points", pts)
@@ -172,6 +173,8 @@ class AxisSegments(SetModel):
                 raise ValueError("axis indices and extents must be nonnegative")
         if all(e == (0.0, False) for e in ext.values()):
             raise ValueError("every axis segment is the empty [0, 0)")
+        if dim is not None and not max(ext) < dim:   # NaN fails too
+            raise ValueError(f"axis {max(ext)} lies outside dimension {dim}")
         object.__setattr__(self, "extents", ext)
         object.__setattr__(self, "dim", dim if dim is not None else max(ext) + 1)
 
@@ -218,7 +221,7 @@ class ImplicitSampled(SetModel):
     _witness: Optional[np.ndarray] = None
 
     def __init__(self, member, sampler, dim, witness):
-        witness = np.asarray(witness, dtype=float).ravel()   # a (dim,) point, as sampled ones are
+        witness = finite_array(witness, "witness point").ravel()   # a (dim,) point, as sampled ones are
         if witness.size != dim:
             raise ValueError(f"a witness of {witness.size} coordinates for a set of dim {dim}")
         if not call_one(member, witness, dtype=bool):

@@ -138,14 +138,16 @@ def test_hausdorff_kind_refuses_mismatched_dim(tmp_path):
     assert main(["run", cfg]) == 2
 
 
-def test_hausdorff_kind_rejects_nan_cloud(tmp_path):
+def test_hausdorff_kind_rejects_nan_cloud(tmp_path, capsys):
+    # the cloud refuses NaN when load_set builds it: a config error, as for a NaN slab
     (tmp_path / "a.json").write_text('{"kind": "finite_cloud", "points": [[NaN, 0.0]]}')
     (tmp_path / "b.json").write_text('{"kind": "finite_cloud", "points": [[0.0, 0.0]]}')
     cfg = _write(tmp_path, "h.json",
                  {"kind": "hausdorff", "set_a": str(tmp_path / "a.json"),
                   "set_b": str(tmp_path / "b.json"), "seed": 0,
                   "out_dir": str(tmp_path / "out")})
-    assert main(["run", cfg]) == 3
+    assert main(["run", cfg]) == 2
+    assert "config error: hausdorff: cloud points must not be NaN" in capsys.readouterr().err
     assert not (tmp_path / "out" / "hausdorff.csv").exists()
 
 

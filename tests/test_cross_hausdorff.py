@@ -178,9 +178,12 @@ def test_non_finite_points_in_the_pruned_part(cross, side, case, monkeypatch):
     rng = np.random.default_rng(11)
     n = 3 * cross + 5
     P, Q = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
-    if case == "nan":
+    if case == "nan":   # a NaN coordinate: the cloud refuses it when it is built
         P[n - 2, 1] = np.nan
-    elif case == "inf-inf":              # one NaN pair, among rows of inf
+        with pytest.raises(ValueError, match="NaN"):
+            FiniteCloud(P)
+        return
+    if case == "inf-inf":              # one NaN pair, among rows of inf
         P[n - 2], Q[n - 1] = (INF, 0.0), (INF, 1.0)
     elif case == "lone-inf":
         P[n - 2] = (INF, 0.0)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optstab.distances import (IDENTITY, NONNEGATIVE, SYMMETRIC, TRIANGLE,
-                               absolute, binding_energy,
+                               PseudoDistance, absolute, binding_energy,
                                check_documented_properties, constant_infinite,
                                energy_ladder, euclidean, eval_distance,
-                               gauge_distance)
+                               eval_distances, gauge_distance)
 from optstab.extreal import INF
 from optstab.gauges import GaugeSet
 
@@ -72,3 +74,57 @@ def test_property_check_detects_violation():
                        ambient_dim=1, properties=frozenset({NONNEGATIVE}))
     res = check_documented_properties(d, [(1.0, 0.0, 0.5)])
     assert res[NONNEGATIVE] is False
+
+
+# ---------------------------------------------------------------------------
+# eval_distances: all the pairs in one call, with the bits of eval_distance
+# ---------------------------------------------------------------------------
+
+_DISTANCES = {
+    "euclidean": euclidean,
+    "euclidean-free": lambda dim: euclidean(),
+    "absolute": lambda dim: absolute(),
+    "energy": lambda dim: energy_ladder(),
+    "gauge": lambda dim: gauge_distance(GaugeSet.from_halfspaces(
+        np.vstack([np.eye(dim), -2.0 * np.eye(dim)]), np.ones(2 * dim))),
+    "callable": lambda dim: PseudoDistance("sum-gap", lambda x, y: float(np.sum(y) - np.sum(x))),
+    "constant-inf": constant_infinite,
+}
+_ONE_DIM = {"absolute", "energy"}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_DISTANCES)), dim=st.integers(1, 12), n=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e6]),
+       scalars=st.booleans(), inf=st.booleans())
+def test_eval_distances_equals_eval_distance_pair_by_pair(name, dim, n, seed, scale,
+                                                          scalars, inf):
+    dim = 1 if name in _ONE_DIM else dim
+    d = _DISTANCES[name](dim)
+    rng = np.random.default_rng(seed)
+    X, Y = rng.standard_normal((2, n, dim)) * scale
+    if name == "energy":
+        X, Y = rng.integers(1, 6, (2, n, 1)).astype(float)
+    elif inf:
+        X[0, 0] = INF   # a lone inf: an infinite distance (or a NaN, refused)
+    xs, ys = (list(X[:, 0]), list(Y[:, 0])) if scalars and dim == 1 else (list(X), list(Y))
+    try:
+        want = [eval_distance(d, x, y) for x, y in zip(xs, ys)]
+    except ValueError:
+        with pytest.raises(ValueError):
+            eval_distances(d, xs, ys)
+        return
+    got = eval_distances(d, xs, ys)
+    assert got.dtype == float and got.tolist() == want
+    assert [np.float64(v).tobytes() for v in got] == [np.float64(v).tobytes() for v in want]
+
+
+def test_eval_distances_refusals_and_empty_input():
+    d = euclidean(2)
+    assert eval_distances(d, [], []).shape == (0,)
+    with pytest.raises(ValueError):
+        eval_distances(d, [[0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="NaN"):
+        eval_distances(d, [[0.0, 0.0], [INF, 0.0]], [[1.0, 1.0], [INF, 1.0]])
+    with pytest.raises(ValueError, match="NaN"):
+        eval_distances(absolute(), [0.0, np.nan], [1.0, 1.0])
