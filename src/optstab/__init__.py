@@ -23,9 +23,8 @@ from .optima import (ContinuousOnly, LinearPiece, Lipschitz, ObjectiveFn,
 from .parametric import (ParamFamily, ValueFunction, certify_value_lipschitz,
                          empirical_hausdorff_limsup, eval_value_function)
 from .linear import (EGI, AffineFamily, LinearMap, affine_family, decompose,
-                     hoffman_check, hoffman_table, penrose_residuals,
-                     penrose_table, penrose_tolerances, pseudo_inverse,
-                     restricted_inverse_egi)
+                     hoffman_check, penrose_residuals, penrose_table,
+                     penrose_tolerances, pseudo_inverse, restricted_inverse_egi)
 from .ladder import (LadderResult, SmoothProblem, build_ladder, hessian_sup,
                      solve_radius)
 from .scheme import (ConvergenceCertificate, SchemeInstance,

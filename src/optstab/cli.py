@@ -211,7 +211,7 @@ def _exp_egi(cfg: dict, out_dir: str):
     n = _int_at_least(cfg, "n_matrices", 50, 1)
     max_dim = _int_at_least(cfg, "max_dim", 8, 1)
     mats = [instances.random_rank_deficient_matrix(rng, max_dim) for _ in range(n)]
-    rank, resid, _, norm_L, norm_P = penrose_table(mats)
+    rank, resid, norm_L, norm_P = penrose_table(mats)
     tol = penrose_tolerances([max(L.shape) for L in mats], norm_L, norm_P)
     good = np.all(resid <= tol, axis=1)
     rows = [dict(matrix=i, shape=f"{L.shape[0]}x{L.shape[1]}", rank=r,
@@ -261,9 +261,12 @@ def _exp_parametric(cfg: dict, out_dir: str):
 
 def _exp_hausdorff(cfg: dict, out_dir: str):
     _require(cfg, "hausdorff", {"set_a", "set_b", "seed"}, {"dim", "out_dir"})
+    for key in ("set_a", "set_b"):
+        if not isinstance(cfg[key], str):   # open() reads an integer as a file descriptor
+            raise ConfigError(f"hausdorff: {key} = {cfg[key]!r} is not a string")
     try:
         A, B = load_set(cfg["set_a"]), load_set(cfg["set_b"])
-    except ValueError as exc:  # a set file that describes no valid set
+    except (OSError, ValueError) as exc:  # no readable set file, or no valid set in it
         raise ConfigError(f"hausdorff: {exc}") from exc
     rng = _seeded_rng(cfg)
     dim = _int_at_least(cfg, "dim", A.dim, 1)
@@ -291,14 +294,18 @@ _KINDS = {
 
 def run_config(path: str) -> int:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ConfigError("a config must be a JSON object")
         kind = cfg.get("kind")
         if kind not in _KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
         out_dir = cfg.get("out_dir", ".")
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"out_dir = {out_dir!r} is not a string")
         os.makedirs(out_dir, exist_ok=True)
-    except (OSError, json.JSONDecodeError, ConfigError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     try:

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .extreal import INF, call_one, call_rows, check_extended_real, row_form
+from .extreal import INF, call_rows, row_form
 from .gauges import GaugeSet, minkowski_gauge
 
 SYMMETRIC = "symmetric"
@@ -42,18 +42,12 @@ def _check_dim(d: PseudoDistance, n: int) -> None:
 
 def eval_distance(d: PseudoDistance, x, y) -> float:
     """d(x, y) as an extended real; raises on dimension mismatch."""
-    if d.ambient_dim is not None:
-        for p in (x, y):
-            p = np.asarray(p, dtype=float)
-            _check_dim(d, 1 if p.ndim == 0 else p.shape[-1])
-    return check_extended_real(call_one(d.fn, x, y))
+    return float(eval_distances(d, [x], [y])[0])
 
 
 def eval_distances(d: PseudoDistance, xs, ys) -> np.ndarray:
-    """d(x_i, y_i) for the n points of two sequences, as ``eval_distance``
-    gives each pair, with one dimension check, one ``call_rows`` and one NaN
-    check.  The kernels of ``euclidean()`` and ``absolute()`` take all the
-    rows in one call, with the bits of their one-point forms."""
+    """d(x_i, y_i) for the n points of two sequences, with one dimension
+    check, one ``call_rows`` and one NaN check."""
     n = len(xs)
     if not n:
         return np.zeros(0)
@@ -61,30 +55,24 @@ def eval_distances(d: PseudoDistance, xs, ys) -> np.ndarray:
         for P in (xs, ys):
             P = np.asarray(P, dtype=float)
             _check_dim(d, 1 if P.ndim == 1 else P.shape[-1])
-    vals = call_rows(_ROW_KERNELS.get(d.fn, d.fn), n, xs, ys)
+    vals = call_rows(d.fn, n, xs, ys)
     if np.isnan(vals).any():
         raise ValueError("NaN is not an extended real")
     return vals
 
 
-# The kernels of euclidean() and absolute(): set closed forms are keyed by
-# these function objects, never by a distance's name.
-def _euclidean(x, y) -> float:
-    return float(np.linalg.norm(np.asarray(y, float) - np.asarray(x, float)))
-
-
-def _absolute(x, y) -> float:
-    return abs(float(np.squeeze(np.asarray(y, float)))
-               - float(np.squeeze(np.asarray(x, float))))
-
-
-# the two kernels in row form, with the bits of their one-point forms: the
+# The kernels of euclidean() and absolute(), in row form: set closed forms
+# are keyed by these function objects, never by a distance's name.  The
 # Euclidean one is one dot product of y - x with itself per row, as
-# np.linalg.norm takes it
-_ROW_KERNELS = {
-    _euclidean: row_form(lambda X, Y: np.sqrt(np.vecdot(Y - X, Y - X))),
-    _absolute: row_form(lambda X, Y: np.abs(Y[:, 0] - X[:, 0])),
-}
+# np.linalg.norm takes it for one point.
+@row_form
+def _euclidean(X, Y) -> np.ndarray:
+    return np.sqrt(np.vecdot(Y - X, Y - X))
+
+
+@row_form
+def _absolute(X, Y) -> np.ndarray:
+    return np.abs(Y[:, 0] - X[:, 0])
 
 
 def euclidean(dim: Optional[int] = None) -> PseudoDistance:

@@ -48,8 +48,7 @@ class LinearMap:
     @property
     def tol_lin(self) -> float:
         # the spectral norm is the largest stored singular value (0 at rank 0)
-        smax = float(self.singular_values[0]) if self.rank else 0.0
-        return 1e-10 * max(1.0, smax)
+        return float(_tol_lin(self.singular_values[0] if self.rank else 0.0))
 
     def in_range(self, t, tol: Optional[float] = None) -> bool:
         t = np.asarray(t, dtype=float).ravel()
@@ -59,6 +58,13 @@ class LinearMap:
     def _pinv_apply(self, t) -> np.ndarray:
         """pinv t: the minimum-norm preimage of a range point t."""
         return self.pinv @ np.asarray(t, dtype=float).ravel()
+
+
+def _tol_lin(smax):
+    """The range tolerance 1e-10 max(1, sigma_max) of a map whose spectral
+    norm is smax, or of each map of a stack whose spectral norms are the
+    array smax."""
+    return 1e-10 * np.maximum(1.0, smax)
 
 
 def _range_preimages(L, P, T, tol) -> tuple:
@@ -168,28 +174,24 @@ def penrose_residuals(lm: LinearMap) -> dict:
 
 
 def penrose_table(mats: Sequence) -> tuple:
-    """(rank, residuals, ||L||_F, ||L||_2, ||P||_2) of each matrix L of
-    ``mats`` and its pseudo-inverse P, in input order: integer ranks (k,),
-    the Penrose residual norms (k, 4) in the order of PENROSE_IDENTITIES,
-    Frobenius norms (k,) and the spectral norms (k,) of L and P read off
-    the stored singular values (0 at rank 0).  The matrices of one shape
-    share one stacked SVD and residual computation.  Each rank and residual
-    has the bits that ``decompose`` and ``penrose_residuals`` give for that
-    matrix alone, and each Frobenius norm those of ``np.linalg.norm`` on the
-    matrix in C order (which sums a Fortran-ordered matrix in its own
-    order)."""
+    """(rank, residuals, ||L||_2, ||P||_2) of each matrix L of ``mats`` and
+    its pseudo-inverse P, in input order: integer ranks (k,), the Penrose
+    residual norms (k, 4) in the order of PENROSE_IDENTITIES, and the
+    spectral norms (k,) of L and P read off the stored singular values (0 at
+    rank 0).  The matrices of one shape share one stacked SVD and residual
+    computation.  Each rank and residual has the bits that ``decompose`` and
+    ``penrose_residuals`` give for that matrix alone."""
     mats = [np.atleast_2d(np.asarray(L, dtype=float)) for L in mats]
     rank = np.zeros(len(mats), dtype=int)
     resid = np.zeros((len(mats), len(PENROSE_IDENTITIES)))
-    fro, norm_L, norm_P = np.zeros((3, len(mats)))
+    norm_L, norm_P = np.zeros((2, len(mats)))
     for idx, L, U, s, Vt, r in _stacked_svds(mats):
         rank[idx] = r
         s_plus, P = _pinv(U, s, Vt)
         resid[idx] = _penrose_norms(L, P)
-        fro[idx] = _frobenius(L)
         norm_L[idx] = s.max(-1, initial=0.0)
         norm_P[idx] = s_plus.max(-1, initial=0.0)
-    return rank, resid, fro, norm_L, norm_P
+    return rank, resid, norm_L, norm_P
 
 
 def penrose_tolerances(dims, norm_L, norm_P) -> np.ndarray:
@@ -459,7 +461,8 @@ def hoffman_check(F: AffineFamily, E: EGI, S_Yt, pairs: Sequence,
     generalized-rate variant).  D_H of the parallel member slabs is exact.
     Also spot-checks the translation structure A_t = A_0 + apply(t) on 8
     points of a box sample of each A_t, drawn from ``rng`` pair by pair.
-    The pairs share one stacked check, the helper of ``hoffman_table``.
+    The pairs share one stacked check, ``_hoffman_rows``, which the table of
+    ``optstab run hoffman`` also runs.
     """
     mag = as_magnitude(S_Yt)
     alpha = E.constant
@@ -483,49 +486,26 @@ def hoffman_check(F: AffineFamily, E: EGI, S_Yt, pairs: Sequence,
         np.asarray(rate, dtype=float), tol))
 
 
-def hoffman_table(maps: Sequence[LinearMap], pairs: Sequence,
-                  unit_draws: Sequence) -> VerdictReport:
-    """The row of ``hoffman_check(affine_family(lm), pseudo_inverse(lm),
-    ||.||, [(s, t)], rng)`` for each map lm and pair (s, t), in input order,
-    with pair_id the input position; ``unit_draws[i]`` holds the (7, k)
-    ``rng.random`` draws (k the kernel dimension of map i) in place of the
-    ``rng.uniform`` draws of that call.  The items of one (m, n, rank) share
-    one stacked spectral norm of the pseudo-inverses, QR of the kernel
-    bases, range check, slab distance and translation check; each row has
-    the bits that ``hoffman_check`` gives for its item alone.
-    """
-    groups = _index_groups([(*lm.matrix.shape, lm.rank) for lm in maps])
-    return _hoffman_groups(
-        [(idx, *(np.stack([getattr(maps[i], a) for i in idx])
-                 for a in ("matrix", "pinv", "kernel_basis")),
-          np.array([maps[i].tol_lin for i in idx])) for idx in groups],
-        pairs, unit_draws)
-
-
 def _hoffman_table_of_svds(svds: Sequence, pairs: Sequence,
                            unit_draws: Sequence) -> VerdictReport:
-    """``hoffman_table`` of the maps ``decompose(L)`` of the matrices of
-    ``svds``, a list of shape stacks (idx, L, U, s, Vt, rank) as
-    ``_stacked_svds`` gives them, idx indexing ``pairs``: the
-    pseudo-inverses and kernel bases of one rank in a stack are formed as
-    one stack, with the bits ``decompose`` gives each matrix alone, and no
-    ``LinearMap`` is built."""
-    groups = []
-    for idx, L, U, s, Vt, rank in svds:
-        for sub in _index_groups(rank.tolist()):
-            r, s_sub = rank[sub[0]], s[sub]
-            groups.append(([idx[k] for k in sub], L[sub], _pinv(U[sub], s_sub, Vt[sub])[1],
-                           np.swapaxes(Vt[sub, r:, :], -1, -2),
-                           1e-10 * np.maximum(1.0, s_sub[:, 0])))   # LinearMap.tol_lin
-    return _hoffman_groups(groups, pairs, unit_draws)
-
-
-def _hoffman_groups(groups: Sequence, pairs: Sequence,
-                    unit_draws: Sequence) -> VerdictReport:
-    """The rows of ``hoffman_table`` for items in groups of one (m, n,
-    rank): each group (idx, L, P, K, tol_lin) holds the positions idx of
-    its items and their matrices, pseudo-inverses, kernel bases and range
-    tolerances ``tol_lin``, stacked."""
+    """The row of ``hoffman_check(affine_family(lm), pseudo_inverse(lm),
+    ||.||, [(s, t)], rng)`` for the map lm = ``decompose(L)`` of each matrix
+    L of ``svds`` and its pair (s, t), in input order, with pair_id the input
+    position.  ``svds`` is a list of shape stacks (idx, L, U, s, Vt, rank) as
+    ``_stacked_svds`` gives them, idx indexing ``pairs``; ``unit_draws[i]``
+    holds the (7, k) ``rng.random`` draws (k the kernel dimension of item i)
+    in place of the ``rng.uniform`` draws of that call.  The items of one
+    rank in a shape stack share one stacked pseudo-inverse, kernel basis,
+    spectral norm, QR of the kernel bases, range check, slab distance and
+    translation check, sliced from the stack's SVD; each row has the bits
+    that ``hoffman_check`` gives for its item alone, and no ``LinearMap`` is
+    built."""
+    # (positions, L, P, K, tol_lin) of each group, all formed before the
+    # checks: forming each group just before its check measured about 7 %
+    # slower on a 250-triple table
+    groups = [([idx[k] for k in sub], L[sub], _pinv(U[sub], s[sub], Vt[sub])[1],
+               np.swapaxes(Vt[sub, rank[sub[0]]:, :], -1, -2), _tol_lin(s[sub, 0]))
+              for idx, L, U, s, Vt, rank in svds for sub in _index_groups(rank.tolist())]
     n = len(pairs)
     dh, bound, slack = np.zeros((3, n))
     ok = np.zeros(n, dtype=bool)

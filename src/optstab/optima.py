@@ -357,12 +357,13 @@ def check_finite_stability(f: ObjectiveFn, d: PseudoDistance,
     values move by less than eps.  Lipschitz regularity: the optimal values
     move by at most Lambda * D_H(A, A') + tol.  ``diagnostic=True`` allows a
     continuous-only objective and records the violations instead of refusing
-    (used to demonstrate the necessity of the hypotheses).
+    (used to demonstrate the necessity of the hypotheses); uniform
+    regularity needs ``eps`` in both modes.
     """
     reg = f.regularity
     if isinstance(reg, ContinuousOnly) and not diagnostic:
         raise ValueError("hypotheses unmet: objective is continuous-only")
-    if isinstance(reg, UniformModulus) and eps is None and not diagnostic:
+    if isinstance(reg, UniformModulus) and eps is None:
         raise ValueError("uniform regularity requires a target eps")
 
     columns = ["pair_id", "D_H", "sup_A", "sup_Ap", "inf_A", "inf_Ap",

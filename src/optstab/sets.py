@@ -517,29 +517,24 @@ def _pairwise_min(d: PseudoDistance, P, Q, orientation: str) -> np.ndarray:
     """min over q in Q of d(p, q) (of d(q, p) if "to_point"), for each p in P.
 
     P and Q hold one point per row, or one scalar per entry in dimension 1.
-    The kernels of euclidean() and absolute() go to ``cdist``, and any other
-    d to ``call_rows`` on blocks of pairs (p, q) in order of p, then q, each
-    block with at most _CDIST_BLOCK entries.  NaN raises ValueError.
+    The kernels of euclidean() and absolute() go to ``_cdist_mins``, and any
+    other d to ``call_rows`` on blocks of pairs (p, q) in order of p, then q,
+    each block with at most _CDIST_BLOCK entries.  NaN raises ValueError.
     """
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     rows_p, rows_q = _as_rows(d, P), _as_rows(d, Q)
     metric = _CDIST_METRICS.get(d.fn)
     if metric is not None:
-        from scipy.spatial.distance import cdist
-        step = max(1, _CDIST_BLOCK // max(1, len(rows_q)))
-
-        def block(i):
-            return cdist(rows_p[i:i + step], rows_q, metric)
-    else:
-        step = max(1, _CDIST_BLOCK // max(1, Q.size))
-
-        def block(i):
-            p = P[i:i + step]
-            X, Y = np.repeat(p, len(Q), axis=0), np.tile(Q, (len(p),) + (1,) * (Q.ndim - 1))
-            if orientation == "to_point":
-                X, Y = Y, X
-            return call_rows(d.fn, len(X), X, Y).reshape(len(p), len(Q))
-    out = np.concatenate([block(i).min(axis=1) for i in range(0, max(1, len(rows_p)), step)])
+        return _cdist_mins(rows_p, rows_q, metric)[0]
+    step = max(1, _CDIST_BLOCK // max(1, Q.size))
+    out = []
+    for i in range(0, len(P), step):
+        p = P[i:i + step]
+        X, Y = np.repeat(p, len(Q), axis=0), np.tile(Q, (len(p),) + (1,) * (Q.ndim - 1))
+        if orientation == "to_point":
+            X, Y = Y, X
+        out.append(call_rows(d.fn, len(X), X, Y).reshape(len(p), len(Q)).min(axis=1))
+    out = np.concatenate(out)
     if np.isnan(out).any():   # a NaN entry makes its row's minimum NaN
         raise ValueError("NaN is not an extended real")
     return out

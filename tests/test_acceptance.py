@@ -125,7 +125,7 @@ def test_criterion_4_penrose_egi_suite():
             lm = decompose(L)
             tol = 1e-9 * (1.0 + float(np.linalg.norm(L)))
             assert all(v < tol for v in penrose_residuals(lm).values())
-            _, resid, _, norm_L, norm_P = penrose_table([L])
+            _, resid, norm_L, norm_P = penrose_table([L])
             assert np.all(resid <= penrose_tolerances([max(L.shape)], norm_L, norm_P))
             E = pseudo_inverse(lm)
             ts = (L @ rng.standard_normal((200, L.shape[1])).T).T

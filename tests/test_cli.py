@@ -64,6 +64,38 @@ def test_run_missing_config_exit_2(tmp_path):
     assert main(["run", str(tmp_path / "absent.json")]) == 2
 
 
+def _raw(tmp_path, content):
+    p = tmp_path / "c.json"
+    p.write_bytes(content)
+    return str(p)
+
+
+def _hausdorff_cfg(tmp_path, set_a):
+    from optstab.sets import FiniteCloud, save_set
+    save_set(FiniteCloud([0.5]), tmp_path / "b.json")
+    doc = {"kind": "hausdorff", "set_a": set_a, "set_b": str(tmp_path / "b.json"),
+           "seed": 0, "out_dir": str(tmp_path / "out")}
+    return _raw(tmp_path, json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: _raw(tmp_path, b"[1, 2]"),
+    lambda tmp_path: _raw(tmp_path, b'{"kind": "egi", "seed": 1, "out_dir": "\xff"}'),
+    lambda tmp_path: _raw(tmp_path, b'{"kind": "egi", "seed": 1, "out_dir": 5}'),
+    lambda tmp_path: _raw(tmp_path, b'{"kind": "egi", "seed": 1, "out_dir": null}'),
+    lambda tmp_path: _hausdorff_cfg(tmp_path, str(tmp_path / "absent.json")),
+    lambda tmp_path: _hausdorff_cfg(tmp_path, str(tmp_path)),
+    lambda tmp_path: _hausdorff_cfg(tmp_path, None),
+], ids=["top-level-list", "not-utf8", "out_dir-int", "out_dir-null", "set_a-missing",
+        "set_a-directory", "set_a-null"])
+def test_malformed_config_exit_2(tmp_path, capsys, make):
+    # a config that cannot be read as one is a config error, not a check
+    # failure (1) or an internal error (3)
+    assert main(["run", make(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     outputs = []
     for sub in ("a", "b"):

@@ -8,7 +8,7 @@ from optstab.distances import (IDENTITY, NONNEGATIVE, SYMMETRIC, TRIANGLE,
                                check_documented_properties, constant_infinite,
                                energy_ladder, euclidean, eval_distance,
                                eval_distances, gauge_distance)
-from optstab.extreal import INF
+from optstab.extreal import INF, check_extended_real
 from optstab.gauges import GaugeSet
 
 
@@ -77,7 +77,7 @@ def test_property_check_detects_violation():
 
 
 # ---------------------------------------------------------------------------
-# eval_distances: all the pairs in one call, with the bits of eval_distance
+# eval_distances: all the pairs in one call, with the bits of one pair at a time
 # ---------------------------------------------------------------------------
 
 _DISTANCES = {
@@ -91,6 +91,13 @@ _DISTANCES = {
     "constant-inf": constant_infinite,
 }
 _ONE_DIM = {"absolute", "energy"}
+# one-point references for the row-form kernels of euclidean() and
+# absolute(): the bodies those kernels had in their one-point form
+_ONE_POINT = {
+    "euclidean": lambda x, y: np.linalg.norm(y - x),
+    "euclidean-free": lambda x, y: np.linalg.norm(y - x),
+    "absolute": lambda x, y: abs(y - x),
+}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -108,15 +115,18 @@ def test_eval_distances_equals_eval_distance_pair_by_pair(name, dim, n, seed, sc
     elif inf:
         X[0, 0] = INF   # a lone inf: an infinite distance (or a NaN, refused)
     xs, ys = (list(X[:, 0]), list(Y[:, 0])) if scalars and dim == 1 else (list(X), list(Y))
+    one = _ONE_POINT.get(name, lambda x, y: eval_distance(d, x, y))
     try:
-        want = [eval_distance(d, x, y) for x, y in zip(xs, ys)]
+        want = [check_extended_real(np.squeeze(one(x, y))) for x, y in zip(xs, ys)]
     except ValueError:
         with pytest.raises(ValueError):
             eval_distances(d, xs, ys)
         return
     got = eval_distances(d, xs, ys)
-    assert got.dtype == float and got.tolist() == want
-    assert [np.float64(v).tobytes() for v in got] == [np.float64(v).tobytes() for v in want]
+    singles = [eval_distance(d, x, y) for x, y in zip(xs, ys)]
+    assert got.dtype == float and got.tolist() == want == singles
+    assert ([np.float64(v).tobytes() for v in got] == [np.float64(v).tobytes() for v in singles]
+            == [np.float64(v).tobytes() for v in want])
 
 
 def test_eval_distances_refusals_and_empty_input():

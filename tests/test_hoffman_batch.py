@@ -1,6 +1,7 @@
-"""The stacked Hoffman check: ``hoffman_table`` and ``hoffman_check`` against
-the per-pair body they replaced, bit for bit, and ``optstab run hoffman``
-against the per-triple loop it replaced, byte for byte.
+"""The stacked Hoffman check: the table of ``optstab run hoffman``
+(``_hoffman_table_of_svds`` of ``_stacked_svds``) and ``hoffman_check``
+against the per-pair body they replaced, bit for bit, and ``optstab run
+hoffman`` against the per-triple loop it replaced, byte for byte.
 
 The reference bodies below are the per-pair code as it stood before the
 pairs of one shape and rank were stacked: one ``AffineFamily.member`` call,
@@ -21,8 +22,9 @@ from optstab.cli import main
 from optstab.distances import euclidean
 from optstab.instances import random_rank_deficient_matrix
 from optstab.linear import (BOX_SCALE, EGI, HOFFMAN_COLUMNS, TOL_HOFFMAN,
+                            _hoffman_table_of_svds, _stacked_svds,
                             affine_family, decompose, hoffman_check,
-                            hoffman_table, pseudo_inverse)
+                            pseudo_inverse)
 from optstab.optima import VerdictReport
 from optstab.sets import AffineSlab, _asym_slabs, hausdorff
 
@@ -97,6 +99,12 @@ def _ref_exp_hoffman(cfg: dict, out_dir: str):
     return ok, {"n_triples": n, "rows": len(rows), "skipped_rank0": n - len(rows)}
 
 
+def _table(mats, pairs, draws) -> VerdictReport:
+    """The Hoffman table of the matrices ``mats``, from one stacked SVD per
+    shape."""
+    return _hoffman_table_of_svds(_stacked_svds(mats), pairs, draws)
+
+
 def _hex_rows(rows) -> list:
     return [{k: (float(v).hex() if isinstance(v, float) else (type(v), v))
              for k, v in r.items()} for r in rows]
@@ -131,7 +139,7 @@ def test_run_hoffman_equals_the_per_triple_loop(tmp_path, monkeypatch, seed, max
 
 
 # ---------------------------------------------------------------------------
-# hoffman_table and hoffman_check against the per-pair body
+# the Hoffman table and hoffman_check against the per-pair body
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -159,7 +167,7 @@ def test_hoffman_table_rows_equal_the_per_pair_rows_in_input_order(batch):
     maps = [decompose(L) for L, *_ in batch]
     draws = [np.random.default_rng(seed).random((7, L.shape[1] - lm.rank))
              for (L, *_, seed), lm in zip(batch, maps)]
-    rep = hoffman_table(maps, [(s, t) for _, s, t, _ in batch], draws)
+    rep = _table([L for L, *_ in batch], [(s, t) for _, s, t, _ in batch], draws)
     assert rep.columns == HOFFMAN_COLUMNS and len(rep.rows) == len(batch)
     for i, ((L, s, t, seed), lm, row) in enumerate(zip(batch, maps, rep.rows)):
         E = pseudo_inverse(lm)
@@ -210,13 +218,13 @@ def test_out_of_range_parameters_still_raise():
     lm = decompose([[1.0, 0.0], [0.0, 0.0]])
     ok, bad = ([1.0, 0.0], [2.0, 0.0]), ([1.0, 0.0], [0.0, 1.0])
     with pytest.raises(ValueError, match="range"):
-        hoffman_table([lm, lm], [ok, bad], [np.zeros((7, 1))] * 2)
+        _table([lm.matrix] * 2, [ok, bad], [np.zeros((7, 1))] * 2)
     with pytest.raises(ValueError, match="range"):
-        hoffman_table([lm], [bad[::-1]], [np.zeros((7, 1))])
+        _table([lm.matrix], [bad[::-1]], [np.zeros((7, 1))])
     E = pseudo_inverse(lm)
     with pytest.raises(ValueError, match="range"):
         hoffman_check(affine_family(lm, E), E, _norm, [ok, bad])
-    assert hoffman_table([lm], [ok], [np.zeros((7, 1))]).passed
+    assert _table([lm.matrix], [ok], [np.zeros((7, 1))]).passed
 
 
 def test_a_wrong_shift_fails_its_row_on_the_batched_path():
@@ -239,7 +247,7 @@ def test_hoffman_check_of_no_pairs_is_an_empty_pass():
     E = pseudo_inverse(lm)
     rep = hoffman_check(affine_family(lm, E), E, _norm, [])
     assert rep.rows == [] and rep.passed and rep.columns == HOFFMAN_COLUMNS
-    assert hoffman_table([], [], []).rows == []
+    assert _table([], [], []).rows == []
 
 
 # ---------------------------------------------------------------------------

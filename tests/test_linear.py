@@ -84,7 +84,7 @@ def test_penrose_identities_random():
         tol = 1e-9 * (1.0 + float(np.linalg.norm(L)))
         assert all(v < tol for v in penrose_residuals(lm).values())
         assert kernel_projector_identity_residual(lm) < tol
-        _, resid, _, norm_L, norm_P = penrose_table([L])
+        _, resid, norm_L, norm_P = penrose_table([L])
         assert np.all(resid <= penrose_tolerances([max(L.shape)], norm_L, norm_P))
 
 
@@ -115,7 +115,7 @@ def test_scaled_penrose_tolerance_refuses_a_perturbed_pseudo_inverse(noise):
     for L in _conditioned_matrices(rng):
         P = decompose(L).pinv
         bad = P + noise * np.linalg.norm(P, 2) * rng.standard_normal(P.shape)
-        _, exact, _, norm_L, norm_P = penrose_table([L])
+        _, exact, norm_L, norm_P = penrose_table([L])
         tol = penrose_tolerances([max(L.shape)], norm_L, norm_P)
         assert np.all(exact <= tol)
         assert not np.all(_penrose_norms(L[None], bad[None]) <= tol)

@@ -130,6 +130,15 @@ def test_finite_stability_uniform_modulus():
     assert rep2.rows[0]["verdict"] == "skipped"  # hypothesis D_H < delta unmet
 
 
+@pytest.mark.parametrize("diagnostic", [False, True])
+def test_uniform_modulus_without_eps_is_refused(diagnostic):
+    f = ObjectiveFn(fn=lambda x: float(x), regularity=UniformModulus(lambda e: e),
+                    pieces=(LinearPiece(-1e6, 1e6, 1.0, 0.0),), name="id")
+    A = FiniteCloud([0.0, 1.0])
+    with pytest.raises(ValueError, match="requires a target eps"):
+        check_finite_stability(f, absolute(), [(A, A)], diagnostic=diagnostic)
+
+
 def test_continuous_only_refused_unless_diagnostic():
     d = absolute()
     f = oscillating_objective(20)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from optstab.distances import PseudoDistance, _absolute, _euclidean, absolute, euclidean
 from optstab.sets import (_CLOSED_FORMS, AffineSlab, AxisSegments, FiniteCloud,
-                          ImplicitSampled, IntervalUnion, asym_hausdorff, hausdorff,
-                          point_set_distance)
+                          ImplicitSampled, IntervalUnion, asym_hausdorff, ball_around_set,
+                          hausdorff, point_set_distance)
 
 STEP = 0.01
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -59,13 +59,17 @@ def test_dimension_mismatch_raises_on_cloud_and_sampled_paths():
         hausdorff(d, AxisSegments({0: (1.0, True)}, dim=2), AxisSegments({1: (1.0, True)}, dim=2))
 
 
+# the one-point bodies the two kernels had before they were written in row form
+_ONE_POINT = {_euclidean: lambda x, y: np.linalg.norm(y - x), _absolute: lambda x, y: abs(y - x)}
+
+
 @pytest.mark.parametrize("kernel, dim", [(_euclidean, 1), (_euclidean, 3), (_absolute, 1)])
 def test_cdist_kernel_matches_the_per_pair_loop(kernel, dim):
     rng = np.random.default_rng(dim)
     size = (lambda n: n) if dim == 1 else (lambda n: (n, dim))
     A, B = FiniteCloud(rng.standard_normal(size(40))), FiniteCloud(rng.standard_normal(size(25)))
     fast = PseudoDistance(name="kernel", fn=kernel, ambient_dim=dim)
-    loop = PseudoDistance(name="loop", fn=lambda x, y: kernel(x, y), ambient_dim=dim)
+    loop = PseudoDistance(name="loop", fn=_ONE_POINT[kernel], ambient_dim=dim)
     assert hausdorff(fast, A, B).mode == "exact"
     assert hausdorff(fast, A, B).value == pytest.approx(hausdorff(loop, A, B).value, rel=1e-14)
 
@@ -101,6 +105,34 @@ def test_cdist_reduction_in_row_blocks_keeps_the_values(monkeypatch):
     whole = asym_hausdorff(euclidean(2), A, B).value
     monkeypatch.setattr(sets, "_CDIST_BLOCK", 25)
     assert asym_hausdorff(euclidean(2), A, B).value == whole
+
+
+@pytest.mark.parametrize("d, shape", [(euclidean(2), (50, 2)), (absolute(), (50,))],
+                         ids=["euclidean", "absolute"])
+def test_point_distances_keep_every_cdist_call_within_the_block(monkeypatch, d, shape):
+    # a query set wider than the block is tiled along both axes
+    from scipy.spatial import distance
+    from optstab import sets
+    rng = np.random.default_rng(4)
+    A = FiniteCloud(rng.standard_normal(shape))
+    x = rng.standard_normal(shape[1:])
+    probe = list(rng.standard_normal((7,) + shape[1:]))
+    r = float(np.median([point_set_distance(d, p, A).value for p in probe]))
+
+    def both():
+        return point_set_distance(d, x, A).value, ball_around_set(d, A, r, probe)
+
+    (value, inside) = both()
+    sizes, cdist = [], distance.cdist
+    monkeypatch.setattr(distance, "cdist",
+                        lambda P, Q, metric: sizes.append(len(P) * len(Q)) or cdist(P, Q, metric))
+    monkeypatch.setattr(sets, "_CDIST_BLOCK", 10)
+    (tiled_value, tiled_inside) = both()
+    assert sizes and max(sizes) <= 10
+    assert np.float64(tiled_value).tobytes() == np.float64(value).tobytes()
+    assert 0 < len(inside) < len(probe)
+    assert [np.asarray(p).tobytes() for p in tiled_inside] == [np.asarray(p).tobytes()
+                                                               for p in inside]
 
 
 def test_sampled_cloud_side_samples_the_other_set_once():

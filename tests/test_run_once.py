@@ -9,7 +9,7 @@ the egi kind reads its rows from column arrays.
 
 The references below are the bodies as they stood before: one
 ``instances.build`` per j, one SVD per matrix inside the Hoffman draw loop
-(through ``decompose`` and the per-map ``hoffman_table``), and one
+(through ``decompose``, then the table of those matrices), and one
 reduction per egi row.  Both sides run on the same LAPACK and BLAS, so
 equality pins the arithmetic without a build-dependent golden.
 
@@ -36,7 +36,7 @@ import optstab
 from optstab import cli, instances, linear
 from optstab.cli import main
 from optstab.instances import _rank_deficient_draw, random_rank_deficient_matrix
-from optstab.linear import (_stacked_svds, _svd, decompose, hoffman_table,
+from optstab.linear import (_hoffman_table_of_svds, _stacked_svds, _svd, decompose,
                             penrose_table, penrose_tolerances)
 from optstab.optima import VerdictReport
 
@@ -92,7 +92,7 @@ def _ref_exp_hoffman(cfg: dict, out_dir: str):
         maps.append(lm)
         pairs.append((s, t))
         draws.append(rng.random((7, cols - lm.rank)))
-    rep = hoffman_table(maps, pairs, draws)
+    rep = _hoffman_table_of_svds(_stacked_svds([lm.matrix for lm in maps]), pairs, draws)
     rows = [dict(triple=i, D_H=r["D_H"], bound=r["bound"], slack=r["slack"],
                  verdict=r["verdict"]) for i, r in zip(triples, rep.rows)]
     VerdictReport(["triple", "D_H", "bound", "slack", "verdict"], rows).to_csv(
@@ -105,7 +105,7 @@ def _ref_exp_egi(cfg: dict, out_dir: str):
     rng = np.random.default_rng(cfg["seed"])
     n, max_dim = cfg.get("n_matrices", 50), cfg.get("max_dim", 8)
     mats = [random_rank_deficient_matrix(rng, max_dim) for _ in range(n)]
-    rank, resid, _, norm_L, norm_P = penrose_table(mats)
+    rank, resid, norm_L, norm_P = penrose_table(mats)
     tol = penrose_tolerances([max(L.shape) for L in mats], norm_L, norm_P)
     good = np.all(resid <= tol, axis=1)
     rows = [dict(matrix=i, shape=f"{L.shape[0]}x{L.shape[1]}", rank=int(rank[i]),
