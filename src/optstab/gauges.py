@@ -93,7 +93,7 @@ class GaugeSet:
     def contains(self, x, tol: float = 1e-9):
         """Membership of one point, or a boolean array over the rows of an
         (n, dim) array.  A NaN coordinate raises ValueError."""
-        X, one = _as_rows(x, self.dim)
+        X, one, _ = _as_rows(x, self.dim)
         if self.halfspace_A is not None:
             inside = np.all(X @ self.halfspace_A.T <= self.halfspace_b + tol, axis=1)
         elif self.kind == "ball":
@@ -130,31 +130,43 @@ def _hull_facets(V: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.vstack([F @ B, N, -N]), np.concatenate([c, np.zeros(2 * len(N))])
 
 
-def _as_rows(x, dim: int) -> Tuple[np.ndarray, bool]:
-    """x as an (n, dim) float array, and whether x is one point: anything
-    but a 2-D array is raveled to a row of one.  A NaN coordinate or a
-    wrong dim raises ValueError."""
+def _as_rows(x, dim: int) -> Tuple[np.ndarray, bool, bool]:
+    """x as an (n, dim) float array, whether x is one point (anything but a
+    2-D array is raveled to a row of one) and whether every coordinate is
+    finite.  A NaN coordinate or a wrong dim raises ValueError."""
     X = np.asarray(x, dtype=float)
     one = X.ndim != 2
     if one:
         X = X.reshape(1, -1)
-    if np.isnan(X).any():
+    finite = bool(np.isfinite(X).all())
+    if not finite and np.isnan(X).any():
         raise ValueError("NaN is not a coordinate of a point")
     if X.shape[1] != dim:
         raise ValueError(f"point has dim {X.shape[1]}, gauge set has dim {dim}")
-    return X, one
+    return X, one, finite
 
 
 def minkowski_gauge(C: GaugeSet, x, tol: float = DEFAULT_GAUGE_TOL):
     """Gauge value M_C(x) in [0, inf] of one point, or an array of the
-    gauges of the rows of an (n, dim) array.  A NaN coordinate raises
-    ValueError."""
-    X, one = _as_rows(x, C.dim)
+    gauges of the rows of an (n, dim) array.  A NaN coordinate, or a row
+    a_i . x that is inf - inf, raises ValueError."""
+    X, one, finite = _as_rows(x, C.dim)
     if C.halfspace_A is not None:
         # For C = {x : a_i . x <= b_i} with all b_i >= 0:
         # rows with b_i > 0 contribute a_i.x / b_i; rows with b_i = 0 force
         # +inf when a_i.x > tol ||x|| and are ignored otherwise.
-        ax, b = X @ C.halfspace_A.T, C.halfspace_b
+        A, b = C.halfspace_A, C.halfspace_b
+        if finite:
+            ax = X @ A.T
+        else:   # a term 0 * (+-inf) is 0, a row with b_i = +inf gives 0, and
+            inf = np.isinf(X)   # tol below scales with the finite part of X
+            rows, X, X_inf = inf.any(axis=1), np.where(inf, 0.0, X), X
+            ax = X @ A.T                                   # the rows with no inf
+            with np.errstate(invalid="ignore"):   # 0 * inf is NaN, which nansum takes as 0
+                ax[rows] = np.nansum(X_inf[rows, None, :] * A, axis=2)
+            ax[:, b == INF] = 0.0
+            if np.isnan(ax).any():
+                raise ValueError("a halfspace row of the gauge set meets +inf and -inf (inf - inf)")
         slack = tol if b.all() else tol * np.linalg.norm(X, axis=1, keepdims=True)
         ratio = np.divide(ax, b, out=np.where(ax > slack, INF, 0.0), where=b > 0.0)
         g = ratio.max(axis=1, initial=0.0)

@@ -21,8 +21,8 @@ import numpy as np
 from .distances import PseudoDistance
 from .extreal import (INF, NEG_INF, call_one, call_rows, check_extended_real, is_row_form,
                       row_form, scale)
-from .sets import (DEFAULT_BUDGET, FiniteCloud, Interval, IntervalUnion,
-                   SetModel, _endpoints, asym_hausdorff, hausdorff)
+from .sets import (DEFAULT_BUDGET, FiniteCloud, Interval, IntervalUnion, SetModel, _asym,
+                   _draws, _endpoints, _hausdorff, _report, asym_hausdorff, hausdorff)
 
 TOL_OPT = 1e-9
 
@@ -234,32 +234,15 @@ def _piecewise_candidates(tab: _PieceTable, A: IntervalUnion):
     return v, t.item
 
 
-def _point_values(f: ObjectiveFn, pts) -> np.ndarray:
-    """f at each point (``call_rows``).  A NaN value raises ValueError."""
-    vals = call_rows(f.fn, len(pts), pts)
-    if np.isnan(vals).any():
-        raise ValueError(f"{f.name} is NaN on a point of the set")
-    return vals
-
-
-def _extreme(f: ObjectiveFn, A, want_max: bool, budget: int,
-             rng: Optional[np.random.Generator], passes: dict) -> OptValue:
-    """SUP_f(A) if ``want_max`` else INF_f(A): exact on probe lists, finite
-    clouds, exact hooks and piecewise objectives over interval unions, and
-    a sampled estimate otherwise.  The exact hook is not asked for a probe
-    list or a cloud; a row-form hook takes A as a list of one.  A NaN from
-    the hook raises ValueError; the rest is ``_by_points``."""
+def _extreme(f: ObjectiveFn, A, want_max: bool, points: Callable, passes: dict) -> OptValue:
+    """SUP_f(A) if ``want_max`` else INF_f(A): the value of the exact hook, asked by
+    ``_hook_values`` for any set model and never for a probe list; else ``_by_points``."""
     hook = f.exact_sup if want_max else f.exact_inf
-    v = None if hook is None or isinstance(A, _POINT_SETS) else call_one(hook, A, dtype=object)
-    if v is not None:
-        v = float(v)
-        if math.isnan(v):
-            raise ValueError(f"the exact hook of {f.name} returned NaN")
-        return OptValue(v, None, "exact")
-    return _by_points(f, A, want_max, budget, rng, passes)
-
-
-_POINT_SETS = (list, tuple, np.ndarray, FiniteCloud)
+    if hook is not None and isinstance(A, SetModel):
+        v = _hook_values(f, hook, [A])[0]
+        if v == v:   # NaN marks a set the hook has no value for
+            return OptValue(float(v), None, "exact")
+    return _by_points(f, A, want_max, points, passes)
 
 
 def _hook_values(f: ObjectiveFn, hook: Callable, sets) -> np.ndarray:
@@ -268,37 +251,32 @@ def _hook_values(f: ObjectiveFn, hook: Callable, sets) -> np.ndarray:
     sequence (a stack) at once and any other hook is called per set, clouds
     included.  A NaN from the hook raises ValueError."""
     values = call_rows(hook, len(sets), sets, dtype=object)
-    out = np.array(values, dtype=float)
-    if any(values[i] is not None for i in np.flatnonzero(np.isnan(out))):
+    out = np.array(values, dtype=float)   # NaN where a value is None
+    if (np.isnan(out).any() if getattr(values, "dtype", object) != object   # no None in it
+            else any(v is not None and v != v for v in values)):
         raise ValueError(f"the exact hook of {f.name} returned NaN")
     return out
 
 
-def _by_points(f: ObjectiveFn, A, want_max: bool, budget: int,
-               rng: Optional[np.random.Generator], passes: dict) -> OptValue:
-    """The extreme of f over A read off points, without its exact hook: a
-    probe list's or a cloud's own points, a piecewise objective's candidates
-    over an interval union, else a sample.  The objective pass over a set
-    (its points, its piece table's candidates, or its ``default_rng(0)``
-    draw when ``rng`` is None) is kept in ``passes`` under id(A), so the
-    other extreme over A reads it instead of calling f again; a set sampled
-    from a given ``rng`` is drawn on every call.  A NaN objective value, or
-    pieces that do not cover the closure of every interval of an interval
-    union, raise ValueError."""
-    key = id(A)
-    if isinstance(A, _POINT_SETS):
-        if key not in passes:
-            pts = A.points if isinstance(A, FiniteCloud) else list(A)
+def _by_points(f: ObjectiveFn, A, want_max: bool, points: Callable,
+               passes: dict) -> OptValue:
+    """The extreme of f over A without its exact hook, over a probe list's
+    points, a piece table's candidates on an interval union, or ``points(A)``
+    (``sets._draws``); the objective pass over A is kept in ``passes`` under
+    id(A) for the other extreme.  A NaN objective value, or pieces that do
+    not cover the closure of each interval of an interval union, raise ValueError."""
+    if id(A) not in passes:
+        if f.table is not None and isinstance(A, IntervalUnion):
+            passes[id(A)] = *_piecewise_candidates(f.table, A), "exact"
+        else:
+            pts, exact = points(A) if isinstance(A, SetModel) else (list(A), True)
             if not len(pts):
                 return OptValue(NEG_INF if want_max else INF, None, "exact")
-            passes[key] = _point_values(f, pts), pts.__getitem__, "exact"
-    elif f.table is None or not isinstance(A, IntervalUnion):
-        if rng is not None or key not in passes:
-            pts = A.sample(budget, rng if rng is not None else np.random.default_rng(0))
-            passes[key] = _point_values(f, pts), pts.__getitem__, "sampled"
-    elif key not in passes:
-        passes[key] = *_piecewise_candidates(f.table, A), "exact"
-    vals, witness, mode = passes[key]
+            vals = call_rows(f.fn, len(pts), pts)
+            if np.isnan(vals).any():
+                raise ValueError(f"{f.name} is NaN on a point of the set")
+            passes[id(A)] = vals, pts.__getitem__, "exact" if exact else "sampled"
+    vals, witness, mode = passes[id(A)]
     return _best(vals, witness, want_max, mode)
 
 
@@ -311,13 +289,13 @@ def _best(vals: np.ndarray, witness: Callable, want_max: bool, mode: str) -> Opt
 def sup_over(f: ObjectiveFn, A, budget: int = DEFAULT_BUDGET,
              rng: Optional[np.random.Generator] = None) -> OptValue:
     """SUP_f(A) with the convention sup over an empty probe list = -inf."""
-    return _extreme(f, A, True, budget, rng, {})
+    return _extreme(f, A, True, _draws(budget, rng), {})
 
 
 def inf_over(f: ObjectiveFn, A, budget: int = DEFAULT_BUDGET,
              rng: Optional[np.random.Generator] = None) -> OptValue:
     """INF_f(A) with the convention inf over an empty probe list = +inf."""
-    return _extreme(f, A, False, budget, rng, {})
+    return _extreme(f, A, False, _draws(budget, rng), {})
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +336,8 @@ def check_finite_stability(f: ObjectiveFn, d: PseudoDistance,
     move by at most Lambda * D_H(A, A') + tol.  ``diagnostic=True`` allows a
     continuous-only objective and records the violations instead of refusing
     (used to demonstrate the necessity of the hypotheses); uniform
-    regularity needs ``eps`` in both modes.
+    regularity needs ``eps`` in both modes.  A row's D_H and four extremes
+    read one draw of each sampled set of its pair (one ``sets._draws``).
     """
     reg = f.regularity
     if isinstance(reg, ContinuousOnly) and not diagnostic:
@@ -370,9 +349,9 @@ def check_finite_stability(f: ObjectiveFn, d: PseudoDistance,
                "delta_used", "bound", "slack", "verdict"]
     rows = []
     for i, (A, Ap) in enumerate(pairs):
-        dh = hausdorff(d, A, Ap, budget=budget, rng=rng).value
-        passes = {}   # one objective pass per exact set serves both extremes
-        sA, sAp, iA, iAp = (_extreme(f, S, want, budget, rng, passes).value
+        points, passes = _draws(budget, rng), {}   # one draw, one objective pass per set
+        dh = _report(*_hausdorff(d, A, Ap, points), budget).value
+        sA, sAp, iA, iAp = (_extreme(f, S, want, points, passes).value
                             for want in (True, False) for S in (A, Ap))
         if not (math.isfinite(sA) and math.isfinite(iA)):
             raise ValueError(f"pair {i}: A is outside dom(SUP_f)/dom(INF_f)")
@@ -415,7 +394,11 @@ def check_infinite_escape(f: ObjectiveFn, d: PseudoDistance, A: SetModel,
     ``witness_seq(level)`` must return a point of A with f > level (the
     closed-form unboundedness certificate); sampling is never used to prove
     unboundedness.  Returns the constructed delta and per-candidate verdicts.
+    D_asyH and sup read one draw of each sampled set (one ``sets._draws``).
+    A mode other than "sup" or "inf" raises ValueError.
     """
+    if mode not in ("sup", "inf"):
+        raise ValueError(f"mode must be 'sup' or 'inf', not {mode!r}")
     if mode == "inf":
         neg = check_infinite_escape(f.negated(), d, A, -mu, candidates,
                                     witness_seq=lambda lv: witness_seq(-lv),
@@ -439,13 +422,12 @@ def check_infinite_escape(f: ObjectiveFn, d: PseudoDistance, A: SetModel,
     else:
         raise ValueError("no continuity information at the witness point")
 
-    rows = []
+    rows, points, passes = [], _draws(budget, rng), {}
     for i, Ap in enumerate(candidates):
-        dasy = asym_hausdorff(d, A, Ap, budget=budget, rng=rng).value
+        dasy = _report(*_asym(d, A, Ap, points), budget).value
         if dasy < delta:
-            s = sup_over(f, Ap, budget=budget, rng=rng)
-            verdict = "pass" if s.value > mu else "fail"
-            rows.append(dict(candidate=i, D_asyH=dasy, sup=s.value, verdict=verdict))
+            s = _extreme(f, Ap, True, points, passes).value
+            rows.append(dict(candidate=i, D_asyH=dasy, sup=s, verdict="pass" if s > mu else "fail"))
         else:
             rows.append(dict(candidate=i, D_asyH=dasy, sup="", verdict="skipped"))
     return dict(mode="sup", mu=mu, eps=eps, witness=a, f_witness=fa,
@@ -458,14 +440,16 @@ def domain_transfer_check(f: ObjectiveFn, d: PseudoDistance, A: SetModel,
                           budget: int = DEFAULT_BUDGET,
                           rng: Optional[np.random.Generator] = None) -> bool:
     """SUP_f(A') <= SUP_f(A) + eps and A' stays in dom(SUP_f) whenever
-    D_H(A, A') < delta (with delta associated to eps by f's modulus)."""
-    sA = sup_over(f, A, budget=budget, rng=rng).value
+    D_H(A, A') < delta (with delta associated to eps by f's modulus).  D_H
+    and both sups read one draw of each sampled set (one ``sets._draws``)."""
+    points, passes = _draws(budget, rng), {}
+    sA = _extreme(f, A, True, points, passes).value
     if not math.isfinite(sA):
         raise ValueError("hypotheses unmet: A is outside dom(SUP_f)")
-    dh = hausdorff(d, A, Ap, budget=budget, rng=rng).value
+    dh = _report(*_hausdorff(d, A, Ap, points), budget).value
     if not dh < delta:
         raise ValueError(f"hypotheses unmet: D_H = {dh} >= delta = {delta}")
-    sAp = sup_over(f, Ap, budget=budget, rng=rng).value
+    sAp = _extreme(f, Ap, True, points, passes).value
     return sAp <= sA + eps and sAp > NEG_INF
 
 

@@ -18,7 +18,7 @@ from .distances import PseudoDistance, eval_distance, eval_distances
 from .extreal import call_one, call_rows, scale_rows
 from .optima import (TOL_OPT, Lipschitz, ObjectiveFn, OptValue, VerdictReport,
                      _by_points, _hook_values, inf_over, sup_over)
-from .sets import DEFAULT_BUDGET, SetModel, ball_around_set, hausdorff
+from .sets import DEFAULT_BUDGET, SetModel, _draws, ball_around_set, hausdorff
 
 MAX_HALVINGS = 20  # delta searches stop at eps / 2**MAX_HALVINGS
 
@@ -102,7 +102,7 @@ def _values(V: ValueFunction, params: Sequence, budget: int,
     vals = np.full(len(params), np.nan) if hook is None else _hook_values(f, hook, sets)
     for i in np.flatnonzero(np.isnan(vals)):
         A = _nonempty(params[i], sets[i])
-        vals[i] = _by_points(f, A, want_max, budget, rng, {}).value
+        vals[i] = _by_points(f, A, want_max, _draws(budget, rng), {}).value
     unbounded = np.flatnonzero(np.isinf(vals))
     if len(unbounded):
         i = unbounded[0]

@@ -540,27 +540,28 @@ def _pairwise_min(d: PseudoDistance, P, Q, orientation: str) -> np.ndarray:
     return out
 
 
-def _cdist_mins(P: np.ndarray, Q: np.ndarray, metric: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Row and column minima of cdist(P, Q, metric), one tile of at most
-    _CDIST_BLOCK entries at a time.  A NaN entry (a NaN coordinate, or
-    inf - inf) makes its row's minimum NaN and raises ValueError."""
+def _cdist_mins(P: np.ndarray, Q: np.ndarray, metric: str,
+                cols: bool = False) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Row minima of cdist(P, Q, metric), and column minima if ``cols`` (else
+    None), one tile of at most _CDIST_BLOCK entries at a time.  A NaN entry
+    (a NaN coordinate, or inf - inf) makes its row's minimum NaN: ValueError."""
     from scipy.spatial.distance import cdist
     if len(P) * len(Q) <= _CDIST_BLOCK:   # one tile
         D = cdist(P, Q, metric)
-        rows, cols = D.min(axis=1), D.min(axis=0)
+        row_min, col_min = D.min(axis=1), D.min(axis=0) if cols else None
     else:
-        rows, cols = np.full(len(P), INF), np.full(len(Q), INF)
+        row_min, col_min = np.full(len(P), INF), np.full(len(Q), INF) if cols else None
         width = min(len(Q), _CDIST_BLOCK)
         step = _CDIST_BLOCK // width
         for i in range(0, len(P), step):
             for j in range(0, len(Q), width):
                 D = cdist(P[i:i + step], Q[j:j + width], metric)
-                r, c = rows[i:i + step], cols[j:j + width]
-                np.minimum(r, D.min(axis=1), out=r)
-                np.minimum(c, D.min(axis=0), out=c)
-    if np.isnan(rows).any():
+                np.minimum(row_min[i:i + step], D.min(axis=1), out=row_min[i:i + step])
+                if cols:
+                    np.minimum(col_min[j:j + width], D.min(axis=0), out=col_min[j:j + width])
+    if np.isnan(row_min).any():
         raise ValueError("NaN is not an extended real")
-    return rows, cols
+    return row_min, col_min
 
 
 def _finish(best: float, part: np.ndarray, X: np.ndarray, Y: np.ndarray, metric: str) -> float:
@@ -589,10 +590,10 @@ def _cdist_hausdorff(P: np.ndarray, Q: np.ndarray, metric: str) -> float:
     """
     t = _CROSS
     if len(P) <= t or len(Q) <= t:
-        rows, cols = _cdist_mins(P, Q, metric)
+        rows, cols = _cdist_mins(P, Q, metric, cols=True)
         return max(float(rows.max()), float(cols.max()))
-    rows, cols = _cdist_mins(P[:t], Q, metric)             # exact rows, partial columns
-    part_rows, head_cols = _cdist_mins(P[t:], Q[:t], metric)
+    rows, cols = _cdist_mins(P[:t], Q, metric, cols=True)  # exact rows, partial columns
+    part_rows, head_cols = _cdist_mins(P[t:], Q[:t], metric, cols=True)
     np.minimum(cols[:t], head_cols, out=cols[:t])           # exact columns
     return max(_finish(float(rows.max()), part_rows, P[t:], Q[t:], metric),
                _finish(float(cols[:t].max()), cols[t:], Q[t:], P[t:], metric))
@@ -612,10 +613,9 @@ def _cdist_asym(P: np.ndarray, Q: np.ndarray, metric: str) -> float:
 
 
 def _draws(budget: int, rng: Optional[np.random.Generator]) -> Callable:
-    """S -> (points of S, whether they are all of S): a finite cloud's own
-    points, else ``budget`` sampled points, drawn at the first request for S
-    and reused after, so that one distance call samples each set at most
-    once."""
+    """S -> (points of S, whether they are all of S): a cloud's own points,
+    else ``budget`` points drawn at the first request for S (from ``rng``, or
+    one ``default_rng(0)``) and reused: the only draw of sets and optima."""
     drawn = {}
 
     def points(S: SetModel) -> Tuple[np.ndarray, bool]:
@@ -710,15 +710,18 @@ def hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
     max of minima (Taha and Hanbury's exact early break): the value is that
     of the whole distance matrix, bit for bit.
     """
-    points = _draws(budget, rng)
+    return _report(*_hausdorff(d, A, B, _draws(budget, rng)), budget)
+
+
+def _hausdorff(d: PseudoDistance, A: SetModel, B: SetModel, points: Callable) -> Tuple[float, bool]:
+    """D_H(A, B) and whether it is exact, over ``points`` (see ``hausdorff``)."""
     metric = _CDIST_METRICS.get(d.fn)
     if (metric is not None and _closed_form(d, A, "point") is None
             and _closed_form(d, B, "point") is None):
         (P, exact_a), (Q, exact_b) = points(A), points(B)   # a NaN point gives NaN minima
-        value = _cdist_hausdorff(_as_rows(d, P), _as_rows(d, Q), metric)
-        return _report(value, exact_a and exact_b, budget)
+        return _cdist_hausdorff(_as_rows(d, P), _as_rows(d, Q), metric), exact_a and exact_b
     (v1, e1), (v2, e2) = _asym(d, A, B, points), _asym(d, B, A, points)
-    return _report(max(v1, v2), e1 and e2, budget)
+    return max(v1, v2), e1 and e2
 
 
 def ball_around_set(d: PseudoDistance, A: SetModel, r: float, probe,
@@ -727,8 +730,8 @@ def ball_around_set(d: PseudoDistance, A: SetModel, r: float, probe,
     """Members of ``probe`` lying in B[A, r] = {x : d(x, A) <= r}; may be
     empty.  A is drawn once, and every probe is measured against that draw
     in one distance call."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not r > 0:   # NaN fails r > 0
+        raise ValueError(f"radius must be positive, not {r}")
     pts = probe.points if isinstance(probe, FiniteCloud) else list(probe)
     if not len(pts):
         return []

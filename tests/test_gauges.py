@@ -180,3 +180,47 @@ def test_gauge_constructors_refuse_nan(build, message):
 def test_an_infinite_offset_is_an_unconstraining_row():
     C = GaugeSet.from_halfspaces([[1.0, 0.0], [0.0, 1.0]], [INF, 2.0])
     assert minkowski_gauge(C, [5.0, 1.0]) == 0.5
+
+
+BOX = GaugeSet.from_halfspaces([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0] * 4)
+SQUARE = GaugeSet.from_vertices([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+STRIP = GaugeSet.from_halfspaces([[1.0, 0.0], [0.0, 1.0]], [INF, 1.0])   # x1 <= inf, x2 <= 1
+HALF = GaugeSet.from_halfspaces([[0.0, 1.0], [1.0, 0.0]], [0.0, 1.0])    # x2 <= 0, x1 <= 1
+
+
+@pytest.mark.parametrize("C, x, want", [
+    (BOX, [INF, 0.0], INF),
+    (BOX, [0.0, -INF], INF),
+    (SQUARE, [INF, 0.0], INF),
+    (SQUARE, [-INF, 0.0], INF),
+    (STRIP, [INF, 0.5], 0.5),
+    (STRIP, [-INF, -3.0], 0.0),
+    (HALF, [-INF, 0.0], 0.0),     # every multiple of C reaches out to x1 = -inf
+    (HALF, [-INF, 1.0], INF),     # a b_i = 0 row with a_i . x = 1 > 0
+    (HALF, [INF, -1.0], INF),
+], ids=["box", "box-down", "square", "square-left", "strip", "strip-left", "half-in",
+        "half-above", "half-right"])
+def test_the_gauge_at_an_infinite_coordinate_is_an_extended_real(C, x, want):
+    # a 0 coefficient times +-inf made the gauge NaN (0 * inf), and so did a
+    # row with b_i = +inf (inf / inf)
+    assert minkowski_gauge(C, x) == want
+    assert conjugate_gauge(C, np.negative(x)) == want
+
+
+def test_an_infinite_row_of_a_batch_leaves_the_others_bit_for_bit():
+    X = np.array([[0.5, 0.25], [INF, 0.0], [-0.3, 0.7], [0.0, -INF]])
+    for C in (BOX, SQUARE, STRIP, HALF):
+        got = minkowski_gauge(C, X)
+        assert not np.isnan(got).any()
+        assert got.tolist() == [minkowski_gauge(C, x) for x in X]
+        finite = minkowski_gauge(C, X[[0, 2]])
+        assert got[[0, 2]].tobytes() == finite.tobytes()
+
+
+def test_the_gauge_refuses_inf_minus_inf():
+    C = GaugeSet.from_halfspaces([[1.0, 1.0], [-1.0, 0.0]], [1.0, 1.0])
+    with pytest.raises(ValueError, match="inf - inf"):
+        minkowski_gauge(C, [INF, -INF])
+    with pytest.raises(ValueError, match="inf - inf"):
+        minkowski_gauge(C, np.array([[0.0, 0.0], [-INF, INF]]))
+

@@ -181,6 +181,16 @@ def test_infinite_escape_inf_mirror():
     assert rep["passed"]
 
 
+@pytest.mark.parametrize("mode", ["INF", "max", ""])
+def test_infinite_escape_refuses_an_unknown_mode(mode):
+    # mode="INF" ran the sup check and returned mode "sup", passed True
+    f = piecewise_linear_objective([LinearPiece(-2e9, 2e9, 1.0, 0.0)], name="id")
+    A = IntervalUnion([Interval(0.0, 1e9)])
+    with pytest.raises(ValueError, match="mode must be"):
+        check_infinite_escape(f, absolute(), A, mu=100.0, candidates=[A],
+                              witness_seq=lambda lv: lv + 1.0, mode=mode)
+
+
 def test_infinite_escape_requires_certificate():
     d = absolute()
     f = piecewise_linear_objective([LinearPiece(0.0, 1.0, 1.0, 0.0)], name="id")
@@ -338,16 +348,18 @@ def test_sup_and_inf_share_one_default_draw_of_a_sampled_set():
     sup, inf = sup_over(f, disk, budget=64), inf_over(f, disk, budget=64)
     assert (row["sup_Ap"], row["inf_Ap"]) == (sup.value, inf.value)
     assert sup.mode == inf.mode == "sampled"
-    # an explicit rng keeps its stream: each extreme draws the set again
+    # an explicit rng draws the set once per pair too: D_H and both extremes
+    # read that draw, which a single call from the same seed also makes
     calls.clear()
-    rng = np.random.default_rng(5)
-    row = check_finite_stability(f, euclidean(2), [(A, disk)], budget=64, rng=rng).rows[0]
-    assert len(calls) == 3
-    rng = np.random.default_rng(5)
-    hausdorff(euclidean(2), A, disk, budget=64, rng=rng)
-    s = sup_over(f, disk, budget=64, rng=rng).value
-    assert row["sup_Ap"] == s
-    assert row["inf_Ap"] == inf_over(f, disk, budget=64, rng=rng).value
+    row = check_finite_stability(f, euclidean(2), [(A, disk)], budget=64,
+                                 rng=np.random.default_rng(5)).rows[0]
+    assert len(calls) == 2
+    seeded = dict(budget=64, rng=np.random.default_rng(5))
+    assert row["D_H"] == hausdorff(euclidean(2), A, disk, **seeded).value
+    seeded["rng"] = np.random.default_rng(5)
+    assert row["sup_Ap"] == sup_over(f, disk, **seeded).value
+    seeded["rng"] = np.random.default_rng(5)
+    assert row["inf_Ap"] == inf_over(f, disk, **seeded).value
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.nan), (INF, -INF)])

@@ -283,6 +283,12 @@ def test_ball_around_set():
         ball_around_set(d, A, 0.0, probe)
 
 
+def test_ball_around_set_refuses_a_nan_radius():
+    # r <= 0 let NaN through, and the ball came back empty
+    with pytest.raises(ValueError, match="radius must be positive"):
+        ball_around_set(absolute(), IntervalUnion([Interval(0.0, 1.0)]), math.nan, [0.5])
+
+
 def test_empty_cloud_rejected():
     with pytest.raises(ValueError):
         FiniteCloud([])

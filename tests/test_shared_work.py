@@ -4,9 +4,11 @@ computed them again.
 * ``sets.hausdorff`` under euclidean() / absolute() takes both directions
   from one sweep over the pairs when no closed form applies; the reference
   runs the two one-sided ``_asym`` passes.
-* ``optima`` evaluates the objective once per exact set for both extremes;
-  the reference is the one-extreme-per-call body with the four-call
-  stability loop (sup A, sup A', inf A, inf A').
+* ``optima`` evaluates the objective once per set for both extremes; the
+  reference is the one-extreme-per-call body with the four-call stability
+  loop (sup A, sup A', inf A, inf A').  A stability row draws each sampled
+  set of its pair once, so the loop's reference reads one ``sets._draws``
+  per pair; exact pairs draw nothing.
 * ``linear.example_mixed_constraints`` solves one max-margin LP per distinct
   parameter whose slice it samples, and an openness or midpoint probe only
   when its witness fails; the reference solves one per ``slice_at``.
@@ -52,13 +54,15 @@ def _outcome(fn, *args, **kw):
 # the bodies that computed shared work again, as references
 # ---------------------------------------------------------------------------
 
-def _ref_hausdorff(d, A, B, budget=sets.DEFAULT_BUDGET, rng=None):
-    points = sets._draws(budget, rng)
+def _ref_hausdorff(d, A, B, budget=sets.DEFAULT_BUDGET, rng=None, points=None):
+    points = points if points is not None else sets._draws(budget, rng)
     (v1, e1), (v2, e2) = sets._asym(d, A, B, points), sets._asym(d, B, A, points)
     return sets._report(max(v1, v2), e1 and e2, budget)
 
 
-def _ref_extreme(f, A, budget, rng, want_max):
+def _ref_extreme(f, A, budget, rng, want_max, points=None):
+    """The extreme of one call; a sampled set is drawn from ``rng`` (a fresh
+    default_rng(0) if None), or read from ``points`` if given."""
     pick = np.argmax if want_max else np.argmin
     mode = "exact"
     if isinstance(A, (list, tuple, np.ndarray)):
@@ -77,8 +81,11 @@ def _ref_extreme(f, A, budget, rng, want_max):
             return OptValue(v, None, "exact")
         if f.table is not None and isinstance(A, IntervalUnion):
             return optima._best(*optima._piecewise_candidates(f.table, A), want_max, "exact")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        pts, mode = A.sample(budget, rng), "sampled"
+        if points is not None:
+            pts = points(A)[0]
+        else:
+            pts = A.sample(budget, rng if rng is not None else np.random.default_rng(0))
+        mode = "sampled"
     if is_row_form(f.fn):
         vals = call_rows(f.fn, len(pts), np.asarray(pts, dtype=float).reshape(len(pts), -1))
     else:
@@ -100,11 +107,12 @@ def _ref_check_finite_stability(f, d, pairs, eps=None, tol=optima.TOL_OPT, diagn
                "delta_used", "bound", "slack", "verdict"]
     rows = []
     for i, (A, Ap) in enumerate(pairs):
-        dh = _ref_hausdorff(d, A, Ap, budget=budget, rng=rng).value
-        sA = _ref_extreme(f, A, budget, rng, True).value
-        sAp = _ref_extreme(f, Ap, budget, rng, True).value
-        iA = _ref_extreme(f, A, budget, rng, False).value
-        iAp = _ref_extreme(f, Ap, budget, rng, False).value
+        points = sets._draws(budget, rng)   # one draw of each sampled set of the pair
+        dh = _ref_hausdorff(d, A, Ap, budget=budget, points=points).value
+        sA = _ref_extreme(f, A, budget, rng, True, points).value
+        sAp = _ref_extreme(f, Ap, budget, rng, True, points).value
+        iA = _ref_extreme(f, A, budget, rng, False, points).value
+        iAp = _ref_extreme(f, Ap, budget, rng, False, points).value
         if not (math.isfinite(sA) and math.isfinite(iA)):
             raise ValueError(f"pair {i}: A is outside dom(SUP_f)/dom(INF_f)")
         dsup, dinf = abs(sA - sAp), abs(iA - iAp)
