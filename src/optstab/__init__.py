@@ -7,7 +7,7 @@ gradient-Lipschitz ladders, and a bracketed convergence scheme for optimal
 values over approximating sets.
 """
 
-from .extreal import INF, NEG_INF, inf_of, row_form, scale, sup_of
+from .extreal import INF, NEG_INF, row_form, scale
 from .distances import (PseudoDistance, absolute, energy_ladder, euclidean,
                         eval_distance, gauge_distance)
 from .gauges import GaugeSet, InvalidGaugeError, conjugate_gauge, minkowski_gauge
@@ -21,15 +21,14 @@ from .optima import (ContinuousOnly, LinearPiece, Lipschitz, ObjectiveFn,
                      minimizer_set_instability_demo,
                      piecewise_linear_objective, sup_over)
 from .parametric import (ParamFamily, ValueFunction, certify_value_lipschitz,
-                         empirical_hausdorff_limsup, eval_value_function)
+                         eval_value_function)
 from .linear import (EGI, AffineFamily, LinearMap, affine_family, decompose,
                      hoffman_check, penrose_residuals, penrose_table,
                      penrose_tolerances, pseudo_inverse, restricted_inverse_egi)
 from .ladder import (LadderResult, SmoothProblem, build_ladder, hessian_sup,
                      solve_radius)
 from .scheme import (ConvergenceCertificate, SchemeInstance,
-                     build_inner_grid_family, build_inner_polygon_family,
-                     run_scheme)
+                     build_inner_polygon_family, run_scheme)
 from . import instances
 
 __version__ = "0.1.0"

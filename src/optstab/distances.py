@@ -1,9 +1,9 @@
 """Pseudo-distance functions: named, evaluable d(x, y) -> [-inf, inf].
 
 No axioms are imposed by construction: a pseudo-distance may be negative,
-infinite or asymmetric.  Each named instance documents which additional
-properties it actually satisfies; those claims are spot-checkable on
-sampled triples via :func:`check_documented_properties`.
+infinite or asymmetric.  Each named instance documents in ``properties``
+which additional axioms it satisfies.  The declaration is documentation:
+no verifier reads it, and nothing here checks it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .extreal import INF, call_rows, row_form
+from .extreal import call_rows, row_form
 from .gauges import GaugeSet, minkowski_gauge
 
 SYMMETRIC = "symmetric"
@@ -133,36 +133,3 @@ def gauge_distance(C: GaugeSet, name: Optional[str] = None) -> PseudoDistance:
         ambient_dim=C.dim,
         properties=frozenset(props),
     )
-
-
-def constant_infinite(dim: Optional[int] = None) -> PseudoDistance:
-    """d = +inf everywhere: the degenerate pseudo-distance from the theory."""
-    return PseudoDistance(
-        name="constant-inf",
-        fn=lambda x, y: INF,
-        ambient_dim=dim,
-        properties=frozenset({SYMMETRIC, NONNEGATIVE, TRIANGLE}),
-    )
-
-
-def check_documented_properties(d: PseudoDistance, triples, tol: float = 1e-12) -> dict:
-    """Spot-check the documented properties of d on sampled (x, y, z) triples.
-
-    Returns a dict property -> bool (True = no violation observed).
-    """
-    results = {p: True for p in d.properties}
-    for (x, y, z) in triples:
-        dxy = eval_distance(d, x, y)
-        dyx = eval_distance(d, y, x)
-        if SYMMETRIC in results and abs(dxy - dyx) > tol and dxy != dyx:
-            results[SYMMETRIC] = False
-        if NONNEGATIVE in results and dxy < -tol:
-            results[NONNEGATIVE] = False
-        if IDENTITY in results and abs(eval_distance(d, x, x)) > tol:
-            results[IDENTITY] = False
-        if TRIANGLE in results:
-            dxz = eval_distance(d, x, z)
-            dzy = eval_distance(d, z, y)
-            if dxz + dzy < dxy - tol:
-                results[TRIANGLE] = False
-    return results

@@ -3,8 +3,9 @@
 Extended reals are represented as plain IEEE floats: ``math.inf`` and
 ``-math.inf`` are first-class values and the float total order is exactly
 the extended-real order (-inf < r < inf for every finite r).  NaN is never
-a legal value; the helpers below guard the two places where IEEE and
-extended-real arithmetic disagree (0 * inf, empty sup/inf).
+a legal value; :func:`scale` and :func:`scale_rows` keep 0 * inf = 0, where
+IEEE and extended-real arithmetic disagree.  The empty sup = -inf and empty
+inf = +inf are kept by the one extreme-value routine, ``optima._extreme``.
 
 The module also holds :func:`row_form`, the mark of callables that take
 one point per row, which the distance, set and optimum layers all read, and
@@ -14,7 +15,7 @@ one point per row, which the distance, set and optimum layers all read, and
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,40 +23,11 @@ INF = math.inf
 NEG_INF = -math.inf
 
 
-def is_extended_real(x) -> bool:
-    """True for any finite real or +/-inf; False for NaN and non-numbers."""
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        return False
-    return not math.isnan(x)
-
-
 def check_extended_real(x) -> float:
     x = float(x)
     if math.isnan(x):
         raise ValueError("NaN is not an extended real")
     return x
-
-
-def sup_of(values: Iterable[float]) -> float:
-    """Supremum with the convention sup of an empty collection = -inf."""
-    best = NEG_INF
-    for v in values:
-        v = check_extended_real(v)
-        if v > best:
-            best = v
-    return best
-
-
-def inf_of(values: Iterable[float]) -> float:
-    """Infimum with the convention inf of an empty collection = +inf."""
-    best = INF
-    for v in values:
-        v = check_extended_real(v)
-        if v < best:
-            best = v
-    return best
 
 
 def row_form(fn):

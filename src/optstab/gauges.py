@@ -92,10 +92,12 @@ class GaugeSet:
 
     def contains(self, x, tol: float = 1e-9):
         """Membership of one point, or a boolean array over the rows of an
-        (n, dim) array.  A NaN coordinate raises ValueError."""
-        X, one, _ = _as_rows(x, self.dim)
+        (n, dim) array.  A NaN coordinate, or a row a_i . x that is
+        inf - inf, raises ValueError."""
+        X, one, finite = _as_rows(x, self.dim)
         if self.halfspace_A is not None:
-            inside = np.all(X @ self.halfspace_A.T <= self.halfspace_b + tol, axis=1)
+            A, b = self.halfspace_A, self.halfspace_b
+            inside = np.all(_row_products(X, A, b, finite) <= b + tol, axis=1)
         elif self.kind == "ball":
             inside = np.linalg.norm(X, axis=1) <= self.radius + tol
         else:
@@ -146,6 +148,24 @@ def _as_rows(x, dim: int) -> Tuple[np.ndarray, bool, bool]:
     return X, one, finite
 
 
+def _row_products(X: np.ndarray, A: np.ndarray, b: np.ndarray, finite: bool) -> np.ndarray:
+    """a_i . x for every row x of X and every halfspace row (a_i, b_i):
+    ``X @ A.T`` when every coordinate is ``finite``.  Otherwise a term
+    0 * (+-inf) is 0 and a row with b_i = +inf gives 0; a row that is
+    inf - inf raises ValueError."""
+    if finite:
+        return X @ A.T
+    inf = np.isinf(X)
+    rows = inf.any(axis=1)
+    ax = np.where(inf, 0.0, X) @ A.T                    # the rows with no inf
+    with np.errstate(invalid="ignore"):   # 0 * inf is NaN, which nansum takes as 0
+        ax[rows] = np.nansum(X[rows, None, :] * A, axis=2)
+    ax[:, b == INF] = 0.0
+    if np.isnan(ax).any():
+        raise ValueError("a halfspace row of the gauge set meets +inf and -inf (inf - inf)")
+    return ax
+
+
 def minkowski_gauge(C: GaugeSet, x, tol: float = DEFAULT_GAUGE_TOL):
     """Gauge value M_C(x) in [0, inf] of one point, or an array of the
     gauges of the rows of an (n, dim) array.  A NaN coordinate, or a row
@@ -156,17 +176,8 @@ def minkowski_gauge(C: GaugeSet, x, tol: float = DEFAULT_GAUGE_TOL):
         # rows with b_i > 0 contribute a_i.x / b_i; rows with b_i = 0 force
         # +inf when a_i.x > tol ||x|| and are ignored otherwise.
         A, b = C.halfspace_A, C.halfspace_b
-        if finite:
-            ax = X @ A.T
-        else:   # a term 0 * (+-inf) is 0, a row with b_i = +inf gives 0, and
-            inf = np.isinf(X)   # tol below scales with the finite part of X
-            rows, X, X_inf = inf.any(axis=1), np.where(inf, 0.0, X), X
-            ax = X @ A.T                                   # the rows with no inf
-            with np.errstate(invalid="ignore"):   # 0 * inf is NaN, which nansum takes as 0
-                ax[rows] = np.nansum(X_inf[rows, None, :] * A, axis=2)
-            ax[:, b == INF] = 0.0
-            if np.isnan(ax).any():
-                raise ValueError("a halfspace row of the gauge set meets +inf and -inf (inf - inf)")
+        ax = _row_products(X, A, b, finite)
+        X = X if finite else np.where(np.isinf(X), 0.0, X)   # tol scales with the finite part
         slack = tol if b.all() else tol * np.linalg.norm(X, axis=1, keepdims=True)
         ratio = np.divide(ax, b, out=np.where(ax > slack, INF, 0.0), where=b > 0.0)
         g = ratio.max(axis=1, initial=0.0)

@@ -364,21 +364,6 @@ def quartic_problem() -> SmoothProblem:
         hessian_sup_closed_form=lambda t: t * t)
 
 
-def exp_problem() -> SmoothProblem:
-    """h(x) = e^{|x|}: gradient sign(x)(e^{|x|} - 1) is continuous at 0 and
-    the radial Hessian-norm sup is exactly e^t."""
-    def g(x):
-        t = float(np.atleast_1d(x)[0])
-        return np.array([math.copysign(math.expm1(abs(t)), t)])
-
-    return SmoothProblem(
-        f=lambda x: math.exp(abs(float(np.atleast_1d(x)[0]))) - abs(float(np.atleast_1d(x)[0])),
-        grad=g,
-        hess_norm=lambda x: math.exp(abs(float(np.atleast_1d(x)[0]))),
-        dim=1, y0=[0.0],
-        hessian_sup_closed_form=lambda t: math.exp(t))
-
-
 def _build_quartic_ladder() -> tuple:
     P = quartic_problem()
     goldens = [

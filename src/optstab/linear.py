@@ -21,9 +21,9 @@ import numpy as np
 from .distances import PseudoDistance, euclidean
 from .extreal import INF, finite_array, linprog, row_form
 from .gauges import GaugeSet, as_magnitude, minkowski_gauge
-from .optima import Lipschitz, ObjectiveFn, VerdictReport
+from .optima import ObjectiveFn, VerdictReport
 from .parametric import (ParamFamily, ValueFunction, _delta_search,
-                         certify_value_lipschitz, empirical_value_continuity)
+                         empirical_value_continuity)
 from .sets import (DEFAULT_BUDGET, AffineSlab, ImplicitSampled, SlabStack, _norms,
                    _orthonormal, _slab_gaps, hausdorff)
 
@@ -139,14 +139,6 @@ def decompose(L) -> LinearMap:
                      preimages=pinv @ range_b, pinv=pinv)
 
 
-def load_matrix_txt(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
-
-
-def save_matrix_txt(M, path) -> None:
-    np.savetxt(path, np.atleast_2d(np.asarray(M, float)), delimiter=",")
-
-
 PENROSE_IDENTITIES = ("LPL-L", "PLP-P", "LP-sym", "PL-sym")
 PENROSE_C = 100.0
 EPS = float(np.finfo(float).eps)
@@ -207,14 +199,6 @@ def penrose_tolerances(dims, norm_L, norm_P) -> np.ndarray:
     LP = norm_L * norm_P
     terms = np.stack([LP * norm_L, LP * norm_P, LP, LP], axis=-1)
     return PENROSE_C * EPS * np.asarray(dims, float)[..., None] * terms
-
-
-def kernel_projector_identity_residual(lm: LinearMap) -> float:
-    """|| pinv L - (id - P_ker) ||: the pseudo-inverse inverts L exactly
-    off the kernel."""
-    n = lm.matrix.shape[1]
-    P_ker = lm.kernel_basis @ lm.kernel_basis.T
-    return float(np.linalg.norm(lm.pinv @ lm.matrix - (np.eye(n) - P_ker)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,23 +277,28 @@ def restricted_inverse_egi(lm: LinearMap, S_X, S_Y, kappa: float = 1.0,
 
         tau   = max(kappa, ..., kappa^(r-1)),
         eta   = sup of ||coords||_inf over the S_Y unit sphere in the range,
-        sigma = tau * eta * sum_j S_X(v_j).
+        sigma = tau * eta * sum_j max(S_X(v_j), S_X(-v_j)).
 
-    kappa is the gauge's subadditivity defect (1 for norms); it is declared
-    by the caller and not checked here: the caller must confirm it, for
-    example with ``check_gauge_subadditivity``.
+    S_X is taken at both signs, since S_X(beta v_j) = |beta| S_X(-v_j) for
+    beta < 0.  kappa, the subadditivity defect of S_X, is at least 1 (NaN or
+    less raises ValueError).  Ball, halfspace and vertex gauges are gauges of
+    convex sets that hold 0, so their kappa is exactly 1, the default; only
+    an oracle gauge or a plain callable needs a declared kappa, which is not
+    checked here.
     """
     if lm.rank == 0:
         raise ValueError("range is {0}: restricted inverse undefined")
+    if not kappa >= 1:   # NaN fails too
+        raise ValueError(f"kappa = {kappa!r}: a subadditivity defect is at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
     mag_x = as_magnitude(S_X)
     mag_y = as_magnitude(S_Y)
 
     sum_sx = 0.0
     for v in lm.preimages.T:
-        sxv = float(mag_x(v))
+        sxv = max(float(mag_x(v)), float(mag_x(-v)))
         if not np.isfinite(sxv):
-            raise ValueError("S_X is infinite on a stored preimage")
+            raise ValueError("S_X is infinite on a stored preimage or its negative")
         sum_sx += sxv
     if not all(mag_y(w) > 0 for w in lm.range_basis.T):
         raise ValueError("S_Y vanishes on a nonzero range point")
@@ -328,35 +317,6 @@ def restricted_inverse_egi(lm: LinearMap, S_X, S_Y, kappa: float = 1.0,
 
     return EGI(kind="restricted_inverse", linmap=lm, apply=apply,
                lipschitz_cert=cert)
-
-
-def check_gauge_subadditivity(S_X, kappa: float, pairs) -> bool:
-    """Spot-check S_X(a u + b v) <= kappa (|a| S_X(u) + |b| S_X(v))."""
-    mag = as_magnitude(S_X)
-    for (alpha, u, beta, v) in pairs:
-        lhs = mag(alpha * np.asarray(u, float) + beta * np.asarray(v, float))
-        rhs = kappa * (abs(alpha) * mag(u) + abs(beta) * mag(v))
-        if lhs > rhs * (1 + 1e-9) + 1e-12:
-            return False
-    return True
-
-
-def sampled_worst_ratio(E: EGI, S_X, S_Y, rng: np.random.Generator,
-                        n_pairs: int = 10_000) -> float:
-    """Monte-Carlo lower bound on the true Lipschitz constant of apply():
-    max over sampled range pairs of S_X(apply(y) - apply(z)) / S_Y(y - z)."""
-    lm = E.linmap
-    mag_x, mag_y = as_magnitude(S_X), as_magnitude(S_Y)
-    worst = 0.0
-    betas = rng.standard_normal((2 * n_pairs, lm.rank))
-    for i in range(n_pairs):
-        y = lm.range_basis @ betas[2 * i]
-        z = lm.range_basis @ betas[2 * i + 1]
-        g = mag_y(y - z)
-        if not 0.0 < g < INF:
-            continue
-        worst = max(worst, float(mag_x(E.apply(y) - E.apply(z))) / g)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -522,52 +482,8 @@ def _hoffman_table_of_svds(svds: Sequence, pairs: Sequence,
 
 
 # ---------------------------------------------------------------------------
-# worked parametric examples over affine families
+# a worked parametric example over an affine family with mixed constraints
 # ---------------------------------------------------------------------------
-
-def example_whole_space(f: ObjectiveFn, L, S_X, S_Yt,
-                        probe_params: Sequence,
-                        pair_params: Sequence,
-                        conj_beta: Optional[float] = None,
-                        eps_grid: Sequence[float] = (0.5, 0.1),
-                        budget: int = DEFAULT_BUDGET,
-                        rng: Optional[np.random.Generator] = None) -> dict:
-    """phi_*(t) = inf { f(x) : L x = t } over the whole space.
-
-    Certifies continuity empirically on the probes and, when f is
-    Lipschitz(Lam) and the conjugate gauge t -> S(-t) is beta-Lipschitz,
-    the alpha * max(1, beta) * Lam constant on the pairs.
-    """
-    if not f.bounded_below:
-        raise ValueError("hypothesis unmet: objective not declared bounded below")
-    reg = f.regularity
-    if not isinstance(reg, Lipschitz):
-        raise ValueError("hypothesis unmet: objective regularity is not Lipschitz")
-    mag_t = as_magnitude(S_Yt)
-    if mag_t(np.zeros(np.atleast_2d(np.asarray(L)).shape[0])) != 0.0:
-        raise ValueError("hypothesis unmet: S(0) != 0 on the parameter gauge")
-
-    lm = L if isinstance(L, LinearMap) else decompose(L)
-    egi = pseudo_inverse(lm)
-    fam = affine_family(lm, egi)
-    alpha = egi.constant
-    beta = conj_beta if conj_beta is not None else 1.0
-    const = alpha * max(1.0, beta) * reg.lam
-
-    d_param = PseudoDistance(
-        name="param-gauge",
-        fn=lambda s, t: float(mag_t(np.asarray(t, float) - np.asarray(s, float))),
-        ambient_dim=None)
-    pf = fam.as_param_family(d_param, alpha=alpha * max(1.0, beta))
-    V = ValueFunction(mode="inf", family=pf, objective=f)
-
-    cont = empirical_value_continuity(V, probe_params[0], probe_params,
-                                      eps_grid, budget=budget, rng=rng)
-    lip = certify_value_lipschitz(V, pair_params, budget=budget, rng=rng)
-    return dict(constant=const, alpha=alpha, beta=beta,
-                continuity=cont, lipschitz=lip,
-                passed=(cont["verdict"] == "pass" and lip.passed))
-
 
 def _vec(t) -> np.ndarray:
     return np.atleast_1d(np.asarray(t, float))

@@ -3,8 +3,8 @@
 A :class:`ParamFamily` maps a parameter t (living in a pseudo-distance
 space) to a constraint set A_t; the associated :class:`ValueFunction` is
 phi(t) = sup (or inf) of an objective over A_t.  The operations here
-certify a Lipschitz constant for phi on sampled pairs and empirically probe
-the set-convergence condition limsup_{t->t0} D_H(A_t0, A_t) <= 0.
+certify a Lipschitz constant for phi on sampled pairs and search, per eps,
+for a delta of continuity of phi at a parameter.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distances import PseudoDistance, eval_distance, eval_distances
+from .distances import PseudoDistance, eval_distances
 from .extreal import call_one, call_rows, scale_rows
 from .optima import (TOL_OPT, Lipschitz, ObjectiveFn, OptValue, VerdictReport,
                      _by_points, _hook_values, inf_over, sup_over)
-from .sets import DEFAULT_BUDGET, SetModel, _draws, ball_around_set, hausdorff
+from .sets import DEFAULT_BUDGET, SetModel, _draws, ball_around_set
 
 MAX_HALVINGS = 20  # delta searches stop at eps / 2**MAX_HALVINGS
 
@@ -118,31 +118,6 @@ def eval_value_function(V: ValueFunction, t, budget: int = DEFAULT_BUDGET,
     return op(V.objective, A, budget=budget, rng=rng)
 
 
-def empirical_hausdorff_limsup(F: ParamFamily, d_ambient: PseudoDistance,
-                               t0, probes: Sequence, eps: float,
-                               budget: int = DEFAULT_BUDGET,
-                               rng: Optional[np.random.Generator] = None) -> dict:
-    """Empirical probe of limsup_{t->t0} D_H(A_t0, A_t) <= 0.
-
-    Searches delta on the geometric grid {eps, eps/2, ..., eps/2^20} for the
-    largest level at which every probe with d_I(t0, t) < delta also has
-    D_H(A_t0, A_t) < eps.  Failure at all levels is 'inconclusive', never a
-    disproof: continuity cannot be refuted by finitely many probes.
-    """
-    A0 = F.set_at(t0)
-    rows = []
-    for t in probes:
-        di = eval_distance(F.index_distance, t0, t)
-        dh = hausdorff(d_ambient, A0, F.set_at(t), budget=budget, rng=rng).value
-        rows.append((t, di, dh))
-    delta = _delta_search(rows, eps)
-    if delta is None:
-        return dict(eps=eps, delta=None, verdict="inconclusive",
-                    n_inside=0, rows=rows)
-    return dict(eps=eps, delta=delta, verdict="pass",
-                n_inside=sum(di < delta for (_, di, _) in rows), rows=rows)
-
-
 def certify_value_lipschitz(V: ValueFunction, sample_pairs: Sequence,
                             lam_of_pair: Optional[Callable[[object, object], float]] = None,
                             tol: float = TOL_OPT,
@@ -181,19 +156,6 @@ def certify_value_lipschitz(V: ValueFunction, sample_pairs: Sequence,
             for (t, s), d, b, o, sl in zip(pairs, di.tolist(), bound.tolist(),
                                            observed.tolist(), slack.tolist())]
     return VerdictReport(columns, rows)
-
-
-def measured_lipschitz_ratio(V: ValueFunction, sample_pairs: Sequence,
-                             budget: int = DEFAULT_BUDGET,
-                             rng: Optional[np.random.Generator] = None) -> float:
-    """sup over sampled pairs of |phi(t) - phi(s)| / d_I(t, s), over the
-    pairs with d_I > 0 (phi is not taken at the others), through
-    ``_values`` as in ``certify_value_lipschitz``."""
-    pairs = list(sample_pairs)
-    di = eval_distances(V.family.index_distance, [t for t, _ in pairs], [s for _, s in pairs])
-    keep = np.flatnonzero(di > 0)
-    phi = _values(V, [p for i in keep for p in pairs[i]], budget, rng).reshape(-1, 2)
-    return float(np.max(np.abs(phi[:, 0] - phi[:, 1]) / di[keep], initial=0.0))
 
 
 def empirical_value_continuity(V: ValueFunction, t0, probes: Sequence,

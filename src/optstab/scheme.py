@@ -144,47 +144,3 @@ def build_inner_polygon_family(m_seq: Sequence[int],
         hs.append(1.0 - math.cos(math.pi / m))
     return tuple(levels), tuple(hs)
 
-
-def build_inner_grid_family(A_hs, b_hs, ball_radius: float,
-                            mesh_seq: Sequence[float],
-                            interior_point) -> tuple:
-    """Inner grid-cloud surrogates for {x : A x <= b, ||x|| <= R}.
-
-    Per mesh, the cloud holds the grid points feasible with margin equal to
-    the covering radius mesh*sqrt(n)/2.  The certified Hausdorff bound is
-
-        h = (mesh*sqrt(n)/2) * (1 + 2R/rho),
-
-    where rho is the feasibility margin of the supplied interior point:
-    shrinking the region toward the ball B(x0, rho) by the covering radius
-    moves no point farther than that factor, and every shrunk point has a
-    grid neighbor within mesh*sqrt(n)/2.
-    """
-    A_hs = np.atleast_2d(np.asarray(A_hs, dtype=float))
-    b_hs = np.asarray(b_hs, dtype=float).ravel()
-    x0 = np.asarray(interior_point, dtype=float).ravel()
-    n = A_hs.shape[1]
-    row_norms = np.maximum(np.linalg.norm(A_hs, axis=1), 1e-30)
-    rho = min(float(np.min((b_hs - A_hs @ x0) / row_norms)),
-              ball_radius - float(np.linalg.norm(x0)))
-    if rho <= 0:
-        raise ValueError("supplied point is not strictly interior")
-
-    levels, hs = [], []
-    for mesh in mesh_seq:
-        mesh = float(mesh)
-        margin = mesh * math.sqrt(n) / 2.0
-        if margin >= rho:
-            raise ValueError(
-                "no strictly feasible grid point guaranteed at this mesh; refine first")
-        ticks = np.arange(-ball_radius, ball_radius + mesh / 2, mesh)
-        grids = np.meshgrid(*([ticks] * n), indexing="ij")
-        pts = np.column_stack([g.ravel() for g in grids])
-        feas = (np.all(A_hs @ pts.T <= (b_hs - margin * row_norms)[:, None], axis=0)
-                & (np.linalg.norm(pts, axis=1) <= ball_radius - margin))
-        cloud = pts[feas]
-        if cloud.shape[0] == 0:
-            raise ValueError("empty inner cloud; refine first")
-        levels.append(FiniteCloud(cloud))
-        hs.append(margin * (1.0 + 2.0 * ball_radius / rho))
-    return tuple(levels), tuple(hs)

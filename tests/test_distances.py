@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from optstab.distances import (IDENTITY, NONNEGATIVE, SYMMETRIC, TRIANGLE,
                                PseudoDistance, absolute, binding_energy,
-                               check_documented_properties, constant_infinite,
                                energy_ladder, euclidean, eval_distance,
                                eval_distances, gauge_distance)
 from optstab.extreal import INF, check_extended_real
 from optstab.gauges import GaugeSet
+from paper_examples import constant_infinite
+from sampled_references import check_documented_properties
 
 
 def test_euclidean_basics():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -188,7 +190,7 @@ STRIP = GaugeSet.from_halfspaces([[1.0, 0.0], [0.0, 1.0]], [INF, 1.0])   # x1 <=
 HALF = GaugeSet.from_halfspaces([[0.0, 1.0], [1.0, 0.0]], [0.0, 1.0])    # x2 <= 0, x1 <= 1
 
 
-@pytest.mark.parametrize("C, x, want", [
+INFINITE_COORDINATES = [
     (BOX, [INF, 0.0], INF),
     (BOX, [0.0, -INF], INF),
     (SQUARE, [INF, 0.0], INF),
@@ -198,13 +200,27 @@ HALF = GaugeSet.from_halfspaces([[0.0, 1.0], [1.0, 0.0]], [0.0, 1.0])    # x2 <=
     (HALF, [-INF, 0.0], 0.0),     # every multiple of C reaches out to x1 = -inf
     (HALF, [-INF, 1.0], INF),     # a b_i = 0 row with a_i . x = 1 > 0
     (HALF, [INF, -1.0], INF),
-], ids=["box", "box-down", "square", "square-left", "strip", "strip-left", "half-in",
-        "half-above", "half-right"])
+]
+INFINITE_IDS = ["box", "box-down", "square", "square-left", "strip", "strip-left", "half-in",
+                "half-above", "half-right"]
+
+
+@pytest.mark.parametrize("C, x, want", INFINITE_COORDINATES, ids=INFINITE_IDS)
 def test_the_gauge_at_an_infinite_coordinate_is_an_extended_real(C, x, want):
     # a 0 coefficient times +-inf made the gauge NaN (0 * inf), and so did a
     # row with b_i = +inf (inf / inf)
     assert minkowski_gauge(C, x) == want
     assert conjugate_gauge(C, np.negative(x)) == want
+
+
+@pytest.mark.parametrize("C, x, want", INFINITE_COORDINATES, ids=INFINITE_IDS)
+def test_membership_at_an_infinite_coordinate_agrees_with_the_gauge(C, x, want):
+    # membership formed X @ A.T, so 0 * inf made a row NaN and the point was
+    # outside: STRIP held [inf, 0.5] at gauge 0.5 but not as a member
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert C.contains(x) == (want <= 1.0)
+        assert C.contains(np.array([x, [0.0, 0.0]])).tolist() == [want <= 1.0, True]
 
 
 def test_an_infinite_row_of_a_batch_leaves_the_others_bit_for_bit():
@@ -223,4 +239,6 @@ def test_the_gauge_refuses_inf_minus_inf():
         minkowski_gauge(C, [INF, -INF])
     with pytest.raises(ValueError, match="inf - inf"):
         minkowski_gauge(C, np.array([[0.0, 0.0], [-INF, INF]]))
+    with pytest.raises(ValueError, match="inf - inf"):
+        C.contains([INF, -INF])
 

@@ -11,8 +11,9 @@ from optstab import ladder
 from optstab.cli import main
 from optstab.extreal import INF
 from optstab.gauges import GaugeSet
-from optstab.instances import exp_problem, quartic_problem
+from optstab.instances import quartic_problem
 from optstab.ladder import SmoothProblem, build_ladder, hessian_sup, solve_radius
+from paper_examples import exp_problem
 
 
 def test_quartic_hessian_sup_closed_form():

@@ -15,17 +15,16 @@ from optstab.distances import absolute, euclidean
 from optstab.gauges import GaugeSet
 from optstab.instances import norm_objective, random_rank_deficient_matrix
 from optstab.linear import (BOX_SCALE, EGI, TOL_HOFFMAN, _penrose_norms, affine_family,
-                            check_gauge_subadditivity,
-                            decompose, example_mixed_constraints,
-                            example_whole_space, hoffman_check,
-                            kernel_projector_identity_residual,
-                            load_matrix_txt,
+                            decompose, example_mixed_constraints, hoffman_check,
                             penrose_residuals, penrose_table,
                             penrose_tolerances, pseudo_inverse,
-                            restricted_inverse_egi, sampled_worst_ratio,
-                            save_matrix_txt)
+                            restricted_inverse_egi)
 from optstab.optima import Lipschitz, ObjectiveFn, inf_over
 from optstab.sets import AffineSlab, hausdorff
+from paper_examples import example_whole_space
+from sampled_references import (check_gauge_subadditivity,
+                                kernel_projector_identity_residual,
+                                sampled_worst_ratio)
 
 
 def test_decompose_diag():
@@ -187,6 +186,38 @@ def test_restricted_inverse_rejects_vanishing_gauge():
     with pytest.raises(ValueError):
         restricted_inverse_egi(lm, GaugeSet.from_ball(1.0, 2),
                                lambda y: 0.0)
+
+
+def test_restricted_inverse_bounds_an_asymmetric_gauge_at_both_signs():
+    # S_X is the box [-0.1, 1]^2: S_X(e1) = 1 but S_X(-e1) = 10, and the map
+    # t -> t e1 on range(L) = R meets both; the constant read only S_X(e1)
+    lm = decompose([[1.0, 0.0]])
+    S_X = GaugeSet.from_halfspaces([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                                   [1.0, 1.0, 0.1, 0.1])
+    S_Y = GaugeSet.from_ball(1.0, 1)
+    E = restricted_inverse_egi(lm, S_X, S_Y)
+    assert E.lipschitz_cert["mode"] == "exact-ball"
+    assert E.constant >= 10.0
+    ratio = sampled_worst_ratio(E, S_X, S_Y, np.random.default_rng(3), 500)
+    assert ratio == pytest.approx(10.0) and E.constant >= ratio
+
+
+def test_restricted_inverse_refuses_infinite_gauge_at_a_negated_preimage():
+    # S_X is the strip 0 <= x1 <= 1: S_X(e1) = 1 but S_X(-e1) = +inf, so the
+    # map t -> t e1 has no finite constant; one sign of the stored preimage
+    # (e1 or -e1) gave a finite one
+    S_X = GaugeSet.from_halfspaces([[1.0, 0.0], [-1.0, 0.0]], [1.0, 0.0])
+    with pytest.raises(ValueError, match="infinite on a stored preimage"):
+        restricted_inverse_egi(decompose([[1.0, 0.0]]), S_X, GaugeSet.from_ball(1.0, 1))
+
+
+@pytest.mark.parametrize("kappa", [math.nan, 0.5, 0.0, -1.0])
+def test_restricted_inverse_refuses_a_kappa_below_one(kappa):
+    # kappa = nan certified a NaN constant, and kappa = 0.5 certified 0.25
+    # for a map whose constant is 1
+    with pytest.raises(ValueError, match="kappa"):
+        restricted_inverse_egi(decompose([[1.0, 0.0]]), GaugeSet.from_ball(1.0, 2),
+                               GaugeSet.from_ball(1.0, 1), kappa=kappa)
 
 
 def test_rank_zero_map():
@@ -401,13 +432,6 @@ def test_interior_point_statuses():
     assert linear._interior_point_in_slice(*box, [[1.0, 0.0]], [1.0]) == (None, 0.0)  # no margin
     with pytest.raises(ValueError, match="status 3"):  # the halfplane x_1 <= 1 is not compact
         linear._interior_point_in_slice([[1.0, 0.0]], [1.0], [[0.0, 1.0]], [0.0])
-
-
-def test_matrix_txt_roundtrip(tmp_path):
-    M = np.array([[1.0, 2.5], [3.0, -4.0]])
-    p = tmp_path / "m.csv"
-    save_matrix_txt(M, p)
-    assert np.allclose(load_matrix_txt(p), M)
 
 
 def test_certificate_export(tmp_path):

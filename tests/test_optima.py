@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from optstab.distances import PseudoDistance, absolute, constant_infinite, euclidean
+from optstab.distances import PseudoDistance, absolute, euclidean
 from optstab.extreal import INF, NEG_INF, row_form
 from optstab.instances import (build, oscillating_blocks,
                                oscillating_objective, random_cloud,
@@ -15,6 +15,7 @@ from optstab.optima import (ContinuousOnly, LinearPiece, Lipschitz,
                             minimizer_set_instability_demo,
                             piecewise_linear_objective, sup_over)
 from optstab.sets import FiniteCloud, ImplicitSampled, Interval, IntervalUnion, hausdorff
+from paper_examples import constant_infinite
 from piecewise_reference import piece_value
 
 

@@ -8,10 +8,10 @@ from optstab.linear import affine_family, decompose, pseudo_inverse
 from optstab.optima import Lipschitz, ObjectiveFn, inf_over, sup_over
 from optstab.parametric import (ParamFamily, ValueFunction,
                                 certify_value_lipschitz,
-                                empirical_hausdorff_limsup,
                                 empirical_value_continuity,
-                                eval_value_function, measured_lipschitz_ratio)
+                                eval_value_function)
 from optstab.sets import FiniteCloud, Interval, IntervalUnion
+from sampled_references import empirical_hausdorff_limsup, measured_lipschitz_ratio
 
 
 def _affine_abs_family():

@@ -28,8 +28,9 @@ from optstab.linear import BOX_SCALE, affine_family, decompose
 from optstab.optima import TOL_OPT, Lipschitz, ObjectiveFn, VerdictReport
 from optstab.parametric import (ParamFamily, ValueFunction, _delta_search,
                                 certify_value_lipschitz, empirical_value_continuity,
-                                eval_value_function, measured_lipschitz_ratio)
+                                eval_value_function)
 from optstab.sets import AffineSlab, FiniteCloud, ImplicitSampled, _norms
+from sampled_references import measured_lipschitz_ratio
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
