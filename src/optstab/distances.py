@@ -64,15 +64,18 @@ def eval_distances(d: PseudoDistance, xs, ys) -> np.ndarray:
 # The kernels of euclidean() and absolute(), in row form: set closed forms
 # are keyed by these function objects, never by a distance's name.  The
 # Euclidean one is one dot product of y - x with itself per row, as
-# np.linalg.norm takes it for one point.
+# np.linalg.norm takes it for one point.  inf - inf gives NaN without a
+# warning: ``eval_distances`` refuses it.
 @row_form
 def _euclidean(X, Y) -> np.ndarray:
-    return np.sqrt(np.vecdot(Y - X, Y - X))
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(np.vecdot(Y - X, Y - X))
 
 
 @row_form
 def _absolute(X, Y) -> np.ndarray:
-    return np.abs(Y[:, 0] - X[:, 0])
+    with np.errstate(invalid="ignore"):
+        return np.abs(Y[:, 0] - X[:, 0])
 
 
 def euclidean(dim: Optional[int] = None) -> PseudoDistance:

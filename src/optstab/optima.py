@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -280,6 +280,44 @@ def _by_points(f: ObjectiveFn, A, want_max: bool, points: Callable,
     return _best(vals, witness, want_max, mode)
 
 
+def _extremes(f: ObjectiveFn, sets, want_max: bool, budget: int,
+              rng: Optional[np.random.Generator],
+              check: Callable = lambda i, A: A) -> Tuple[np.ndarray, Dict[int, OptValue]]:
+    """SUP_f (INF_f, unless ``want_max``) of each set model of a sequence,
+    each as ``_extreme(f, A, want_max, _draws(budget, rng), {})`` gives it,
+    in one stacked pass: the exact hook is asked once for the whole sequence
+    (``_hook_values``); each set it leaves without a value passes ``check(i,
+    A)`` (which returns A or raises), in order; the clouds among them take
+    one objective call per point shape over their concatenated points; the
+    rest go through ``_by_points`` one at a time, in order, each with its
+    own ``_draws``.  Returns the values and, by index, the OptValue of each
+    set the hook left without a value: a hook's value v stands for
+    OptValue(v, None, "exact"), and no object is built for it.  A NaN value
+    raises ValueError."""
+    hook = f.exact_sup if want_max else f.exact_inf
+    vals = np.full(len(sets), np.nan) if hook is None else _hook_values(f, hook, sets)
+    found, clouds, rest = {}, {}, []
+    for i in np.flatnonzero(np.isnan(vals)).tolist():
+        A = check(i, sets[i])
+        if isinstance(A, FiniteCloud):
+            clouds.setdefault(A.points.shape[1:], []).append((i, A))
+        else:
+            rest.append((i, A))
+    for group in clouds.values():
+        P = np.concatenate([A.points for _, A in group])
+        fP = call_rows(f.fn, len(P), P)
+        if np.isnan(fP).any():
+            raise ValueError(f"{f.name} is NaN on a point of the set")
+        ends = np.cumsum([len(A) for _, A in group]).tolist()
+        for (i, A), lo, hi in zip(group, [0, *ends], ends):
+            found[i] = _best(fP[lo:hi], A.points.__getitem__, want_max, "exact")
+    for i, A in rest:
+        found[i] = _by_points(f, A, want_max, _draws(budget, rng), {})
+    for i, opt in found.items():
+        vals[i] = opt.value
+    return vals, found
+
+
 def _best(vals: np.ndarray, witness: Callable, want_max: bool, mode: str) -> OptValue:
     """The first largest (smallest, unless ``want_max``) value and its witness."""
     j = int(np.argmax(vals) if want_max else np.argmin(vals))
@@ -312,16 +350,29 @@ class VerdictReport:
         return all(r.get("verdict") in ("pass", "skipped") for r in self.rows)
 
     def to_csv(self, path) -> None:
+        """The header and one line per row, each cell ``_fmt`` of its value
+        (None for a missing key), formatted a column at a time."""
+        cols = [_fmt_column([r.get(c) for r in self.rows]) for c in self.columns]
+        lines = map(",".join, zip(*cols)) if cols else [""] * len(self.rows)
         with open(path, "w") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for r in self.rows:
-                fh.write(",".join(_fmt(r.get(c)) for c in self.columns) + "\n")
+            fh.write("\n".join([",".join(self.columns), *lines, ""]))
 
 
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
+
+
+# the formatter that equals _fmt on every value of exactly one of these types
+_EXACT_FMT = {float: float.__repr__, int: int.__repr__, str: str}
+
+
+def _fmt_column(values: list) -> list:
+    """``_fmt`` of each value: one formatter for a column whose values all
+    have one exact type float, int or str, ``_fmt`` per value otherwise."""
+    kinds = set(map(type, values))
+    return list(map(_EXACT_FMT.get(kinds.pop(), _fmt) if len(kinds) == 1 else _fmt, values))
 
 
 def check_finite_stability(f: ObjectiveFn, d: PseudoDistance,

@@ -17,8 +17,8 @@ import numpy as np
 from .distances import PseudoDistance, eval_distances
 from .extreal import call_one, call_rows, scale_rows
 from .optima import (TOL_OPT, Lipschitz, ObjectiveFn, OptValue, VerdictReport,
-                     _by_points, _hook_values, inf_over, sup_over)
-from .sets import DEFAULT_BUDGET, SetModel, _draws, ball_around_set
+                     _extremes, inf_over, sup_over)
+from .sets import DEFAULT_BUDGET, SetModel, ball_around_set
 
 MAX_HALVINGS = 20  # delta searches stop at eps / 2**MAX_HALVINGS
 
@@ -88,21 +88,18 @@ def _values(V: ValueFunction, params: Sequence, budget: int,
     each (the parallel slabs of ``AffineFamily.as_param_family`` under
     ``norm_objective``), others are called once per parameter (member) in
     order.  A hook's value stands for its member, a cloud included; the
-    members it leaves without one are checked nonempty and read by points
-    or samples, in order, so ``rng`` is drawn in the sequence of a
-    per-parameter loop.  An infinite phi raises ValueError: the principle
-    needs f bounded on every A_t."""
-    F, f, want_max = V.family, V.objective, V.mode == "sup"
-    sets = call_rows(F.member, len(params), params, dtype=object)
+    members it leaves without one are checked nonempty, in order, and read
+    by ``optima._extremes``: clouds in one stacked objective call, other
+    sets by points or samples in order, so ``rng`` is drawn in the sequence
+    of a per-parameter loop.  An infinite phi raises ValueError: the
+    principle needs f bounded on every A_t."""
+    sets = call_rows(V.family.member, len(params), params, dtype=object)
     if isinstance(sets, list):   # per-parameter members: a None is refused before any hook
         for t, A in zip(params, sets):
             if A is None:
                 _nonempty(t, A)
-    hook = f.exact_sup if want_max else f.exact_inf
-    vals = np.full(len(params), np.nan) if hook is None else _hook_values(f, hook, sets)
-    for i in np.flatnonzero(np.isnan(vals)):
-        A = _nonempty(params[i], sets[i])
-        vals[i] = _by_points(f, A, want_max, _draws(budget, rng), {}).value
+    vals, _ = _extremes(V.objective, sets, V.mode == "sup", budget, rng,
+                        check=lambda i, A: _nonempty(params[i], A))
     unbounded = np.flatnonzero(np.isinf(vals))
     if len(unbounded):
         i = unbounded[0]

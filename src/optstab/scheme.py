@@ -2,8 +2,8 @@
 
 Given an expensive or implicit target set A, a sequence of surrogate sets
 A_k with instance-certified Hausdorff bounds h_k >= D_H(A, A_k), and the
-surrogate optima sigma_k = INF_f(A_k) from ``inf_over``, known to a
-declared tolerance tau_k, the Lipschitz transfer gives
+surrogate optima sigma_k = INF_f(A_k) (one ``optima._extremes`` pass over
+the levels), known to a declared tolerance tau_k, the Lipschitz transfer gives
 
     |sigma_k - INF_f(A)| <= tau_k + Lambda * h_k   per level,
 
@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .extreal import scale
-from .optima import ContinuousOnly, Lipschitz, ObjectiveFn, UniformModulus, inf_over
-from .sets import FiniteCloud
+from .optima import ContinuousOnly, Lipschitz, ObjectiveFn, UniformModulus, _extremes
+from .sets import DEFAULT_BUDGET, FiniteCloud
 
 
 @dataclass(frozen=True)
@@ -64,26 +64,27 @@ def run_scheme(S: SchemeInstance, K: Optional[int] = None) -> ConvergenceCertifi
     sharpens to sigma + tau; the final bracket is the intersection across
     levels and must be nonempty.  A sampled sigma_k is only an estimate, so
     it is refused unless the instance declares a tolerance ``solver_tol``.
+    All K sigma_k come from one ``optima._extremes`` pass, each as
+    ``inf_over`` gives it (a sampled level draws from its own
+    ``default_rng(0)``), before any level is checked.
     """
     reg = S.objective.regularity
     if isinstance(reg, ContinuousOnly):
         raise ValueError(
             "scheme requires declared uniform or Lipschitz regularity")
-    K = len(S.levels) if K is None else min(K, len(S.levels))
+    K = len(S.levels) if K is None else min(max(K, 0), len(S.levels))
     tau = float(S.solver_tol)
 
     rows = []
     lo_best, hi_best = -math.inf, math.inf
-    for k in range(K):
-        A_k = S.levels[k]
+    sigmas, read = _extremes(S.objective, S.levels[:K], False, DEFAULT_BUDGET, None)
+    for k, sigma in enumerate(sigmas.tolist()):
         h_k = float(S.h_bounds[k])
         if not math.isfinite(h_k):
             raise ValueError(f"level {k}: h_k must be finite")
-        opt = inf_over(S.objective, A_k)
-        if opt.mode == "sampled" and tau == 0.0:
+        if k in read and read[k].mode == "sampled" and tau == 0.0:
             raise ValueError(
                 f"level {k}: sigma_k is sampled; declare its tolerance solver_tol")
-        sigma = float(opt.value)
         if not math.isfinite(sigma):
             raise ValueError(f"level {k}: sigma_k = {sigma} is not finite")
         if isinstance(reg, Lipschitz):
@@ -130,17 +131,24 @@ def build_inner_polygon_family(m_seq: Sequence[int],
 
     orientation='midpoint' places an edge midpoint on the +x axis;
     'vertex' places a vertex there.  The certified bound is valid for both.
+    All levels are built in one pass: one angle array, offset + 2 pi k / m,
+    and one cos and one sin call; each cloud is a slice of one array.
     """
-    levels, hs = [], []
-    for m in m_seq:
-        m = int(m)
-        if m < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        offset = math.pi / m if orientation == "midpoint" else 0.0
-        angles = offset + 2 * math.pi * np.arange(m) / m
-        verts = np.column_stack([np.cos(angles), np.sin(angles)])
-        mids = 0.5 * (verts + np.roll(verts, -1, axis=0))
-        levels.append(FiniteCloud(np.vstack([verts, mids, [[0.0, 0.0]]])))
-        hs.append(1.0 - math.cos(math.pi / m))
-    return tuple(levels), tuple(hs)
-
+    ms = np.array([int(m) for m in m_seq], dtype=np.int64)
+    if (ms < 3).any():
+        raise ValueError("polygon needs at least 3 vertices")
+    # level i is rows ends_i - 2 m_i - 1 to ends_i: m vertices, m midpoints, the origin
+    ends = np.cumsum(2 * ms + 1)
+    m = np.repeat(ms, ms)
+    pts = np.zeros((2 * len(m) + len(ms), 2))
+    k = np.arange(len(m)) - np.repeat(np.cumsum(ms) - ms, ms)   # a vertex's index in its level
+    angles = 2 * math.pi * k / m
+    if orientation == "midpoint":
+        angles += np.pi / m   # offset + 2 pi k / m: a sum rounds the same in either order
+    rows = np.repeat(ends - 2 * ms - 1, ms) + k
+    after = np.arange(len(m)) + np.where(k == m - 1, -k, 1)   # vertex k + 1 mod m
+    for j, v in enumerate((np.cos(angles), np.sin(angles))):   # one coordinate at a time
+        pts[rows, j], pts[rows + m, j] = v, 0.5 * (v + v[after])
+    ends, ms = ends.tolist(), ms.tolist()
+    levels = tuple(FiniteCloud(pts[e - 2 * n - 1:e]) for e, n in zip(ends, ms))
+    return levels, tuple(1.0 - math.cos(math.pi / n) for n in ms)

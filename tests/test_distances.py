@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,3 +141,15 @@ def test_eval_distances_refusals_and_empty_input():
         eval_distances(d, [[0.0, 0.0], [INF, 0.0]], [[1.0, 1.0], [INF, 1.0]])
     with pytest.raises(ValueError, match="NaN"):
         eval_distances(absolute(), [0.0, np.nan], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("d, xs, ys", [
+    (euclidean(), [[0.0, 0.0], [INF, 0.0]], [[1.0, 1.0], [INF, 1.0]]),
+    (absolute(), [[0.0], [-INF]], [[1.0], [-INF]]),
+])
+def test_inf_minus_inf_is_refused_without_a_warning(d, xs, ys):
+    # before, the kernels' Y - X emitted a RuntimeWarning ahead of the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN"):
+            eval_distances(d, xs, ys)

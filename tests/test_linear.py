@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optstab import linear
-from optstab.distances import absolute, euclidean
+from optstab.distances import euclidean
 from optstab.gauges import GaugeSet
 from optstab.instances import norm_objective, random_rank_deficient_matrix
 from optstab.linear import (BOX_SCALE, EGI, TOL_HOFFMAN, _penrose_norms, affine_family,

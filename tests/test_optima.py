@@ -5,11 +5,9 @@ import pytest
 
 from optstab.distances import PseudoDistance, absolute, euclidean
 from optstab.extreal import INF, NEG_INF, row_form
-from optstab.instances import (build, oscillating_blocks,
-                               oscillating_objective, random_cloud,
+from optstab.instances import (oscillating_blocks, oscillating_objective, random_cloud,
                                random_piecewise_objective)
-from optstab.optima import (ContinuousOnly, LinearPiece, Lipschitz,
-                            ObjectiveFn, UniformModulus,
+from optstab.optima import (LinearPiece, Lipschitz, ObjectiveFn, UniformModulus,
                             check_finite_stability, check_infinite_escape,
                             domain_transfer_check, inf_over,
                             minimizer_set_instability_demo,

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from optstab.distances import absolute, euclidean
-from optstab.instances import (build, norm_objective, oscillating_blocks,
-                               oscillating_objective)
-from optstab.linear import affine_family, decompose, pseudo_inverse
-from optstab.optima import Lipschitz, ObjectiveFn, inf_over, sup_over
+from optstab.instances import norm_objective, oscillating_blocks, oscillating_objective
+from optstab.linear import affine_family, decompose
+from optstab.optima import Lipschitz, ObjectiveFn
 from optstab.parametric import (ParamFamily, ValueFunction,
                                 certify_value_lipschitz,
                                 empirical_value_continuity,
