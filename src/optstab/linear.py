@@ -25,7 +25,7 @@ from .optima import ObjectiveFn, VerdictReport
 from .parametric import (ParamFamily, ValueFunction, _delta_search,
                          empirical_value_continuity)
 from .sets import (DEFAULT_BUDGET, AffineSlab, ImplicitSampled, SlabStack, _norms,
-                   _orthonormal, _slab_gaps, hausdorff)
+                   _orthonormal, _slab_gaps, _tile_rows, hausdorff)
 
 TOL_RANK = 1e-12  # relative singular-value cutoff
 TOL_HOFFMAN = 1e-9
@@ -253,19 +253,29 @@ def _eta_for_gauge(lm: LinearMap, S_Y, rng: np.random.Generator,
     """eta = sup of max-abs range coordinate over the S_Y unit sphere in
     range(L).  Exact for Euclidean-ball gauges; sampled with a fixed
     inflation factor otherwise (eta is a supremum with no general recipe).
+
+    The directions are drawn, normalised and gauged one tile at a time
+    (``sets._tile_rows`` of the entries each holds: its coordinates, its
+    range point and a halfspace gauge's row products).  Consecutive
+    ``standard_normal`` blocks are the values of one draw and the max is
+    exact, so eta is that of one pass over all the samples, bit for bit.
     """
     if isinstance(S_Y, GaugeSet) and S_Y.kind == "ball":
         return float(S_Y.radius), "exact-ball"
-    dirs = rng.standard_normal((n_samples, lm.rank))
-    norms = np.linalg.norm(dirs, axis=1)
-    dirs = dirs[norms > 0] / norms[norms > 0, None]
-    S = dirs @ lm.range_basis.T
-    if isinstance(S_Y, GaugeSet):
-        g = minkowski_gauge(S_Y, S)
-    else:
-        g = np.array([float(S_Y(s)) for s in S])
-    ok = g > 0.0  # drops zero and NaN gauges; an infinite one gives ratio 0
-    worst = float(np.max(np.max(np.abs(dirs[ok]), axis=1) / g[ok], initial=0.0))
+    rows_b = getattr(S_Y, "halfspace_b", None)   # a halfspace or vertex gauge's facets
+    step = _tile_rows(lm.rank + lm.range_basis.shape[0] + (0 if rows_b is None else len(rows_b)))
+    worst = 0.0
+    for i in range(0, max(n_samples, 1), step):   # a negative count raises in the first draw
+        dirs = rng.standard_normal((min(step, n_samples - i), lm.rank))
+        norms = np.linalg.norm(dirs, axis=1)
+        dirs = dirs[norms > 0] / norms[norms > 0, None]
+        S = dirs @ lm.range_basis.T
+        if isinstance(S_Y, GaugeSet):
+            g = minkowski_gauge(S_Y, S)
+        else:
+            g = np.array([float(S_Y(s)) for s in S])
+        ok = g > 0.0  # drops zero and NaN gauges; an infinite one gives ratio 0
+        worst = max(worst, float(np.max(np.max(np.abs(dirs[ok]), axis=1) / g[ok], initial=0.0)))
     return worst * ETA_INFLATION, "sampled-inflated"
 
 

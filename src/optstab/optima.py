@@ -22,7 +22,8 @@ from .distances import PseudoDistance
 from .extreal import (INF, NEG_INF, call_one, call_rows, check_extended_real, is_row_form,
                       row_form, scale)
 from .sets import (DEFAULT_BUDGET, FiniteCloud, Interval, IntervalUnion, SetModel, _asym,
-                   _draws, _endpoints, _hausdorff, _report, asym_hausdorff, hausdorff)
+                   _draws, _endpoints, _hausdorff, _report, _tile_rows, asym_hausdorff,
+                   hausdorff)
 
 TOL_OPT = 1e-9
 
@@ -288,12 +289,14 @@ def _extremes(f: ObjectiveFn, sets, want_max: bool, budget: int,
     in one stacked pass: the exact hook is asked once for the whole sequence
     (``_hook_values``); each set it leaves without a value passes ``check(i,
     A)`` (which returns A or raises), in order; the clouds among them take
-    one objective call per point shape over their concatenated points; the
-    rest go through ``_by_points`` one at a time, in order, each with its
-    own ``_draws``.  Returns the values and, by index, the OptValue of each
-    set the hook left without a value: a hook's value v stands for
-    OptValue(v, None, "exact"), and no object is built for it.  A NaN value
-    raises ValueError."""
+    one objective call per run of consecutive clouds of one point shape
+    that fits one tile (``_runs``; a cloud larger than a tile is a call of
+    its own), over their concatenated points; the rest go through
+    ``_by_points`` one at a time, in order, each with its own ``_draws``.
+    Returns the values and, by index, the OptValue of each set the hook
+    left without a value: a hook's value v stands for OptValue(v, None,
+    "exact"), and no object is built for it.  A NaN value raises
+    ValueError."""
     hook = f.exact_sup if want_max else f.exact_inf
     vals = np.full(len(sets), np.nan) if hook is None else _hook_values(f, hook, sets)
     found, clouds, rest = {}, {}, []
@@ -303,19 +306,36 @@ def _extremes(f: ObjectiveFn, sets, want_max: bool, budget: int,
             clouds.setdefault(A.points.shape[1:], []).append((i, A))
         else:
             rest.append((i, A))
-    for group in clouds.values():
-        P = np.concatenate([A.points for _, A in group])
-        fP = call_rows(f.fn, len(P), P)
-        if np.isnan(fP).any():
-            raise ValueError(f"{f.name} is NaN on a point of the set")
-        ends = np.cumsum([len(A) for _, A in group]).tolist()
-        for (i, A), lo, hi in zip(group, [0, *ends], ends):
-            found[i] = _best(fP[lo:hi], A.points.__getitem__, want_max, "exact")
+    for shape, group in clouds.items():
+        # an objective makes a few temporaries of its points' size, so a
+        # coordinate counts as 8 entries of the tile
+        for run in _runs(group, _tile_rows(8 * math.prod(shape))):
+            P = run[0][1].points if len(run) == 1 else np.concatenate([A.points for _, A in run])
+            fP = call_rows(f.fn, len(P), P)
+            if np.isnan(fP).any():
+                raise ValueError(f"{f.name} is NaN on a point of the set")
+            ends = np.cumsum([len(A) for _, A in run]).tolist()
+            for (i, A), lo, hi in zip(run, [0, *ends], ends):
+                found[i] = _best(fP[lo:hi], A.points.__getitem__, want_max, "exact")
     for i, A in rest:
         found[i] = _by_points(f, A, want_max, _draws(budget, rng), {})
     for i, opt in found.items():
         vals[i] = opt.value
     return vals, found
+
+
+def _runs(group: list, rows: int):
+    """The (i, cloud) pairs of ``group`` in runs of consecutive clouds with at
+    most ``rows`` points in all; a larger cloud is a run of its own."""
+    run, n = [], 0
+    for item in group:
+        if run and n + len(item[1]) > rows:
+            yield run
+            run, n = [], 0
+        run.append(item)
+        n += len(item[1])
+    if run:
+        yield run
 
 
 def _best(vals: np.ndarray, witness: Callable, want_max: bool, mode: str) -> OptValue:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .extreal import scale
+from .extreal import finite_array, scale
 from .optima import ContinuousOnly, Lipschitz, ObjectiveFn, UniformModulus, _extremes
 from .sets import DEFAULT_BUDGET, FiniteCloud
 
@@ -53,6 +53,9 @@ class ConvergenceCertificate:
 
     def contains(self, value: float) -> bool:
         return self.final_bracket[0] <= value <= self.final_bracket[1]
+
+
+_EPS = math.ulp(1.0)   # np.finfo(float).eps as a Python float, so the brackets are floats
 
 
 def run_scheme(S: SchemeInstance, K: Optional[int] = None) -> ConvergenceCertificate:
@@ -95,7 +98,7 @@ def run_scheme(S: SchemeInstance, K: Optional[int] = None) -> ConvergenceCertifi
         # a few ulps of slack: the transfer bound can be mathematically
         # tight, so rounding must not push the true value off the bracket;
         # with an infinite budget only the inner side sigma + tau is finite
-        fp = 8 * np.finfo(float).eps * max(1.0, abs(sigma) + (budget if budget < math.inf else tau))
+        fp = 8 * _EPS * max(1.0, abs(sigma) + (budget if budget < math.inf else tau))
         lo = sigma - budget - fp
         hi = (sigma + tau if S.inner else sigma + budget) + fp
         lo_best, hi_best = max(lo_best, lo), min(hi_best, hi)
@@ -132,23 +135,34 @@ def build_inner_polygon_family(m_seq: Sequence[int],
     orientation='midpoint' places an edge midpoint on the +x axis;
     'vertex' places a vertex there.  The certified bound is valid for both.
     All levels are built in one pass: one angle array, offset + 2 pi k / m,
-    and one cos and one sin call; each cloud is a slice of one array.
+    worked in place, and one cos and one sin call, each written into its
+    column of one array through boolean masks of the vertex and midpoint
+    rows; that array is checked once, and each cloud is a slice of it.
     """
     ms = np.array([int(m) for m in m_seq], dtype=np.int64)
     if (ms < 3).any():
         raise ValueError("polygon needs at least 3 vertices")
-    # level i is rows ends_i - 2 m_i - 1 to ends_i: m vertices, m midpoints, the origin
-    ends = np.cumsum(2 * ms + 1)
+    # level i is m_i vertex rows (kind 1), m_i midpoint rows (kind 2) and the origin (kind 0)
+    kind = np.repeat(np.tile(np.array([1, 2, 0], dtype=np.int8), len(ms)),
+                     np.stack([ms, ms, np.ones_like(ms)], axis=1).ravel())
+    first = np.cumsum(ms) - ms                    # each level's first vertex, in vertex order
     m = np.repeat(ms, ms)
-    pts = np.zeros((2 * len(m) + len(ms), 2))
-    k = np.arange(len(m)) - np.repeat(np.cumsum(ms) - ms, ms)   # a vertex's index in its level
-    angles = 2 * math.pi * k / m
+    angles = np.arange(len(m), dtype=float)
+    angles -= np.repeat(first, ms)                # a vertex's index k in its level
+    angles *= 2 * math.pi
+    angles /= m
     if orientation == "midpoint":
         angles += np.pi / m   # offset + 2 pi k / m: a sum rounds the same in either order
-    rows = np.repeat(ends - 2 * ms - 1, ms) + k
-    after = np.arange(len(m)) + np.where(k == m - 1, -k, 1)   # vertex k + 1 mod m
-    for j, v in enumerate((np.cos(angles), np.sin(angles))):   # one coordinate at a time
-        pts[rows, j], pts[rows + m, j] = v, 0.5 * (v + v[after])
-    ends, ms = ends.tolist(), ms.tolist()
-    levels = tuple(FiniteCloud(pts[e - 2 * n - 1:e]) for e, n in zip(ends, ms))
+    del m
+    pts, mid = np.zeros((len(kind), 2)), np.empty_like(angles)
+    for j, v in enumerate((np.cos(angles), np.sin(angles, out=angles))):   # one coordinate at a time
+        col = pts[:, j]
+        col[kind == 1] = v
+        mid[:-1], mid[first + ms - 1] = v[1:], v[first]   # vertex k + 1 mod m, then the midpoint
+        mid += v
+        mid *= 0.5
+        col[kind == 2] = mid
+    finite_array(pts, "cloud points", allow_inf=True)
+    ends, ms = np.cumsum(2 * ms + 1).tolist(), ms.tolist()
+    levels = tuple(FiniteCloud._of_checked(pts[e - 2 * n - 1:e]) for e, n in zip(ends, ms))
     return levels, tuple(1.0 - math.cos(math.pi / n) for n in ms)

@@ -68,6 +68,14 @@ class FiniteCloud(SetModel):
             raise ValueError("a SetModel must be nonempty")
         object.__setattr__(self, "points", pts)
 
+    @staticmethod
+    def _of_checked(points: np.ndarray) -> "FiniteCloud":
+        """The cloud of ``points``, a nonempty float array its caller has
+        checked free of NaN, held as it is, without a second scan."""
+        cloud = object.__new__(FiniteCloud)
+        object.__setattr__(cloud, "points", points)
+        return cloud
+
     @property
     def dim(self) -> int:
         return 1 if self.points.ndim == 1 else self.points.shape[1]
@@ -492,8 +500,19 @@ _CLOSED_FORMS = {
     (AffineSlab, _absolute): _SLAB_FORMS,
 }
 _CDIST_METRICS = {_euclidean: "euclidean", _absolute: "cityblock"}
-_CDIST_BLOCK = 1 << 22      # matrix entries per cdist call: 32 MB of float64
+# the one tile budget of the package, in float64 entries: 512 KB, inside a
+# core's L2.  It bounds each cdist call and each block of custom-distance
+# pairs, the rows _finish completes at a time, the directions
+# linear._eta_for_gauge gauges at a time and the clouds optima._extremes
+# passes to one objective call.
+_CDIST_BLOCK = 1 << 16
 _CROSS = 256                # rows and columns of the exact cross of hausdorff's sweep
+
+
+def _tile_rows(width: int) -> int:
+    """Rows of ``width`` entries in one tile of _CDIST_BLOCK entries (read at
+    call time), at least one."""
+    return max(1, _CDIST_BLOCK // max(1, width))
 
 
 def _closed_form(d: PseudoDistance, A: SetModel, what: str):
@@ -526,7 +545,7 @@ def _pairwise_min(d: PseudoDistance, P, Q, orientation: str) -> np.ndarray:
     metric = _CDIST_METRICS.get(d.fn)
     if metric is not None:
         return _cdist_mins(rows_p, rows_q, metric)[0]
-    step = max(1, _CDIST_BLOCK // max(1, Q.size))
+    step = _tile_rows(Q.size)
     out = []
     for i in range(0, len(P), step):
         p = P[i:i + step]
@@ -552,7 +571,7 @@ def _cdist_mins(P: np.ndarray, Q: np.ndarray, metric: str,
     else:
         row_min, col_min = np.full(len(P), INF), np.full(len(Q), INF) if cols else None
         width = min(len(Q), _CDIST_BLOCK)
-        step = _CDIST_BLOCK // width
+        step = _tile_rows(width)
         for i in range(0, len(P), step):
             for j in range(0, len(Q), width):
                 D = cdist(P[i:i + step], Q[j:j + width], metric)
@@ -566,11 +585,17 @@ def _cdist_mins(P: np.ndarray, Q: np.ndarray, metric: str,
 
 def _finish(best: float, part: np.ndarray, X: np.ndarray, Y: np.ndarray, metric: str) -> float:
     """max(best, min(part_i, min over y in Y of cdist(X_i, y)) over the rows
-    i that can raise it): a row with part_i <= best cannot, and is skipped
-    unless part_i is inf, where a NaN pair (inf - inf) may hide."""
+    i that can raise it), one tile of candidate rows against all of Y at a
+    time.  A row with part_i <= best cannot raise it, so before each tile the
+    rows left are filtered against the running best (the early break at tile
+    granularity); a row whose part_i is inf is always finished, since a NaN
+    pair (inf - inf) may hide there."""
     idx = np.flatnonzero((part > best) | (part == INF))
-    if len(idx):
-        best = max(best, float(np.minimum(part[idx], _cdist_mins(X[idx], Y, metric)[0]).max()))
+    step = _tile_rows(len(Y))
+    while len(idx):
+        tile, idx = idx[:step], idx[step:]
+        best = max(best, float(np.minimum(part[tile], _cdist_mins(X[tile], Y, metric)[0]).max()))
+        idx = idx[(part[idx] > best) | (part[idx] == INF)]
     return best
 
 
@@ -582,10 +607,10 @@ def _cdist_hausdorff(P: np.ndarray, Q: np.ndarray, metric: str) -> float:
     The first _CROSS rows against all of Q and the first _CROSS columns
     against all of P give exact minima there and partial minima elsewhere;
     then only the rows and columns whose partial minimum still exceeds the
-    largest exact one are finished.  ``min`` and ``max`` are exact, cdist
-    computes each pair on its own, and its kernels are symmetric bit for bit
-    (x - y is exactly -(y - x)), so the value is that of the whole matrix,
-    bit for bit.  When either set has at most _CROSS points the cross is the
+    largest exact one so far are finished, a tile at a time (``_finish``).
+    ``min`` and ``max`` are exact, cdist computes each pair on its own, and
+    its kernels are symmetric bit for bit (x - y is exactly -(y - x)), so
+    the value is that of the whole matrix, bit for bit.  When either set has at most _CROSS points the cross is the
     whole matrix.
     """
     t = _CROSS

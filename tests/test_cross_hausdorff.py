@@ -2,15 +2,16 @@
 
 Under euclidean() / absolute(), when no closed form applies, ``hausdorff``
 takes the exact minima of the first ``_CROSS`` rows and columns of the
-distance matrix, then finishes only the rows and columns whose partial
-minimum can still raise the max.  The reference below fills the whole
-matrix with one ``cdist`` call and reads its row and column minima; the two
-must give ``==`` reports, non-finite inputs included.  ``asym_hausdorff``
+distance matrix, then finishes, a tile of ``_CDIST_BLOCK`` entries at a
+time, only the rows and columns whose partial minimum can still raise the
+max.  The reference below fills the whole matrix with one ``cdist`` call and
+reads its row and column minima; the two must give ``==`` reports, at any
+tile size and with non-finite inputs included.  ``asym_hausdorff``
 sweeps one side the same way and is checked against the max of the whole
 matrix's row minima.
 
-The exactness property runs derandomized.  With ``OPTSTAB_RANDOMIZE=1`` it
-draws at the ``--hypothesis-seed`` given to pytest instead, so a failure
+The exactness properties run derandomized.  With ``OPTSTAB_RANDOMIZE=1``
+they draw at the ``--hypothesis-seed`` given to pytest instead, so a failure
 seen at a fresh seed can be replayed with that seed.
 """
 
@@ -33,6 +34,7 @@ SETTINGS = settings(max_examples=60, deadline=None, database=None,
 SEEDS = st.integers(0, 2 ** 32 - 1)
 SIZES = st.sampled_from(["1", "T-1", "T", "T+1", "3T+5", "any"])
 CROSSES = st.sampled_from([T, 1, 2, 3, 8])
+BLOCKS = st.sampled_from([40, 300, 5000, sets._CDIST_BLOCK])
 
 
 def _size(name, t, rng):
@@ -153,6 +155,32 @@ def test_sampled_and_cloud_mixes_keep_value_and_draws(seed, dim, budget, cross, 
     assert r_got.bit_generator.state == r_ref.bit_generator.state
 
 
+@SETTINGS
+@given(seed=SEEDS, dim=st.integers(1, 4), sizes=st.tuples(SIZES, SIZES), cross=CROSSES,
+       block=BLOCKS, swap=st.booleans(),
+       infs=st.lists(st.tuples(st.booleans(), st.sampled_from([INF, -INF]),
+                               st.integers(0, 2 ** 20)), max_size=4))
+def test_any_block_equals_the_whole_matrix(seed, dim, sizes, cross, block, swap, infs):
+    """Tiles of every size give the whole matrix's value, or raise as it
+    does.  An infinite coordinate makes rows of infinite partial minima,
+    which ``_finish`` always completes, and two on one axis with one sign
+    make a NaN pair (inf - inf) that may sit in any tile."""
+    rng = np.random.default_rng(seed)
+    P = _points(rng, _size(sizes[0], cross, rng), dim, "normal")
+    Q = _points(rng, _size(sizes[1], cross, rng), dim, "grid")
+    for in_p, v, at in infs:
+        X = P if in_p else Q
+        X[at % len(X), at % dim] = v
+    A, B = (FiniteCloud(Q), FiniteCloud(P)) if swap else (FiniteCloud(P), FiniteCloud(Q))
+    d = euclidean(dim)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sets, "_CROSS", cross)
+        m.setattr(sets, "_CDIST_BLOCK", block)
+        got, got_asym = _outcome(hausdorff, d, A, B), _outcome(asym_hausdorff, d, A, B)
+    assert got == _outcome(_whole_matrix, d, A, B)
+    assert got_asym == _outcome(_whole_matrix, d, A, B, one_sided=True)
+
+
 # ---------------------------------------------------------------------------
 # non-finite points
 # ---------------------------------------------------------------------------
@@ -199,19 +227,41 @@ def test_non_finite_points_in_the_pruned_part(cross, side, case, monkeypatch):
                                                              one_sided=True)
 
 
+@pytest.mark.parametrize("block", [40, 300, 5000, sets._CDIST_BLOCK])
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_a_nan_pair_after_an_infinite_row_raises_at_any_block(block, side, monkeypatch):
+    """A lone infinite row raises the running max to inf inside the finish;
+    a later row of infinite partial minimum, in a later tile, still meets
+    its NaN pair (inf - inf)."""
+    monkeypatch.setattr(sets, "_CROSS", 4)
+    monkeypatch.setattr(sets, "_CDIST_BLOCK", block)
+    rng = np.random.default_rng(block)
+    P, Q = rng.standard_normal((200, 2)), rng.standard_normal((200, 2))
+    P[150], P[190], Q[199] = (0.0, INF), (INF, 0.0), (INF, 1.0)
+    A, B = (FiniteCloud(P), FiniteCloud(Q)) if side == "A" else (FiniteCloud(Q), FiniteCloud(P))
+    with pytest.raises(ValueError, match="NaN"):
+        hausdorff(euclidean(2), A, B)
+    X, Y = (A, B) if side == "A" else (B, A)
+    with pytest.raises(ValueError, match="NaN"):
+        asym_hausdorff(euclidean(2), X, Y)
+
+
 # ---------------------------------------------------------------------------
 # work: cdist calls and the share of pairs computed
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n_small", [1, T - 1, T])
-def test_a_set_of_at_most_cross_points_makes_one_cdist_call(n_small, cdist_calls):
+def test_a_set_of_at_most_cross_points_tiles_the_matrix_once(n_small, cdist_calls):
+    """No cross: the calls are tiles of whole rows of the matrix, each at
+    most the block, and together they compute every pair once."""
     rng = np.random.default_rng(n_small)
     small, large = FiniteCloud(rng.standard_normal((n_small, 3))), \
         FiniteCloud(rng.standard_normal((3 * T + 5, 3)))
     for A, B in ((small, large), (large, small)):
         cdist_calls.clear()
         got = hausdorff(euclidean(3), A, B)
-        assert cdist_calls == [(len(A), len(B))]
+        assert all(c == len(B) and r * c <= sets._CDIST_BLOCK for r, c in cdist_calls)
+        assert sum(r * c for r, c in cdist_calls) == len(A) * len(B)
         assert got == _whole_matrix(euclidean(3), A, B)
 
 

@@ -132,6 +132,9 @@ def _assert_same_scheme(S, K=None):
         assert got is ref
         return
     rows, bracket = ref
+    # the reference's brackets are np.float64; run_scheme's are Python floats of the same bits
+    rows = [{c: float(v) if isinstance(v, np.floating) else v for c, v in r.items()} for r in rows]
+    bracket = tuple(map(float, bracket))
     assert list(got.rows) == rows and repr(list(got.rows)) == repr(rows)
     assert got.final_bracket == bracket and repr(got.final_bracket) == repr(bracket)
 
@@ -284,6 +287,45 @@ def test_the_clouds_take_one_objective_call_per_point_shape():
     assert vals.tolist() == [1.0, 1.0, 5.0, 0.0, -1.0] and sorted(found) == [0, 1, 3, 4]
 
 
+@SETTINGS
+@given(data=st.data(), form=st.sampled_from(["row", "point"]), want_max=st.booleans(),
+       block=st.sampled_from([40, 300, 5000, sets._CDIST_BLOCK]), inf=st.booleans())
+def test_clouds_in_runs_of_any_tile_equal_the_per_set_loop(data, form, want_max, block, inf):
+    coords = COORDS | st.sampled_from([math.inf, -math.inf]) if inf else COORDS
+    S = data.draw(st.lists(clouds(coords=coords), min_size=0, max_size=24))
+    f = ObjectiveFn(fn=_rows if form == "row" else _per_point, name="g")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sets, "_CDIST_BLOCK", block)
+        got = _outcome(_stacked, f, S, want_max, BUDGET, None)
+    _assert_same_values(got, _outcome(_ref_extremes, f, S, want_max, BUDGET, None))
+
+
+@pytest.mark.parametrize("block", [40, 300, 5000])
+def test_each_call_takes_whole_clouds_up_to_one_tile(block, monkeypatch):
+    calls = []
+
+    @row_form
+    def fn(X):
+        calls.append(len(X))
+        return X[:, 0]
+
+    monkeypatch.setattr(sets, "_CDIST_BLOCK", block)
+    rows = sets._tile_rows(8 * 2)   # 2-D points count 8 entries per coordinate
+    sizes = np.random.default_rng(block).integers(1, 3 * rows + 2, 40).tolist()
+    S = [FiniteCloud(np.full((n, 2), float(i))) for i, n in enumerate(sizes)]
+    vals, _ = optima._extremes(ObjectiveFn(fn=fn, name="g"), S, False, BUDGET, None)
+    assert vals.tolist() == [float(i) for i in range(len(S))]
+    # each call ends where a cloud ends, holds one cloud or at most a tile,
+    # and the next cloud would not have fitted
+    ends = np.cumsum(sizes).tolist()
+    stops = np.cumsum(calls).tolist()
+    assert stops[-1] == ends[-1] and set(stops) <= set(ends)
+    for lo, n in zip([0, *stops], calls):
+        inside = [k for k, e in enumerate(ends) if lo < e <= lo + n]
+        assert n <= rows or len(inside) == 1
+        assert inside[-1] + 1 == len(sizes) or n + sizes[inside[-1] + 1] > rows
+
+
 # ---------------------------------------------------------------------------
 # run_scheme: one _extremes call for all levels
 # ---------------------------------------------------------------------------
@@ -294,6 +336,15 @@ def test_the_disk_scheme_equals_the_per_level_loop(m_seq, orientation):
     S = disk_polygon_scheme(list(m_seq), orientation=orientation)
     for K in (None, 0, 1, 5, -1):
         _assert_same_scheme(S, K)
+
+
+def test_every_scheme_cell_is_a_python_float():
+    """The scheme table writes each column through one float formatter."""
+    cert = run_scheme(disk_polygon_scheme(range(3, 40)))
+    for row in cert.rows:
+        for c in ("h_k", "sigma_k", "tau_k", "budget_k", "bracket_lo", "bracket_hi"):
+            assert type(row[c]) is float, c
+    assert all(type(v) is float for v in cert.final_bracket)
 
 
 @SETTINGS
