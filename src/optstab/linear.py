@@ -379,7 +379,6 @@ class AffineFamily:
         if alpha is not None:
             rate = lambda t, s: alpha
         return ParamFamily(index_distance=index_distance, member=self.members,
-                           admissible_class="all-nonempty",
                            hausdorff_rate=rate)
 
 
@@ -624,8 +623,7 @@ def example_mixed_constraints(f: ObjectiveFn, L, C: GaugeSet,
         set_rows.append((t, di, dh))
     set_conv = {eps: _delta_search(set_rows, eps) for eps in eps_grid}
 
-    pf = ParamFamily(index_distance=d_param, member=slice_at,
-                     admissible_class="all-nonempty-bounded")
+    pf = ParamFamily(index_distance=d_param, member=slice_at)
     V = ValueFunction(mode="inf", family=pf, objective=f)
     cont = empirical_value_continuity(V, s0, admissible, eps_grid,
                                       budget=budget, rng=rng)

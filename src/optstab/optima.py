@@ -403,12 +403,22 @@ def check_finite_stability(f: ObjectiveFn, d: PseudoDistance,
     """Finite-case stability transfer over supplied (A, A') pairs.
 
     Uniform regularity: whenever D_H(A, A') < delta(eps/2), both optimal
-    values move by less than eps.  Lipschitz regularity: the optimal values
-    move by at most Lambda * D_H(A, A') + tol.  ``diagnostic=True`` allows a
-    continuous-only objective and records the violations instead of refusing
-    (used to demonstrate the necessity of the hypotheses); uniform
-    regularity needs ``eps`` in both modes.  A row's D_H and four extremes
-    read one draw of each sampled set of its pair (one ``sets._draws``).
+    values move by less than eps.  Lipschitz regularity: each change is at
+    most Lambda times its own direction of D_asyH, plus tol,
+
+        sup f(A) - sup f(A'), inf f(A') - inf f(A) <= Lambda D_asyH(A, A'),
+        sup f(A') - sup f(A), inf f(A) - inf f(A') <= Lambda D_asyH(A', A),
+
+    and the smallest of the four slacks is the row's ``one_sided_slack`` (0
+    for an inequality with both sides one infinity).  A row whose two
+    directions and four extremes are all exact takes its verdict from it;
+    any other row from ``slack``, against Lambda D_H(A, A') + tol, since
+    beside a sampled distance an exact hook can break the one-sided form at
+    the true Lambda.  ``diagnostic=True`` allows a continuous-only objective
+    and records the violations instead of refusing (used to demonstrate the
+    necessity of the hypotheses); uniform regularity needs ``eps`` in both
+    modes.  A row's distances and four extremes read one draw of each
+    sampled set of its pair (one ``sets._draws``).
     """
     reg = f.regularity
     if isinstance(reg, ContinuousOnly) and not diagnostic:
@@ -421,9 +431,11 @@ def check_finite_stability(f: ObjectiveFn, d: PseudoDistance,
     rows = []
     for i, (A, Ap) in enumerate(pairs):
         points, passes = _draws(budget, rng), {}   # one draw, one objective pass per set
-        dh = _report(*_hausdorff(d, A, Ap, points), budget).value
-        sA, sAp, iA, iAp = (_extreme(f, S, want, points, passes).value
-                            for want in (True, False) for S in (A, Ap))
+        d_to, d_from, exact = _hausdorff(d, A, Ap, points)   # D_asyH(A, A'), D_asyH(A', A)
+        d_to, d_from = check_extended_real(d_to), check_extended_real(d_from)
+        dh = max(d_to, d_from)
+        opts = [_extreme(f, S, want, points, passes) for want in (True, False) for S in (A, Ap)]
+        sA, sAp, iA, iAp = [o.value for o in opts]
         if not (math.isfinite(sA) and math.isfinite(iA)):
             raise ValueError(f"pair {i}: A is outside dom(SUP_f)/dom(INF_f)")
         dsup = abs(sA - sAp)
@@ -435,8 +447,15 @@ def check_finite_stability(f: ObjectiveFn, d: PseudoDistance,
                     f"pair {i}: D_H = -inf is inconsistent with a Lipschitz objective")
             bound = scale(reg.lam, dh) + tol
             slack = bound - max(dsup, dinf)
-            row.update(delta_used="", bound=bound, slack=slack,
-                       verdict="pass" if slack >= 0 else "fail")
+            # D_asyH(A, A') bounds sup f(A) - sup f(A') and inf f(A') - inf f(A),
+            # D_asyH(A', A) their negatives
+            b_to, b_from = scale(reg.lam, d_to) + tol, scale(reg.lam, d_from) + tol
+            move_to, move_from = max(sA - sAp, iAp - iA), max(sAp - sA, iA - iAp)
+            one_sided = min(0.0 if b_to == move_to else b_to - move_to,
+                            0.0 if b_from == move_from else b_from - move_from)
+            exact = exact and all(o.mode == "exact" for o in opts)
+            row.update(delta_used="", bound=bound, slack=slack, one_sided_slack=one_sided,
+                       verdict="pass" if (one_sided if exact else slack) >= 0 else "fail")
         elif isinstance(reg, UniformModulus):
             delta = reg.delta(eps / 2.0)
             if dh < delta:
@@ -456,7 +475,6 @@ def check_infinite_escape(f: ObjectiveFn, d: PseudoDistance, A: SetModel,
                           mu: float, candidates: Sequence[SetModel],
                           witness_seq: Callable[[float], object],
                           eps: float = 1.0,
-                          delta_at: Optional[Callable[[object, float], float]] = None,
                           mode: str = "sup",
                           budget: int = DEFAULT_BUDGET,
                           rng: Optional[np.random.Generator] = None) -> dict:
@@ -473,8 +491,7 @@ def check_infinite_escape(f: ObjectiveFn, d: PseudoDistance, A: SetModel,
     if mode == "inf":
         neg = check_infinite_escape(f.negated(), d, A, -mu, candidates,
                                     witness_seq=lambda lv: witness_seq(-lv),
-                                    eps=eps, delta_at=delta_at, mode="sup",
-                                    budget=budget, rng=rng)
+                                    eps=eps, mode="sup", budget=budget, rng=rng)
         neg["mode"] = "inf"
         return neg
 
@@ -488,8 +505,6 @@ def check_infinite_escape(f: ObjectiveFn, d: PseudoDistance, A: SetModel,
         delta = eps / reg.lam
     elif isinstance(reg, UniformModulus):
         delta = reg.delta(eps)
-    elif delta_at is not None:
-        delta = delta_at(a, eps)
     else:
         raise ValueError("no continuity information at the witness point")
 
@@ -511,15 +526,17 @@ def domain_transfer_check(f: ObjectiveFn, d: PseudoDistance, A: SetModel,
                           budget: int = DEFAULT_BUDGET,
                           rng: Optional[np.random.Generator] = None) -> bool:
     """SUP_f(A') <= SUP_f(A) + eps and A' stays in dom(SUP_f) whenever
-    D_H(A, A') < delta (with delta associated to eps by f's modulus).  D_H
-    and both sups read one draw of each sampled set (one ``sets._draws``)."""
+    D_asyH(A', A) < delta (with delta associated to eps by f's modulus): the
+    one direction that bounds sup f(A') - sup f(A), so a pair whose D_H is
+    larger (A' far inside A) is covered too.  D_asyH and both sups read one
+    draw of each sampled set (one ``sets._draws``)."""
     points, passes = _draws(budget, rng), {}
     sA = _extreme(f, A, True, points, passes).value
     if not math.isfinite(sA):
         raise ValueError("hypotheses unmet: A is outside dom(SUP_f)")
-    dh = _report(*_hausdorff(d, A, Ap, points), budget).value
-    if not dh < delta:
-        raise ValueError(f"hypotheses unmet: D_H = {dh} >= delta = {delta}")
+    d_from, _ = _asym(d, Ap, A, points)
+    if not d_from < delta:
+        raise ValueError(f"hypotheses unmet: D_asyH(A', A) = {d_from} >= delta = {delta}")
     sAp = _extreme(f, Ap, True, points, passes).value
     return sAp <= sA + eps and sAp > NEG_INF
 

@@ -18,7 +18,7 @@ from .distances import PseudoDistance, eval_distances
 from .extreal import call_one, call_rows, scale_rows
 from .optima import (TOL_OPT, Lipschitz, ObjectiveFn, OptValue, VerdictReport,
                      _extremes, inf_over, sup_over)
-from .sets import DEFAULT_BUDGET, SetModel, ball_around_set
+from .sets import DEFAULT_BUDGET, SetModel
 
 MAX_HALVINGS = 20  # delta searches stop at eps / 2**MAX_HALVINGS
 
@@ -27,27 +27,10 @@ MAX_HALVINGS = 20  # delta searches stop at eps / 2**MAX_HALVINGS
 class ParamFamily:
     index_distance: PseudoDistance
     member: Callable[[object], SetModel] = field(repr=False)
-    admissible_class: str = "all-nonempty"  # | "all-nonempty-bounded" | "ball-closure"
-    ball_radius: Optional[Callable[[object], float]] = field(default=None, repr=False)
     hausdorff_rate: Optional[Callable[[object, object], float]] = field(default=None, repr=False)
 
     def set_at(self, t) -> SetModel:
         return _nonempty(t, call_one(self.member, t, dtype=object))
-
-    def check_ball_closure(self, d_ambient: PseudoDistance, probes: Sequence,
-                           probe_budget: int = 200,
-                           rng: Optional[np.random.Generator] = None) -> bool:
-        """On probe parameters, the closed ball B[A_t, r(t)] is nonempty."""
-        if self.admissible_class != "ball-closure" or self.ball_radius is None:
-            raise ValueError("family does not declare the ball-closure class")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        for t in probes:
-            A = self.set_at(t)
-            r = self.ball_radius(t)
-            ball = ball_around_set(d_ambient, A, r, A.sample(probe_budget, rng))
-            if not ball:
-                return False
-        return True
 
 
 @dataclass(frozen=True)

@@ -599,42 +599,34 @@ def _finish(best: float, part: np.ndarray, X: np.ndarray, Y: np.ndarray, metric:
     return best
 
 
-def _cdist_hausdorff(P: np.ndarray, Q: np.ndarray, metric: str) -> float:
-    """max(max over rows of the row minima, max over columns of the column
-    minima) of cdist(P, Q, metric), without the whole matrix (the exact
-    early break of Taha and Hanbury, IEEE TPAMI 37(11), 2015).
+def _cdist_sweep(P: np.ndarray, Q: np.ndarray, metric: str,
+                 cols: bool = True) -> Tuple[float, Optional[float]]:
+    """The max over rows of the row minima of cdist(P, Q, metric) and, if
+    ``cols`` (else None), the max over columns of the column minima, each
+    without the whole matrix (the exact early break of Taha and Hanbury,
+    IEEE TPAMI 37(11), 2015).
 
-    The first _CROSS rows against all of Q and the first _CROSS columns
-    against all of P give exact minima there and partial minima elsewhere;
-    then only the rows and columns whose partial minimum still exceeds the
-    largest exact one so far are finished, a tile at a time (``_finish``).
-    ``min`` and ``max`` are exact, cdist computes each pair on its own, and
-    its kernels are symmetric bit for bit (x - y is exactly -(y - x)), so
-    the value is that of the whole matrix, bit for bit.  When either set has at most _CROSS points the cross is the
-    whole matrix.
+    The first _CROSS rows against all of Q (where a NaN coordinate of Q
+    shows) and, if ``cols``, the first _CROSS columns against all of P give
+    exact minima there and partial minima elsewhere; then only the rows and
+    columns whose partial minimum still exceeds the largest exact one of
+    their side so far are finished, a tile at a time (``_finish``).  ``min``
+    and ``max`` are exact, cdist computes each pair on its own, and its
+    kernels are symmetric bit for bit (x - y is exactly -(y - x)), so each
+    value is that of the whole matrix, bit for bit.  When either set has at
+    most _CROSS points the cross is the whole matrix.
     """
     t = _CROSS
     if len(P) <= t or len(Q) <= t:
-        rows, cols = _cdist_mins(P, Q, metric, cols=True)
-        return max(float(rows.max()), float(cols.max()))
-    rows, cols = _cdist_mins(P[:t], Q, metric, cols=True)  # exact rows, partial columns
-    part_rows, head_cols = _cdist_mins(P[t:], Q[:t], metric, cols=True)
-    np.minimum(cols[:t], head_cols, out=cols[:t])           # exact columns
-    return max(_finish(float(rows.max()), part_rows, P[t:], Q[t:], metric),
-               _finish(float(cols[:t].max()), cols[t:], Q[t:], P[t:], metric))
-
-
-def _cdist_asym(P: np.ndarray, Q: np.ndarray, metric: str) -> float:
-    """max over rows of the row minima of cdist(P, Q, metric): the one-sided
-    sweep of ``_cdist_hausdorff``, bit for bit the whole matrix's value.
-    The first _CROSS rows against all of Q (where a NaN coordinate of Q
-    shows) set the bar; the other rows are measured against the first
-    _CROSS points of Q and finished only if they can still raise it."""
-    t = _CROSS
-    if len(P) <= t or len(Q) <= t:
-        return float(_cdist_mins(P, Q, metric)[0].max())
-    best = float(_cdist_mins(P[:t], Q, metric)[0].max())
-    return _finish(best, _cdist_mins(P[t:], Q[:t], metric)[0], P[t:], Q[t:], metric)
+        row_min, col_min = _cdist_mins(P, Q, metric, cols)
+        return float(row_min.max()), float(col_min.max()) if cols else None
+    row_min, col_min = _cdist_mins(P[:t], Q, metric, cols)  # exact rows, partial columns
+    part_rows, head_cols = _cdist_mins(P[t:], Q[:t], metric, cols)
+    rows = _finish(float(row_min.max()), part_rows, P[t:], Q[t:], metric)
+    if not cols:
+        return rows, None
+    np.minimum(col_min[:t], head_cols, out=col_min[:t])    # exact columns
+    return rows, _finish(float(col_min[:t].max()), col_min[t:], Q[t:], P[t:], metric)
 
 
 def _draws(budget: int, rng: Optional[np.random.Generator]) -> Callable:
@@ -682,7 +674,8 @@ def _asym(d: PseudoDistance, A: SetModel, B: SetModel, points: Callable) -> Tupl
     metric = _CDIST_METRICS.get(d.fn)
     if metric is not None and _closed_form(d, B, "point") is None:
         Q, exact_b = points(B)
-        return _cdist_asym(_as_rows(d, P), _as_rows(d, Q), metric), exact_a and exact_b
+        rows, _ = _cdist_sweep(_as_rows(d, P), _as_rows(d, Q), metric, cols=False)
+        return rows, exact_a and exact_b
     values, exact_b = _point_distances(d, P, B, points, "from_point")
     return float(values.max()), exact_a and exact_b
 
@@ -735,31 +728,18 @@ def hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
     max of minima (Taha and Hanbury's exact early break): the value is that
     of the whole distance matrix, bit for bit.
     """
-    return _report(*_hausdorff(d, A, B, _draws(budget, rng)), budget)
+    d_ab, d_ba, exact = _hausdorff(d, A, B, _draws(budget, rng))
+    return _report(max(d_ab, d_ba), exact, budget)
 
 
-def _hausdorff(d: PseudoDistance, A: SetModel, B: SetModel, points: Callable) -> Tuple[float, bool]:
-    """D_H(A, B) and whether it is exact, over ``points`` (see ``hausdorff``)."""
+def _hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
+               points: Callable) -> Tuple[float, float, bool]:
+    """D_asyH(A, B), D_asyH(B, A) and whether both are exact, over ``points``
+    (see ``hausdorff``)."""
     metric = _CDIST_METRICS.get(d.fn)
     if (metric is not None and _closed_form(d, A, "point") is None
             and _closed_form(d, B, "point") is None):
         (P, exact_a), (Q, exact_b) = points(A), points(B)   # a NaN point gives NaN minima
-        return _cdist_hausdorff(_as_rows(d, P), _as_rows(d, Q), metric), exact_a and exact_b
+        return (*_cdist_sweep(_as_rows(d, P), _as_rows(d, Q), metric), exact_a and exact_b)
     (v1, e1), (v2, e2) = _asym(d, A, B, points), _asym(d, B, A, points)
-    return max(v1, v2), e1 and e2
-
-
-def ball_around_set(d: PseudoDistance, A: SetModel, r: float, probe,
-                    budget: int = DEFAULT_BUDGET,
-                    rng: Optional[np.random.Generator] = None) -> list:
-    """Members of ``probe`` lying in B[A, r] = {x : d(x, A) <= r}; may be
-    empty.  A is drawn once, and every probe is measured against that draw
-    in one distance call."""
-    if not r > 0:   # NaN fails r > 0
-        raise ValueError(f"radius must be positive, not {r}")
-    pts = probe.points if isinstance(probe, FiniteCloud) else list(probe)
-    if not len(pts):
-        return []
-    values, _ = _point_distances(d, np.asarray(pts, dtype=float), A, _draws(budget, rng),
-                                 "from_point")
-    return [p for p, v in zip(pts, values.tolist()) if v <= r]
+    return v1, v2, e1 and e2

@@ -108,17 +108,18 @@ def test_domain_transfer_reads_one_draw_per_call(seed, dim, budget, explicit):
     A = _ball(center, rng.uniform(0.2, 1.5))
     Ap = _ball(center + rng.uniform(-0.5, 0.5, dim), rng.uniform(0.2, 1.5))
     P, Q = _replay([A, Ap], budget, _generator(seed, explicit))   # A is read first
-    rows, cols = _minima(P, Q)
-    dh = max(rows.max(), cols.max())
-    # D_H < delta holds at the next float above the brute-force D_H, not at it
-    with pytest.raises(ValueError, match="hypotheses unmet: D_H"):
-        domain_transfer_check(f, euclidean(dim), A, dh, Ap, eps=1.0, budget=budget,
+    d_from = _minima(P, Q)[1].max()   # D_asyH(A', A): each point of A' to A
+    # D_asyH(A', A) < delta holds at the next float above the brute-force
+    # value, not at it
+    with pytest.raises(ValueError, match=r"hypotheses unmet: D_asyH\(A', A\)"):
+        domain_transfer_check(f, euclidean(dim), A, d_from, Ap, eps=1.0, budget=budget,
                               rng=_generator(seed, explicit))
-    delta = np.nextafter(dh, math.inf)
+    delta = np.nextafter(d_from, math.inf)
     lam = f.regularity.lam
-    # the transfer gives sup f(P') <= sup f(P) + lam D_H, so the check holds
-    # at eps = lam D_H + 1e-9 and fails just below the brute-force gap
-    assert domain_transfer_check(f, euclidean(dim), A, delta, Ap, eps=lam * dh + 1e-9,
+    # the transfer gives sup f(P') <= sup f(P) + lam D_asyH(P', P), so the
+    # check holds at eps = lam D_asyH(P', P) + 1e-9 and fails just below the
+    # brute-force gap
+    assert domain_transfer_check(f, euclidean(dim), A, delta, Ap, eps=lam * d_from + 1e-9,
                                  budget=budget, rng=_generator(seed, explicit))
     gap = (Q @ c).max() - (P @ c).max()
     if gap > 1e-6:

@@ -132,13 +132,3 @@ def test_a_none_member_is_refused_as_empty(hook):
         with pytest.raises(ValueError, match=r"family member at t=2.0 is empty"):
             call()
 
-
-def test_ball_closure_probe():
-    A = IntervalUnion([Interval(0.0, 1.0)])
-    pf = ParamFamily(index_distance=absolute(), member=lambda t: A,
-                     admissible_class="ball-closure",
-                     ball_radius=lambda t: 0.5)
-    assert pf.check_ball_closure(absolute(), [0.0, 1.0])
-    pf2 = ParamFamily(index_distance=absolute(), member=lambda t: A)
-    with pytest.raises(ValueError):
-        pf2.check_ball_closure(absolute(), [0.0])

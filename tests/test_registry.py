@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from optstab.distances import PseudoDistance, _absolute, _euclidean, absolute, euclidean
 from optstab.sets import (_CLOSED_FORMS, AffineSlab, AxisSegments, FiniteCloud,
-                          ImplicitSampled, IntervalUnion, asym_hausdorff, ball_around_set,
+                          ImplicitSampled, IntervalUnion, asym_hausdorff,
                           hausdorff, point_set_distance)
 
 STEP = 0.01
@@ -116,23 +116,21 @@ def test_point_distances_keep_every_cdist_call_within_the_block(monkeypatch, d, 
     rng = np.random.default_rng(4)
     A = FiniteCloud(rng.standard_normal(shape))
     x = rng.standard_normal(shape[1:])
-    probe = list(rng.standard_normal((7,) + shape[1:]))
-    r = float(np.median([point_set_distance(d, p, A).value for p in probe]))
+    probe = FiniteCloud(rng.standard_normal((7,) + shape[1:]))
 
     def both():
-        return point_set_distance(d, x, A).value, ball_around_set(d, A, r, probe)
+        return point_set_distance(d, x, A).value, asym_hausdorff(d, probe, A).value
 
-    (value, inside) = both()
+    (value, one_sided) = both()
+    assert one_sided == max(point_set_distance(d, p, A).value for p in probe.points)
     sizes, cdist = [], distance.cdist
     monkeypatch.setattr(distance, "cdist",
                         lambda P, Q, metric: sizes.append(len(P) * len(Q)) or cdist(P, Q, metric))
     monkeypatch.setattr(sets, "_CDIST_BLOCK", 10)
-    (tiled_value, tiled_inside) = both()
+    (tiled_value, tiled_one_sided) = both()
     assert sizes and max(sizes) <= 10
     assert np.float64(tiled_value).tobytes() == np.float64(value).tobytes()
-    assert 0 < len(inside) < len(probe)
-    assert [np.asarray(p).tobytes() for p in tiled_inside] == [np.asarray(p).tobytes()
-                                                               for p in inside]
+    assert np.float64(tiled_one_sided).tobytes() == np.float64(one_sided).tobytes()
 
 
 def test_sampled_cloud_side_samples_the_other_set_once():

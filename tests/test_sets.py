@@ -11,7 +11,7 @@ from optstab.instances import segment_sine_objective
 from optstab.optima import LinearPiece, piecewise_linear_objective, sup_over
 from optstab.sets import (AffineSlab, AxisSegments, DistanceReport,
                           FiniteCloud, ImplicitSampled, Interval, IntervalUnion,
-                          asym_hausdorff, ball_around_set, hausdorff, load_set,
+                          asym_hausdorff, hausdorff, load_set,
                           point_set_distance, save_set)
 
 
@@ -270,23 +270,6 @@ def test_distance_report_exact_requires_zero_error():
     with pytest.raises(ValueError):
         DistanceReport(value=1.0, mode="exact", sample_budget=0,
                        certified_error=0.5)
-
-
-def test_ball_around_set():
-    d = absolute()
-    A = IntervalUnion([Interval(0.0, 1.0)])
-    probe = np.linspace(-1.0, 2.0, 301)
-    inside = ball_around_set(d, A, 0.5, probe)
-    assert min(inside) == pytest.approx(-0.5, abs=1e-2)
-    assert max(inside) == pytest.approx(1.5, abs=1e-2)
-    with pytest.raises(ValueError):
-        ball_around_set(d, A, 0.0, probe)
-
-
-def test_ball_around_set_refuses_a_nan_radius():
-    # r <= 0 let NaN through, and the ball came back empty
-    with pytest.raises(ValueError, match="radius must be positive"):
-        ball_around_set(absolute(), IntervalUnion([Interval(0.0, 1.0)]), math.nan, [0.5])
 
 
 def test_empty_cloud_rejected():
