@@ -9,7 +9,7 @@ inf = +inf are kept by the one extreme-value routine, ``optima._extreme``.
 
 The module also holds :func:`row_form`, the mark of callables that take
 one point per row, which the distance, set and optimum layers all read, and
-:func:`linprog`, the one entry to scipy's LP solver.
+:func:`linprog`, the one entry to the LP solver HiGHS.
 """
 
 from __future__ import annotations
@@ -128,8 +128,28 @@ def finite_array(x, what: str, allow_inf: bool = False) -> np.ndarray:
     return x
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call so that
-    ``import optstab`` loads no scipy module."""
-    from scipy.optimize import linprog as solve
-    return solve(*args, **kwargs)
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
+            method: str = "highs"):
+    """min c . x subject to A_ub x <= b_ub, A_eq x = b_eq and ``bounds`` (one
+    (lo, hi) pair, or one per variable, None for no bound), called as
+    ``scipy.optimize.linprog(method="highs")`` and with its ``status``,
+    ``x``, ``fun`` and ``message``.  HiGHS gets the model linprog gives it,
+    the A_ub rows and then the A_eq rows with lo = hi, through
+    ``scipy.optimize.milp`` with every variable continuous, which skips
+    linprog's per-call parsing; no duals are returned.  scipy is imported
+    on the first call, so that ``import optstab`` loads no scipy module."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    if method != "highs":
+        raise ValueError(f"method {method!r}: the one LP method is 'highs'")
+    c = np.asarray(c, dtype=float)
+    n = c.size
+
+    def part(v, shape):
+        return np.reshape(np.asarray(() if v is None else v, dtype=float), shape)
+
+    A_ub, A_eq, b_ub, b_eq = part(A_ub, (-1, n)), part(A_eq, (-1, n)), part(b_ub, -1), part(b_eq, -1)
+    lo, hi = np.broadcast_to(np.array(bounds, dtype=float), (n, 2)).T   # None reads as NaN
+    return milp(c, bounds=Bounds(np.where(np.isnan(lo), NEG_INF, lo), np.where(np.isnan(hi), INF, hi)),
+                constraints=LinearConstraint(np.vstack([A_ub, A_eq]),
+                                             np.concatenate([np.full(len(b_ub), NEG_INF), b_eq]),
+                                             np.concatenate([b_ub, b_eq])))

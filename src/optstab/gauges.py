@@ -97,7 +97,7 @@ class GaugeSet:
         X, one, finite = _as_rows(x, self.dim)
         if self.halfspace_A is not None:
             A, b = self.halfspace_A, self.halfspace_b
-            inside = np.all(_row_products(X, A, b, finite) <= b + tol, axis=1)
+            inside = np.less_equal(_row_products(X, A, b, finite), b + tol, order="F").all(axis=1)
         elif self.kind == "ball":
             inside = np.linalg.norm(X, axis=1) <= self.radius + tol
         else:
@@ -174,12 +174,18 @@ def minkowski_gauge(C: GaugeSet, x, tol: float = DEFAULT_GAUGE_TOL):
     if C.halfspace_A is not None:
         # For C = {x : a_i . x <= b_i} with all b_i >= 0:
         # rows with b_i > 0 contribute a_i.x / b_i; rows with b_i = 0 force
-        # +inf when a_i.x > tol ||x|| and are ignored otherwise.
+        # +inf when a_i.x > tol ||x|| and are ignored otherwise.  The
+        # quotient and its row max run column-major: a column is n contiguous
+        # values, where a row holds only len(b).
         A, b = C.halfspace_A, C.halfspace_b
         ax = _row_products(X, A, b, finite)
-        X = X if finite else np.where(np.isinf(X), 0.0, X)   # tol scales with the finite part
-        slack = tol if b.all() else tol * np.linalg.norm(X, axis=1, keepdims=True)
-        ratio = np.divide(ax, b, out=np.where(ax > slack, INF, 0.0), where=b > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):   # the b_i = 0 columns
+            ratio = np.divide(ax, b, order="F")
+        zero = b == 0.0
+        if zero.any():
+            X = X if finite else np.where(np.isinf(X), 0.0, X)   # tol scales with the finite part
+            slack = tol * np.linalg.norm(X, axis=1, keepdims=True)
+            ratio[:, zero] = np.where(ax[:, zero] > slack, INF, 0.0)
         g = ratio.max(axis=1, initial=0.0)
     elif C.kind == "ball":
         g = np.linalg.norm(X, axis=1) / C.radius

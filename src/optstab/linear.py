@@ -275,7 +275,9 @@ def _eta_for_gauge(lm: LinearMap, S_Y, rng: np.random.Generator,
         else:
             g = np.array([float(S_Y(s)) for s in S])
         ok = g > 0.0  # drops zero and NaN gauges; an infinite one gives ratio 0
-        worst = max(worst, float(np.max(np.max(np.abs(dirs[ok]), axis=1) / g[ok], initial=0.0)))
+        if not ok.all():
+            dirs, g = dirs[ok], g[ok]
+        worst = max(worst, float(np.max(np.abs(dirs, order="F").max(axis=1) / g, initial=0.0)))
     return worst * ETA_INFLATION, "sampled-inflated"
 
 
@@ -294,10 +296,13 @@ def restricted_inverse_egi(lm: LinearMap, S_X, S_Y, kappa: float = 1.0,
     less raises ValueError).  Ball, halfspace and vertex gauges are gauges of
     convex sets that hold 0, so their kappa is exactly 1, the default; only
     an oracle gauge or a plain callable needs a declared kappa, which is not
-    checked here.
+    checked here.  Unless S_Y is a ball, eta is sampled, and
+    ``n_eta_samples`` below 1 raises ValueError.
     """
     if lm.rank == 0:
         raise ValueError("range is {0}: restricted inverse undefined")
+    if n_eta_samples < 1 and not (isinstance(S_Y, GaugeSet) and S_Y.kind == "ball"):
+        raise ValueError(f"n_eta_samples = {n_eta_samples!r}: a sampled eta needs a sample")
     if not kappa >= 1:   # NaN fails too
         raise ValueError(f"kappa = {kappa!r}: a subadditivity defect is at least 1")
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -542,7 +547,7 @@ def _slice_member(lm: LinearMap, t, A_hs, b_hs) -> Callable:
     @row_form
     def member(X):
         ok_eq = np.linalg.norm(X @ lm.matrix.T - t, axis=1) <= lm.tol_lin * 10
-        return ok_eq & np.all(X @ A_hs.T <= b_hs + 1e-9, axis=1)
+        return ok_eq & np.less_equal(X @ A_hs.T, b_hs + 1e-9, order="F").all(axis=1)
     return member
 
 

@@ -409,10 +409,10 @@ def check_finite_stability(f: ObjectiveFn, d: PseudoDistance,
         sup f(A) - sup f(A'), inf f(A') - inf f(A) <= Lambda D_asyH(A, A'),
         sup f(A') - sup f(A), inf f(A) - inf f(A') <= Lambda D_asyH(A', A),
 
-    and the smallest of the four slacks is the row's ``one_sided_slack`` (0
-    for an inequality with both sides one infinity).  A row whose two
-    directions and four extremes are all exact takes its verdict from it;
-    any other row from ``slack``, against Lambda D_H(A, A') + tol, since
+    and the smallest of the four slacks is the row's ``one_sided_slack``; a
+    slack is 0 where both sides are one infinity, in ``slack`` too.  A row
+    whose two directions and four extremes are all exact takes its verdict
+    from it; any other row from ``slack``, against Lambda D_H(A, A') + tol, since
     beside a sampled distance an exact hook can break the one-sided form at
     the true Lambda.  ``diagnostic=True`` allows a continuous-only objective
     and records the violations instead of refusing (used to demonstrate the
@@ -446,7 +446,8 @@ def check_finite_stability(f: ObjectiveFn, d: PseudoDistance,
                 raise ValueError(
                     f"pair {i}: D_H = -inf is inconsistent with a Lipschitz objective")
             bound = scale(reg.lam, dh) + tol
-            slack = bound - max(dsup, dinf)
+            change = max(dsup, dinf)
+            slack = 0.0 if bound == change else bound - change
             # D_asyH(A, A') bounds sup f(A) - sup f(A') and inf f(A') - inf f(A),
             # D_asyH(A', A) their negatives
             b_to, b_from = scale(reg.lam, d_to) + tol, scale(reg.lam, d_from) + tol

@@ -1,8 +1,12 @@
+import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gauge_reference
 from optstab.extreal import INF
 from optstab.gauges import (GaugeSet, InvalidGaugeError, as_magnitude,
                             conjugate_gauge, minkowski_gauge)
@@ -242,3 +246,61 @@ def test_the_gauge_refuses_inf_minus_inf():
     with pytest.raises(ValueError, match="inf - inf"):
         C.contains([INF, -INF])
 
+
+GAUGE_SETTINGS = settings(max_examples=200, deadline=None, database=None,
+                          derandomize=os.environ.get("OPTSTAB_RANDOMIZE") != "1")
+
+
+def _outcome(fn, *args):
+    """fn's value as its type and bytes, or the type and message of the
+    ValueError it raised.  A zero gauge is read as +0.0: the sign of a zero
+    row max is not a value, and over 8 or more offsets the row-major max of
+    the masked copy takes it from numpy's SIMD lane order (a -0.0 quotient
+    beside a 0.0 one), the column-major max from the last zero column."""
+    try:
+        v = fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+    a = np.asarray(v)
+    return type(v), (a + 0.0 if a.dtype == float else a).tobytes()
+
+
+def _polytope_gauge(rng, kind, dim):
+    """A halfspace set whose offsets hold 0s and +infs, or the hull of
+    vertices around 0, flat ones included (their facet form has b_i = 0)."""
+    if kind == "vertices":
+        V = rng.standard_normal((dim + 1 + int(rng.integers(0, 5)), dim))
+        V = V - V.mean(axis=0)
+        if dim > 1 and rng.uniform() < 0.3:   # in a hyperplane through 0
+            V[:, -1] = 0.0
+        return GaugeSet.from_vertices(V * 10.0 ** rng.integers(-2, 3))
+    m = int(rng.integers(1, 9))
+    b = rng.uniform(0.1, 2.0, m) * rng.choice([1.0, 0.0, INF], m, p=[0.6, 0.2, 0.2])
+    return GaugeSet.from_halfspaces(rng.standard_normal((m, dim)), b)
+
+
+def _points(rng, C, n, special):
+    """n rows: random points at many scales and the vertices, with some
+    coordinates replaced by 0, -0, +-inf or NaN."""
+    X = rng.standard_normal((n, C.dim)) * 10.0 ** rng.integers(-12, 6, (n, 1))
+    if C.vertices is not None:
+        X[: len(C.vertices)] = C.vertices[:n]
+    hit = rng.uniform(size=X.shape) < special
+    X[hit] = rng.choice([0.0, -0.0, INF, -INF, np.nan], hit.sum(), p=[0.3, 0.3, 0.18, 0.18, 0.04])
+    return X
+
+
+@GAUGE_SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["halfspaces", "vertices"]),
+       dim=st.integers(1, 4), n=st.integers(1, 30), special=st.sampled_from([0.0, 0.1, 0.5]),
+       one=st.booleans())
+def test_the_polytope_kernel_equals_the_masked_quotient(seed, kind, dim, n, special, one):
+    """The column-major halfspace/vertex kernel against ``gauge_reference``.
+    Derandomized; with ``OPTSTAB_RANDOMIZE=1`` it draws at the
+    ``--hypothesis-seed`` given to pytest."""
+    rng = np.random.default_rng(seed)
+    C = _polytope_gauge(rng, kind, dim)
+    X = _points(rng, C, n, special)
+    x = X[0] if one else X
+    assert _outcome(minkowski_gauge, C, x) == _outcome(gauge_reference.minkowski_gauge, C, x)
+    assert _outcome(C.contains, x) == _outcome(gauge_reference.contains, C, x)

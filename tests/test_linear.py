@@ -220,6 +220,18 @@ def test_restricted_inverse_refuses_a_kappa_below_one(kappa):
                                GaugeSet.from_ball(1.0, 1), kappa=kappa)
 
 
+def test_restricted_inverse_refuses_zero_eta_samples():
+    # a box S_Y samples eta: with no sample it read eta = 0 and certified 0
+    lm = decompose(np.random.default_rng(0).standard_normal((3, 4)))
+    box = GaugeSet.from_halfspaces(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
+    with pytest.raises(ValueError, match="n_eta_samples = 0"):
+        restricted_inverse_egi(lm, GaugeSet.from_ball(1.0, 4), box, n_eta_samples=0)
+    # a ball S_Y gives eta exactly, with no sample
+    E = restricted_inverse_egi(lm, GaugeSet.from_ball(1.0, 4), GaugeSet.from_ball(1.0, 3),
+                               n_eta_samples=0)
+    assert E.lipschitz_cert["mode"] == "exact-ball" and E.constant > 0
+
+
 def test_rank_zero_map():
     # the range is {0}: the only parameter pair is (0, 0), both sets are R^3
     lm = decompose(np.zeros((2, 3)))

@@ -168,6 +168,22 @@ def test_an_inequality_with_both_sides_infinite_holds_with_slack_zero():
                                                   FiniteCloud([np.inf]))]).rows[0]
     assert (row["D_H"], row["sup_Ap"], row["inf_Ap"]) == (np.inf, np.inf, np.inf)
     assert row["one_sided_slack"] == 0.0 and row["verdict"] == "pass"
+    assert row["bound"] == np.inf and row["slack"] == 0.0
+
+
+def test_a_sampled_row_with_both_sides_infinite_passes_with_slack_zero(tmp_path):
+    # A' draws +inf beside its witness 5: the row is sampled, so it takes its
+    # verdict from slack, which is inf - inf without the both-infinite rule
+    f = ObjectiveFn(fn=lambda x: float(np.ravel(x)[0]), regularity=Lipschitz(1.0))
+    Ap = ImplicitSampled(member=lambda x: bool(float(x[0]) >= 5.0),
+                         sampler=lambda n, rg: np.full(n, np.inf), dim=1, witness=[5.0])
+    rep = check_finite_stability(f, absolute(), [(FiniteCloud([0.0]), FiniteCloud([np.inf])),
+                                                 (FiniteCloud([0.0]), Ap)], budget=16)
+    sampled = rep.rows[1]
+    assert (sampled["D_H"], sampled["sup_Ap"], sampled["inf_Ap"]) == (np.inf, np.inf, 5.0)
+    assert [(r["bound"], r["slack"], r["verdict"]) for r in rep.rows] == [(np.inf, 0.0, "pass")] * 2
+    rep.to_csv(tmp_path / "rows.csv")
+    assert "nan" not in (tmp_path / "rows.csv").read_text()
 
 
 def test_an_exact_hook_beside_a_sampled_distance_keeps_the_symmetric_verdict():
