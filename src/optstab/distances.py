@@ -2,8 +2,9 @@
 
 No axioms are imposed by construction: a pseudo-distance may be negative,
 infinite or asymmetric.  Each named instance documents in ``properties``
-which additional axioms it satisfies.  The declaration is documentation:
-no verifier reads it, and nothing here checks it.
+which additional axioms it satisfies; nothing reads or checks that.  What
+``sets`` reads is a kernel's marks: its cdist ``metric``, or a row-form
+``potential`` E with d(x, y) = E(y) - E(x).
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ class PseudoDistance:
         if self.ambient_dim is not None and not self.ambient_dim >= 1:   # NaN fails too
             raise ValueError(f"ambient dimension {self.ambient_dim} is not positive")
 
-
-def _check_dim(d: PseudoDistance, n: int) -> None:
-    if d.ambient_dim is not None and n != d.ambient_dim:
-        raise ValueError(
-            f"point of dim {n} passed to {d.name!r} with ambient dim {d.ambient_dim}")
+    def check_dim(self, n: int) -> None:
+        """Raise ValueError unless points of dimension n fit this distance."""
+        if self.ambient_dim is not None and n != self.ambient_dim:
+            raise ValueError(
+                f"point of dim {n} passed to {self.name!r} with ambient dim {self.ambient_dim}")
 
 
 def eval_distance(d: PseudoDistance, x, y) -> float:
@@ -54,16 +55,16 @@ def eval_distances(d: PseudoDistance, xs, ys) -> np.ndarray:
     if d.ambient_dim is not None:
         for P in (xs, ys):
             P = np.asarray(P, dtype=float)
-            _check_dim(d, 1 if P.ndim == 1 else P.shape[-1])
+            d.check_dim(1 if P.ndim == 1 else P.shape[-1])
     vals = call_rows(d.fn, n, xs, ys)
     if np.isnan(vals).any():
         raise ValueError("NaN is not an extended real")
     return vals
 
 
-# The kernels of euclidean() and absolute(), in row form: set closed forms
-# are keyed by these function objects, never by a distance's name.  The
-# Euclidean one is one dot product of y - x with itself per row, as
+# The kernels of euclidean() and absolute(), in row form and marked with
+# their cdist metrics, by which sets keys its closed forms, never by a name.
+# The Euclidean one is one dot product of y - x with itself per row, as
 # np.linalg.norm takes it for one point.  inf - inf gives NaN without a
 # warning: ``eval_distances`` refuses it.
 @row_form
@@ -76,6 +77,9 @@ def _euclidean(X, Y) -> np.ndarray:
 def _absolute(X, Y) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         return np.abs(Y[:, 0] - X[:, 0])
+
+
+_euclidean.metric, _absolute.metric = "euclidean", "cityblock"
 
 
 def euclidean(dim: Optional[int] = None) -> PseudoDistance:
@@ -107,23 +111,28 @@ def energy_ladder() -> PseudoDistance:
     The energy one invests to move an electron from level x to level y;
     negative values mean energy is gained.  Asymmetric (d(y,x) = -d(x,y))
     and satisfies d(x,x) = 0 and the (degenerate, additive) triangle
-    equality, but is not nonnegative.  In row form: ``fn(X, Y)`` gives
-    E(y_i) - E(x_i) for the rows of two (n, 1) arrays of levels, each level
-    truncated to an integer; a level below 1 raises ValueError.
+    equality, but is not nonnegative.  Its row-form kernel, marked with the
+    potential E, gives E(y_i) - E(x_i) for the rows of two (n, 1) arrays of
+    levels, each truncated to an integer; a level below 1 raises ValueError.
     """
     return PseudoDistance(
         name="energy-ladder",
-        fn=row_form(_energy_gaps),
+        fn=_energy_gaps,
         ambient_dim=1,
         properties=frozenset({IDENTITY, TRIANGLE}),
     )
 
 
-def _energy_gaps(X, Y) -> np.ndarray:
-    nx, ny = np.trunc(X[:, 0]), np.trunc(Y[:, 0])
-    if not (nx >= 1.0).all() or not (ny >= 1.0).all():
+def _energy_levels(X) -> np.ndarray:
+    n = np.trunc(X[:, 0])
+    if not (n >= 1.0).all():
         raise ValueError("energy levels are the integers 1, 2, ...")
-    return -13.6 / ny ** 2 - (-13.6 / nx ** 2)      # binding_energy, per row
+    with np.errstate(over="ignore"):    # past about 1.3e154, E is -0.0, correctly rounded
+        return -13.6 / n ** 2           # binding_energy, per row
+
+
+_energy_gaps = row_form(lambda X, Y: _energy_levels(Y) - _energy_levels(X))
+_energy_gaps.potential = _energy_levels
 
 
 def gauge_distance(C: GaugeSet, name: Optional[str] = None) -> PseudoDistance:

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distances import PseudoDistance, _absolute, _check_dim, _euclidean
+from .distances import PseudoDistance
 from .extreal import INF, call_one, call_rows, check_extended_real, finite_array
 
 DEFAULT_BUDGET = 2048
@@ -484,22 +484,21 @@ def _asym_slabs(A: AffineSlab, B: AffineSlab) -> Optional[float]:
     return float(_slab_gaps(A.particular - B.particular, Kb))
 
 
-# Closed forms keyed by (set type, distance kernel).  "point" gives d(p, A)
-# for each point p of an array P; "asym" gives D_asyH(A, B) for A and B of
-# that same type, or None where the closed form does not apply.  Only the
-# distances built by euclidean() and absolute() carry these kernels.
-# absolute() is pinned to dimension 1, where |x - y| = ||x - y||, so it
-# shares the Euclidean forms of axis segments and slabs.
+# Closed forms keyed by (set type, the ``metric`` a kernel marks; see
+# distances).  "point" gives d(p, A) for each point p of an array P; "asym"
+# gives D_asyH(A, B) for A and B of that same type, or None where the closed
+# form does not apply.  absolute() is pinned to dimension 1, where
+# |x - y| = ||x - y||, so "cityblock" shares the Euclidean forms of axis
+# segments and slabs.
 _AXIS_SEGMENT_FORMS = dict(point=_euclid_dist_to_axis_segments, asym=_asym_axis_segments)
 _SLAB_FORMS = dict(point=_euclid_dist_to_slab, asym=_asym_slabs)
 _CLOSED_FORMS = {
-    (IntervalUnion, _absolute): dict(point=_abs_dist_to_union, asym=_asym_interval_union),
-    (AxisSegments, _euclidean): _AXIS_SEGMENT_FORMS,
-    (AxisSegments, _absolute): _AXIS_SEGMENT_FORMS,
-    (AffineSlab, _euclidean): _SLAB_FORMS,
-    (AffineSlab, _absolute): _SLAB_FORMS,
+    (IntervalUnion, "cityblock"): dict(point=_abs_dist_to_union, asym=_asym_interval_union),
+    (AxisSegments, "euclidean"): _AXIS_SEGMENT_FORMS,
+    (AxisSegments, "cityblock"): _AXIS_SEGMENT_FORMS,
+    (AffineSlab, "euclidean"): _SLAB_FORMS,
+    (AffineSlab, "cityblock"): _SLAB_FORMS,
 }
-_CDIST_METRICS = {_euclidean: "euclidean", _absolute: "cityblock"}
 # the one tile budget of the package, in float64 entries: 512 KB, inside a
 # core's L2.  It bounds each cdist call and each block of custom-distance
 # pairs, the rows _finish completes at a time, the directions
@@ -516,10 +515,10 @@ def _tile_rows(width: int) -> int:
 
 
 def _closed_form(d: PseudoDistance, A: SetModel, what: str):
-    entry = _CLOSED_FORMS.get((type(A), d.fn))
+    entry = _CLOSED_FORMS.get((type(A), getattr(d.fn, "metric", None)))
     if entry is None:
         return None
-    _check_dim(d, A.dim)
+    d.check_dim(A.dim)
     return entry[what]
 
 
@@ -528,7 +527,7 @@ def _as_rows(d: PseudoDistance, X) -> np.ndarray:
     dimension checked against d."""
     X = np.asarray(X, dtype=float)
     X = X.reshape(len(X), -1)
-    _check_dim(d, X.shape[1])
+    d.check_dim(X.shape[1])
     return X
 
 
@@ -536,24 +535,28 @@ def _pairwise_min(d: PseudoDistance, P, Q, orientation: str) -> np.ndarray:
     """min over q in Q of d(p, q) (of d(q, p) if "to_point"), for each p in P.
 
     P and Q hold one point per row, or one scalar per entry in dimension 1.
-    The kernels of euclidean() and absolute() go to ``_cdist_mins``, and any
-    other d to ``call_rows`` on blocks of pairs (p, q) in order of p, then q,
-    each block with at most _CDIST_BLOCK entries.  NaN raises ValueError.
+    A ``metric`` mark sends d to ``_cdist_mins``; a ``potential`` E gives
+    min E(Q) - E(p) (E(p) - max E(Q) if "to_point"), the pairs' min bit for
+    bit as rounding is monotone; else ``call_rows`` takes blocks of pairs
+    (p, q), p then q, of at most _CDIST_BLOCK entries.  NaN raises ValueError.
     """
     P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
     rows_p, rows_q = _as_rows(d, P), _as_rows(d, Q)
-    metric = _CDIST_METRICS.get(d.fn)
-    if metric is not None:
+    if (metric := getattr(d.fn, "metric", None)) is not None:
         return _cdist_mins(rows_p, rows_q, metric)[0]
-    step = _tile_rows(Q.size)
-    out = []
-    for i in range(0, len(P), step):
-        p = P[i:i + step]
-        X, Y = np.repeat(p, len(Q), axis=0), np.tile(Q, (len(p),) + (1,) * (Q.ndim - 1))
-        if orientation == "to_point":
-            X, Y = Y, X
-        out.append(call_rows(d.fn, len(X), X, Y).reshape(len(p), len(Q)).min(axis=1))
-    out = np.concatenate(out)
+    if (E := getattr(d.fn, "potential", None)) is not None:
+        e_p, e_q = E(rows_p), E(rows_q)
+        out = e_q.min() - e_p if orientation == "from_point" else e_p - e_q.max()
+    else:
+        step = _tile_rows(Q.size)
+        out = []
+        for i in range(0, len(P), step):
+            p = P[i:i + step]
+            X, Y = np.repeat(p, len(Q), axis=0), np.tile(Q, (len(p),) + (1,) * (Q.ndim - 1))
+            if orientation == "to_point":
+                X, Y = Y, X
+            out.append(call_rows(d.fn, len(X), X, Y).reshape(len(p), len(Q)).min(axis=1))
+        out = np.concatenate(out)
     if np.isnan(out).any():   # a NaN entry makes its row's minimum NaN
         raise ValueError("NaN is not an extended real")
     return out
@@ -671,7 +674,7 @@ def _asym(d: PseudoDistance, A: SetModel, B: SetModel, points: Callable) -> Tupl
         if value is not None:
             return value, True
     P, exact_a = points(A)
-    metric = _CDIST_METRICS.get(d.fn)
+    metric = getattr(d.fn, "metric", None)
     if metric is not None and _closed_form(d, B, "point") is None:
         Q, exact_b = points(B)
         rows, _ = _cdist_sweep(_as_rows(d, P), _as_rows(d, Q), metric, cols=False)
@@ -736,7 +739,7 @@ def _hausdorff(d: PseudoDistance, A: SetModel, B: SetModel,
                points: Callable) -> Tuple[float, float, bool]:
     """D_asyH(A, B), D_asyH(B, A) and whether both are exact, over ``points``
     (see ``hausdorff``)."""
-    metric = _CDIST_METRICS.get(d.fn)
+    metric = getattr(d.fn, "metric", None)
     if (metric is not None and _closed_form(d, A, "point") is None
             and _closed_form(d, B, "point") is None):
         (P, exact_a), (Q, exact_b) = points(A), points(B)   # a NaN point gives NaN minima

@@ -49,7 +49,7 @@ def _whole_matrix(d, A, B, budget=sets.DEFAULT_BUDGET, rng=None, one_sided=False
     points = sets._draws(budget, rng)
     (P, exact_a), (Q, exact_b) = points(A), points(B)
     P, Q = (np.asarray(X, dtype=float).reshape(len(X), -1) for X in (P, Q))
-    D = ssd.cdist(P, Q, sets._CDIST_METRICS[d.fn])
+    D = ssd.cdist(P, Q, d.fn.metric)
     if np.isnan(D).any():
         raise ValueError("NaN is not an extended real")
     value = float(D.min(axis=1).max())

@@ -1,8 +1,10 @@
 """The closed-form registry of ``optstab.sets``.
 
-Closed forms are chosen by the distance's kernel function, never by its
-name; each registry entry is checked here against a brute-force finite
-discretization of the sets.
+Closed forms and cdist sweeps are chosen by the ``metric`` a distance's
+kernel marks on itself, never by the distance's name or by the kernel
+object: an unmarked kernel with the same values gets neither.  Each registry
+entry is checked here against a brute-force finite discretization of the
+sets.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optstab.distances import PseudoDistance, _absolute, _euclidean, absolute, euclidean
+from optstab.extreal import row_form
 from optstab.sets import (_CLOSED_FORMS, AffineSlab, AxisSegments, FiniteCloud,
                           ImplicitSampled, IntervalUnion, asym_hausdorff,
                           hausdorff, point_set_distance)
@@ -146,19 +149,40 @@ def test_sampled_cloud_side_samples_the_other_set_once():
 
 
 def test_registry_keys_are_the_constructor_kernels():
+    # the keys are the metrics the constructors' kernels mark, never a function
     assert euclidean(2).fn is _euclidean and absolute().fn is _absolute
-    assert {fn for (_, fn) in _CLOSED_FORMS} == {_euclidean, _absolute}
+    assert (_euclidean.metric, _absolute.metric) == ("euclidean", "cityblock")
+    assert {metric for (_, metric) in _CLOSED_FORMS} == {"euclidean", "cityblock"}
 
 
 def test_every_registry_entry_has_a_brute_force_check():
-    entries = {(t.__name__, fn.__name__, what)
-               for (t, fn), forms in _CLOSED_FORMS.items() for what in forms}
-    assert entries == {(t, fn, what) for t, fn in [("IntervalUnion", "_absolute"),
-                                                  ("AxisSegments", "_euclidean"),
-                                                  ("AxisSegments", "_absolute"),
-                                                  ("AffineSlab", "_euclidean"),
-                                                  ("AffineSlab", "_absolute")]
+    entries = {(t.__name__, metric, what)
+               for (t, metric), forms in _CLOSED_FORMS.items() for what in forms}
+    assert entries == {(t, metric, what) for t, metric in [("IntervalUnion", "cityblock"),
+                                                          ("AxisSegments", "euclidean"),
+                                                          ("AxisSegments", "cityblock"),
+                                                          ("AffineSlab", "euclidean"),
+                                                          ("AffineSlab", "cityblock")]
                        for what in ("point", "asym")}
+
+
+def test_an_unmarked_copy_of_the_euclidean_kernel_gets_no_closed_form_and_no_sweep(monkeypatch):
+    from scipy.spatial import distance
+    copy = row_form(lambda X, Y: _euclidean(X, Y))   # the same values, no mark
+    d = PseudoDistance(name="euclidean", fn=copy, ambient_dim=2)
+    x = np.array([2.0, 1.0])
+    segments = AxisSegments({0: (1, True), 1: (1, True)}, dim=2)
+    slab = AffineSlab([0.0, 1.0], [[1.0], [0.0]], box_halfwidth=2.0)
+    for A in (segments, slab):
+        assert point_set_distance(euclidean(2), x, A).mode == "exact"
+        assert point_set_distance(d, x, A, budget=64).mode == "sampled"
+    rng = np.random.default_rng(5)
+    A, B = FiniteCloud(rng.standard_normal((40, 2))), FiniteCloud(rng.standard_normal((30, 2)))
+    swept = hausdorff(euclidean(2), A, B), asym_hausdorff(euclidean(2), A, B)
+    monkeypatch.setattr(distance, "cdist", lambda *a, **k: pytest.fail("cdist was called"))
+    for got, want in zip((hausdorff(d, A, B), asym_hausdorff(d, A, B)), swept):
+        assert got.mode == "exact"
+        assert got.value == pytest.approx(want.value, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +331,7 @@ def _ref_dist_to_slab(x, A: AffineSlab) -> float:
 
 
 def _point_form(A, d):
-    return _CLOSED_FORMS[(type(A), d.fn)]["point"]
+    return _CLOSED_FORMS[(type(A), d.fn.metric)]["point"]
 
 
 POINT_TOL = 1e-12
