@@ -9,12 +9,14 @@ inf = +inf are kept by the one extreme-value routine, ``optima._extreme``.
 
 The module also holds :func:`row_form`, the mark of callables that take
 one point per row, which the distance, set and optimum layers all read, and
-:func:`linprog`, the one entry to the LP solver HiGHS.
+:func:`linprog`, the one entry to the LP solver HiGHS, which hands it each
+model directly.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -128,28 +130,61 @@ def finite_array(x, what: str, allow_inf: bool = False) -> np.ndarray:
     return x
 
 
+# HiGHS model statuses as scipy's status codes; any other status reads as 4
+_LP_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2,
+              "kModelError": 2, "kUnbounded": 3}
+
+
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None),
             method: str = "highs"):
     """min c . x subject to A_ub x <= b_ub, A_eq x = b_eq and ``bounds`` (one
     (lo, hi) pair, or one per variable, None for no bound), called as
     ``scipy.optimize.linprog(method="highs")`` and with its ``status``,
-    ``x``, ``fun`` and ``message``.  HiGHS gets the model linprog gives it,
-    the A_ub rows and then the A_eq rows with lo = hi, through
-    ``scipy.optimize.milp`` with every variable continuous, which skips
-    linprog's per-call parsing; no duals are returned.  scipy is imported
-    on the first call, so that ``import optstab`` loads no scipy module."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    ``x``, ``fun`` and ``message``.  HiGHS gets the model linprog gives it:
+    the A_ub rows, then the A_eq rows with lo = hi, column-wise with the
+    nonzeros of each column in row order, and console logging off.  Each
+    call builds and solves a fresh model, so no basis carries over from one
+    LP to the next (an LP with many optima always gets the same one).  The
+    duals are not read.  scipy is imported on the first call, so that
+    ``import optstab`` loads no scipy module."""
+    from scipy.optimize._highspy import _core
     if method != "highs":
         raise ValueError(f"method {method!r}: the one LP method is 'highs'")
-    c = np.asarray(c, dtype=float)
+    c = np.asarray(c, dtype=float).ravel()
     n = c.size
+    if n == 0 or not np.isfinite(c).all():
+        raise ValueError("c must hold at least one entry, all finite")
 
     def part(v, shape):
         return np.reshape(np.asarray(() if v is None else v, dtype=float), shape)
 
     A_ub, A_eq, b_ub, b_eq = part(A_ub, (-1, n)), part(A_eq, (-1, n)), part(b_ub, -1), part(b_eq, -1)
+    if len(b_ub) != len(A_ub) or len(b_eq) != len(A_eq):
+        raise ValueError("b_ub and b_eq need one entry per row of A_ub and A_eq")
     lo, hi = np.broadcast_to(np.array(bounds, dtype=float), (n, 2)).T   # None reads as NaN
-    return milp(c, bounds=Bounds(np.where(np.isnan(lo), NEG_INF, lo), np.where(np.isnan(hi), INF, hi)),
-                constraints=LinearConstraint(np.vstack([A_ub, A_eq]),
-                                             np.concatenate([np.full(len(b_ub), NEG_INF), b_eq]),
-                                             np.concatenate([b_ub, b_eq])))
+    At = np.vstack([A_ub, A_eq]).T   # one row per column of the model
+    cols, rows = np.nonzero(At)
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = At.shape[1]
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.count_nonzero(At, axis=1))])
+    lp.a_matrix_.index_ = rows
+    lp.a_matrix_.value_ = At[cols, rows]
+    lp.col_cost_ = c
+    lp.col_lower_ = np.where(np.isnan(lo), NEG_INF, lo)
+    lp.col_upper_ = np.where(np.isnan(hi), INF, hi)
+    lp.row_lower_ = np.concatenate([np.full(len(b_ub), NEG_INF), b_eq])
+    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+    highs = _core._Highs()
+    highs.setOptionValue("log_to_console", False)
+    if highs.passModel(lp) == _core.HighsStatus.kError:
+        model = _core.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        model = highs.getModelStatus()
+    status = _LP_STATUS.get(model.name, 4)
+    solved = status == 0
+    return SimpleNamespace(status=status, message=highs.modelStatusToString(model),
+                           x=np.array(highs.getSolution().col_value) if solved else None,
+                           fun=highs.getObjectiveValue() if solved else None)

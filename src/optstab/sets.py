@@ -408,13 +408,29 @@ def _abs_dist_to_union(P, A: IntervalUnion) -> np.ndarray:
     return _union_distances(np.reshape(P, len(P)), *_endpoints(A))
 
 
-def _asym_interval_union(A: IntervalUnion, B: IntervalUnion) -> float:
-    # sup over a in A of dist(a, B): the distance profile is piecewise linear
-    # with local maxima only at the endpoints of A's intervals and at the
-    # midpoints of B's gaps that lie in A; suprema over half-open pieces go
-    # through the closure (the profile is continuous).
+def _asym_interval_union(A: IntervalUnion, B: SetModel) -> Optional[float]:
+    # sup over a in A of dist(a, B), B an interval union or a 1-D cloud (a
+    # union of one-point intervals); None for any other B.  The distance
+    # profile is piecewise linear with local maxima only at the endpoints of
+    # A's intervals and at the midpoints of B's gaps that lie in A; suprema
+    # over half-open pieces go through the closure (the profile is
+    # continuous).  An infinite cloud point is infinitely far from every
+    # finite a, so a bounded A reads only the finite points (and is
+    # infinitely far from a cloud of none); an unbounded A and an infinite
+    # cloud point get no closed form.
     a_lo, a_hi = _endpoints(A)
-    b_lo, b_hi = _endpoints(B)
+    if type(B) is IntervalUnion:
+        b_lo, b_hi = _endpoints(B)
+    elif type(B) is FiniteCloud and B.dim == 1:
+        b_lo = b_hi = np.unique(B.points)   # sorted, repeats once
+        if not (np.isfinite(b_lo[0]) and np.isfinite(b_lo[-1])):
+            if not (np.isfinite(a_lo[0]) and np.isfinite(a_hi[-1])):
+                return None
+            b_lo = b_hi = b_lo[np.isfinite(b_lo)]
+            if not b_lo.size:
+                return INF
+    else:
+        return None
     mids = 0.5 * (b_hi[:-1] + b_lo[1:])
     mids = mids[_union_distances(mids, a_lo, a_hi) == 0.0]
     return float(_union_distances(np.concatenate([a_lo, a_hi, mids]), b_lo, b_hi).max())
@@ -433,10 +449,13 @@ def _euclid_dist_to_axis_segments(P, A: AxisSegments) -> np.ndarray:
     return best
 
 
-def _asym_axis_segments(A: AxisSegments, B: AxisSegments) -> float:
-    # The origin is in every axis-segments set, so the distance from t*e_k
-    # to B is max(0, t - v_k) with v_k the extent of axis k in B; the sup
-    # over the segment is attained at t = u_k (closure of half-open ends).
+def _asym_axis_segments(A: AxisSegments, B: SetModel) -> Optional[float]:
+    # None unless B is axis segments too.  The origin is in every
+    # axis-segments set, so the distance from t*e_k to B is max(0, t - v_k)
+    # with v_k the extent of axis k in B; the sup over the segment is
+    # attained at t = u_k (closure of half-open ends).
+    if type(B) is not AxisSegments:
+        return None
     best = 0.0
     for k, (u, _) in A.extents.items():
         best = max(best, max(0.0, u - B.extent_of(k)))
@@ -470,9 +489,12 @@ def _slab_gaps(D, K) -> np.ndarray:
     return _norms(D)
 
 
-def _asym_slabs(A: AffineSlab, B: AffineSlab) -> Optional[float]:
+def _asym_slabs(A: AffineSlab, B: SetModel) -> Optional[float]:
     # Parallel affine subspaces are a constant distance apart: the normal
-    # component of the particular-point difference.  None if not parallel.
+    # component of the particular-point difference.  None if B is not a
+    # parallel slab.
+    if type(B) is not AffineSlab:
+        return None
     Ka, Kb = A.kernel_basis, B.kernel_basis
     if Ka.shape != Kb.shape:
         return None
@@ -486,10 +508,10 @@ def _asym_slabs(A: AffineSlab, B: AffineSlab) -> Optional[float]:
 
 # Closed forms keyed by (set type, the ``metric`` a kernel marks; see
 # distances).  "point" gives d(p, A) for each point p of an array P; "asym"
-# gives D_asyH(A, B) for A and B of that same type, or None where the closed
-# form does not apply.  absolute() is pinned to dimension 1, where
-# |x - y| = ||x - y||, so "cityblock" shares the Euclidean forms of axis
-# segments and slabs.
+# gives D_asyH(A, B) for A of that type and any B, None where the closed form
+# does not apply (a B of another type, but for an interval union's 1-D
+# clouds).  absolute() is pinned to dimension 1, where |x - y| = ||x - y||,
+# so "cityblock" shares the Euclidean forms of axis segments and slabs.
 _AXIS_SEGMENT_FORMS = dict(point=_euclid_dist_to_axis_segments, asym=_asym_axis_segments)
 _SLAB_FORMS = dict(point=_euclid_dist_to_slab, asym=_asym_slabs)
 _CLOSED_FORMS = {
@@ -668,11 +690,10 @@ def _asym(d: PseudoDistance, A: SetModel, B: SetModel, points: Callable) -> Tupl
     """D_asyH(A, B) and whether it is exact: the closed form for A and B if
     one applies, else the max of d(a, B) over ``points(A)``, by the one-sided
     sweep under euclidean() and absolute() when B has no closed form."""
-    if type(A) is type(B):
-        closed = _closed_form(d, A, "asym")
-        value = closed(A, B) if closed is not None else None
-        if value is not None:
-            return value, True
+    closed = _closed_form(d, A, "asym")
+    value = closed(A, B) if closed is not None else None
+    if value is not None:
+        return value, True
     P, exact_a = points(A)
     metric = getattr(d.fn, "metric", None)
     if metric is not None and _closed_form(d, B, "point") is None:

@@ -4,7 +4,8 @@
 ``sets._abs_dist_to_union`` (all query points at once) are merges over the
 sorted endpoint arrays of an interval union.  The loops below are the
 earlier implementations, kept as references: on every union the pieces
-cover, values and witnesses must be equal, not close.  Unions include
+cover, values and witnesses must be equal, not close.  D_asyH from a union
+to a 1-D cloud is held to a loop over the gaps between cloud points.  Unions include
 infinite, zero-length and touching intervals; pieces may overlap.  The
 row form of ``piecewise_linear_objective`` is held to ``piecewise_eval``
 (``piecewise_reference``) bit for bit.
@@ -23,7 +24,8 @@ from optstab.instances import oscillating_blocks, oscillating_objective
 from optstab.optima import (LinearPiece, ObjectiveFn, _best, _piecewise_candidates, _PieceTable,
                             inf_over, piecewise_linear_objective, sup_over)
 from optstab.sets import (FiniteCloud, Interval, IntervalUnion, _abs_dist_to_union,
-                          _asym_interval_union, _endpoints, hausdorff, point_set_distance)
+                          _asym_interval_union, _endpoints, asym_hausdorff, hausdorff,
+                          point_set_distance)
 from piecewise_reference import piece_value, piecewise_eval
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -80,6 +82,26 @@ def _ref_asym_interval_union(A, B):
                 candidates.append(mid)
                 break
     return max(_ref_abs_dist_to_union(c, B) for c in candidates)
+
+
+def _ref_asym_to_cloud(A, points):
+    """sup over a in A (finite endpoints) of min over the cloud of |a - p|:
+    on the gap between consecutive distinct points p < q the distance is
+    min(a - p, q - a), largest over [u, v] = [lo, hi] clipped to the gap at
+    the midpoint clipped to [u, v], or at u (v) if p (q) is infinite."""
+    ps = [NEG_INF] + sorted(set(points)) + [INF]
+    best = 0.0
+    for iv in A.intervals:
+        for p, q in zip(ps, ps[1:]):
+            u, v = max(iv.lo, p), min(iv.hi, q)
+            if u > v:
+                continue
+            if math.isinf(p) and math.isinf(q):
+                best = INF
+                continue
+            m = u if math.isinf(p) else v if math.isinf(q) else min(max(0.5 * (p + q), u), v)
+            best = max(best, min(m - p, q - m))
+    return best
 
 
 def _brute_covers(pieces, A) -> bool:
@@ -167,6 +189,34 @@ def test_interval_union_distances_equal_the_nested_loop(A, B, xs):
         _ref_abs_dist_to_union(x, A) for x in xs]
     assert _asym_interval_union(A, B) == _ref_asym_interval_union(A, B)
     assert _asym_interval_union(B, A) == _ref_asym_interval_union(B, A)
+
+
+@SETTINGS
+@given(unions(FINITE), st.lists(ENDS, min_size=1, max_size=8), st.data())
+@example(A=IntervalUnion([(0.0, 4.0)]), points=[0.0, 4.0], data=None)
+def test_union_to_a_cloud_equals_the_gap_loop(A, points, data):
+    # repeats, +-inf and points of A's own ends; the example's value 2 is
+    # taken at the gap midpoint, which a sampled max over A misses (1.98)
+    if data is not None:
+        ends = [e for iv in A.intervals for e in (iv.lo, iv.hi)]
+        points = points + data.draw(st.lists(st.sampled_from(points + ends), max_size=4))
+    B = FiniteCloud(points)
+    want = _ref_asym_to_cloud(A, points)
+    assert _asym_interval_union(A, B) == want
+    for cloud in (B, FiniteCloud(np.array(points)[:, None])):
+        out = asym_hausdorff(absolute(), A, cloud, budget=64, rng=np.random.default_rng(3))
+        assert out.mode == "exact" and out.value == want
+
+
+@pytest.mark.parametrize("points", [[0.0, 4.0], [INF, 1.0, NEG_INF]])
+def test_union_to_a_cloud_of_an_unbounded_union(points):
+    A = IntervalUnion([(NEG_INF, -1.0), (2.0, 3.0)])
+    if all(math.isfinite(p) for p in points):
+        # sup over a <= -1 of |a - 0| is infinite, and so is the closed form
+        assert _asym_interval_union(A, FiniteCloud(points)) == INF
+    else:
+        # an infinite cloud point beside an unbounded union: no closed form
+        assert _asym_interval_union(A, FiniteCloud(points)) is None
 
 
 @SETTINGS
