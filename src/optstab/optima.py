@@ -69,7 +69,8 @@ class LinearPiece:
     def __post_init__(self):
         if not self.lo <= self.hi:
             raise ValueError(f"linear piece [{self.lo}, {self.hi}] is empty or NaN")
-        if any(v != v for v in (self.slope, self.intercept, self.val_lo, self.val_hi)):
+        if (self.slope != self.slope or self.intercept != self.intercept   # NaN != NaN
+                or self.val_lo != self.val_lo or self.val_hi != self.val_hi):
             raise ValueError(f"linear piece on [{self.lo}, {self.hi}] has a NaN coefficient")
 
     @staticmethod
@@ -88,6 +89,30 @@ class LinearPiece:
                              f"{val_hi} has an infinite slope or intercept")
         return LinearPiece(lo, hi, slope, intercept, val_lo, val_hi)
 
+    @staticmethod
+    def from_anchor_columns(lo: np.ndarray, hi: np.ndarray, val_lo: np.ndarray,
+                            val_hi: np.ndarray) -> List["LinearPiece"]:
+        """``from_anchors`` of each entry of four float arrays, by whole-array
+        steps: its bits, its refusals and, as on np.float64 arguments,
+        numpy's warnings.  The fields are Python floats."""
+        h = np.where(np.isinf(hi - lo) & np.isfinite(lo) & np.isfinite(hi), 0.5, 1.0)
+        w = np.flatnonzero(hi != lo)   # a zero-width piece keeps slope 0
+        slope, hw = np.zeros(len(h)), h[w]
+        slope[w] = (hw * val_hi[w] - hw * val_lo[w]) / (hw * hi[w] - hw * lo[w])
+        st = slope * lo
+        st[np.isnan(st) & ((slope == 0.0) | (lo == 0.0))] = 0.0   # _times(slope, lo)
+        intercept = val_lo - st
+        finite = np.isfinite(slope) & np.isfinite(intercept)
+        if not finite.all():
+            ends = np.isfinite(lo) & np.isfinite(hi) & np.isfinite(val_lo) & np.isfinite(val_hi)
+            bad = ~finite & ends
+            if bad.any():
+                i = bad.argmax()
+                raise ValueError(f"linear piece on [{lo[i]}, {hi[i]}] through {val_lo[i]} "
+                                 f"and {val_hi[i]} has an infinite slope or intercept")
+        return list(map(LinearPiece, lo.tolist(), hi.tolist(), slope.tolist(),
+                        intercept.tolist(), val_lo.tolist(), val_hi.tolist()))
+
 
 def _times(a: float, t: float) -> float:
     """a * t with 0 * (+/-inf) = (+/-inf) * 0 = 0, for a factor of either
@@ -99,22 +124,24 @@ def _times(a: float, t: float) -> float:
 
 class _PieceTable:
     """Pieces as arrays in their given order, each anchor val_lo / val_hi with
-    the t at_lo / at_hi where it applies (NaN, which no t equals, if none); in
-    order of lo, the starts, their reach cummax(hi) and the runs [run_lo,
-    run_hi] of pieces that overlap or touch, one of which holds a covered interval."""
+    the t at_lo / at_hi where it applies (both NaN, which no t equals, if
+    none); in order of lo, the starts, their reach cummax(hi) and the runs
+    [run_lo, run_hi] of pieces that overlap or touch, one of which holds a
+    covered interval.  Built column by column: one list per field."""
 
     def __init__(self, pieces: Sequence[LinearPiece]):
-        cols = np.array([(p.lo, p.hi, p.slope, p.intercept,
-                          *((math.nan, 0.0) if p.val_lo is None else (p.lo, p.val_lo)),
-                          *((math.nan, 0.0) if p.val_hi is None else (p.hi, p.val_hi)))
-                         for p in pieces], dtype=float).reshape(-1, 8).T.copy()
-        (self.lo, self.hi, self.slope, self.intercept,
-         self.at_lo, self.val_lo, self.at_hi, self.val_hi) = cols
+        # an absent anchor (None) converts to NaN; a present one is never NaN
+        (self.lo, self.hi, self.slope, self.intercept, self.val_lo, self.val_hi) = np.array(
+            [[p.lo for p in pieces], [p.hi for p in pieces], [p.slope for p in pieces],
+             [p.intercept for p in pieces], [p.val_lo for p in pieces],
+             [p.val_hi for p in pieces]], dtype=float)
+        self.at_lo = np.where(np.isnan(self.val_lo), np.nan, self.lo)
+        self.at_hi = np.where(np.isnan(self.val_hi), np.nan, self.hi)
         self.order = np.argsort(self.lo, kind="stable")
         self.starts, self.reach = self.lo[self.order], np.maximum.accumulate(self.hi[self.order])
-        n = len(self.starts)
-        new_run = np.r_[True, self.starts[1:] > self.reach[:-1]][:n]
-        self.run_lo, self.run_hi = self.starts[new_run], self.reach[np.r_[new_run[1:], True][:n]]
+        gap = np.flatnonzero(self.starts[1:] > self.reach[:-1])   # a run ends at gap, the next starts
+        self.run_lo = np.concatenate((self.starts[:1], self.starts[gap + 1]))
+        self.run_hi = np.concatenate((self.reach[gap], self.reach[-1:]))
 
     def values(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Piece k at t, elementwise: its anchor at an anchored end, else

@@ -393,6 +393,28 @@ def test_quartic_rows_equal_the_one_point_lambdas_bit_for_bit():
     assert _bits(hess) == _bits([_ref_quartic_hess(v) for v in x])
 
 
+@pytest.mark.parametrize("x", [6e102, -6e102, 1.3e154, 1e155, -1e155, math.inf, -math.inf,
+                               0.0, -0.0, 5e-324, -5e-324, 1e-110, -1e-110])
+def test_quartic_rows_refuse_where_the_one_point_lambdas_overflow(x):
+    # Python's ** raises OverflowError where a finite x has an infinite
+    # power (x ** 3 at |x| >= about 5.6e102, x ** 2 at about 1.3e154), even
+    # where x ** 3 / 3 would be finite, as at 6e102; the rows raise there too,
+    # for a block that holds x among finite points, and otherwise give the
+    # same bits: inf stays inf, zeros keep their sign, subnormals round alike
+    P = quartic_problem()
+    X = np.array([[1.5], [x], [-2.0]])
+    for rows, ref, width in ((P.grad, lambda v: _ref_quartic_grad(v)[0], 1),
+                             (P.hess_norm, _ref_quartic_hess, None)):
+        try:
+            want = [ref(v) for v in X[:, 0]]
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                call_rows(rows, 3, X, width=width)
+            continue
+        got = call_rows(rows, 3, X, width=width)
+        assert _bits(got.ravel()) == _bits(want)
+
+
 def _marked_and_unmarked(dim, **kw):
     # f(x) = ||x||^4 / 12 by elementwise products and sums, which round alike
     # on Python floats and on numpy arrays: the two copies agree bit for bit
