@@ -5,7 +5,8 @@ Extended reals are represented as plain IEEE floats: ``math.inf`` and
 the extended-real order (-inf < r < inf for every finite r).  NaN is never
 a legal value; :func:`scale` and :func:`scale_rows` keep 0 * inf = 0, where
 IEEE and extended-real arithmetic disagree.  The empty sup = -inf and empty
-inf = +inf are kept by the one extreme-value routine, ``optima._extreme``.
+inf = +inf are kept by the extreme-value routines ``optima._extreme`` (one
+set) and ``optima._extremes`` (a sequence of sets, stacked).
 
 The module also holds :func:`row_form`, the mark of callables that take
 one point per row, which the distance, set and optimum layers all read, and

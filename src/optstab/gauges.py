@@ -19,7 +19,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .extreal import INF, finite_array
+from .extreal import INF, call_one, call_rows, finite_array
 from .extreal import linprog  # noqa: F401  (traced by name by the benchmark)
 
 DEFAULT_GAUGE_TOL = 1e-10
@@ -73,7 +73,9 @@ class GaugeSet:
     @staticmethod
     def from_oracle(member: Callable[[np.ndarray], bool], dim: int,
                     bounding_radius: float) -> "GaugeSet":
-        """Membership-oracle gauge set.
+        """Membership-oracle gauge set.  ``member`` is called through
+        ``extreal.call_one`` / ``call_rows``: a ``row_form`` member takes
+        points as rows, any other one point at a time.
 
         Restricted to bounded C (the declared ``bounding_radius`` must
         dominate sup{||c|| : c in C}); the behaviour of the gauge for
@@ -83,7 +85,7 @@ class GaugeSet:
             raise InvalidGaugeError("bounding radius must be finite and positive")
         if not dim >= 1:
             raise ValueError(f"dimension {dim} is not positive")
-        if not member(np.zeros(dim)):
+        if not call_one(member, np.zeros(dim), dtype=bool):
             raise InvalidGaugeError("0 is not in C according to the oracle")
         return GaugeSet(kind="oracle", dim=dim, member=member,
                         bounding_radius=float(bounding_radius))
@@ -101,7 +103,7 @@ class GaugeSet:
         elif self.kind == "ball":
             inside = np.linalg.norm(X, axis=1) <= self.radius + tol
         else:
-            inside = np.array([bool(self.member(p)) for p in X], dtype=bool)
+            inside = call_rows(self.member, len(X), X, dtype=bool)
         return bool(inside[0]) if one else inside
 
 
@@ -203,14 +205,14 @@ def _ray_gauge(C: GaugeSet, u, tol: float) -> float:
     # Membership along the ray is monotone in mu (convexity plus 0 in C),
     # so bracket and bisect.
     mu_max = max(1.0, C.bounding_radius) * 1e6
-    if not C.member(u / mu_max):
+    if not call_one(C.member, u / mu_max, dtype=bool):
         return INF
     lo, hi = 0.0, mu_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if C.member(u / mid):
+        if call_one(C.member, u / mid, dtype=bool):
             hi = mid
         else:
             lo = mid

@@ -58,31 +58,21 @@ class InstanceCatalogEntry:
 # oscillating interval-union instance (one-dimensional)
 # ---------------------------------------------------------------------------
 
-def _block_pieces(k: int) -> List[LinearPiece]:
-    """Pieces on [2k, 2k+2]: zero on the block, then a dip to -1 and a spike
-    to +1 on the gap, with slopes -2k, 4k, k/(1-k).  Breakpoints are the
-    same float expressions used by :func:`oscillating_blocks`, and endpoint
-    values are anchored, so block optima come out exactly 0, -1, +1."""
-    a = 2.0 * k + 1.0                 # block right endpoint
-    p1 = (2.0 * k + 1.0) + 1.0 / (2.0 * k)   # dip bottom, f = -1
-    p2 = (2.0 * k + 1.0) + 1.0 / k           # spike top, f = +1
-    b = 2.0 * k + 2.0
-    return [
-        LinearPiece.from_anchors(2.0 * k, a, 0.0, 0.0),
-        LinearPiece.from_anchors(a, p1, 0.0, -1.0),
-        LinearPiece.from_anchors(p1, p2, -1.0, 1.0),
-        LinearPiece.from_anchors(p2, b, 1.0, 0.0),
-    ]
-
-
 def oscillating_objective(K: int) -> ObjectiveFn:
     """Continuous piecewise-linear f: zero on every block [2k, 2k+1] and on
-    the tail, with a -1 dip and +1 spike inside each gap; the slopes grow
-    with k, so f is continuous but not uniformly continuous."""
-    pieces: List[LinearPiece] = [LinearPiece(-1e9, 4.0, 0.0, 0.0)]
-    for k in range(2, K + 1):
-        pieces.extend(_block_pieces(k))
-    pieces.append(LinearPiece(2.0 * K + 2, 1e9, 0.0, 0.0))
+    the tail, with a -1 dip and +1 spike inside each gap; the slopes -2k,
+    4k, k/(1-k) grow with k, so f is continuous but not uniformly
+    continuous.  Each gap's ends are the float expressions used by
+    :func:`oscillating_blocks`, and its values are anchored, so block
+    optima come out exactly 0, -1, +1."""
+    k = np.arange(2.0, K + 1.0)[:, None]
+    a = 2.0 * k + 1.0   # block right end
+    # per block: 2k, a, the dip bottom (f = -1), the spike top (f = +1), 2k + 2
+    ends = np.hstack([2.0 * k, a, a + 1.0 / (2.0 * k), a + 1.0 / k, 2.0 * k + 2.0])
+    vals = np.tile([0.0, 0.0, -1.0, 1.0, 0.0], (len(ends), 1))
+    gaps = LinearPiece.from_anchor_columns(ends[:, :-1].ravel(), ends[:, 1:].ravel(),
+                                           vals[:, :-1].ravel(), vals[:, 1:].ravel())
+    pieces = [LinearPiece(-1e9, 4.0, 0.0, 0.0), *gaps, LinearPiece(2.0 * K + 2, 1e9, 0.0, 0.0)]
     return piecewise_linear_objective(pieces, regularity=ContinuousOnly(),
                                       name="oscillating")
 

@@ -75,32 +75,31 @@ class LinearPiece:
 
     @staticmethod
     def from_anchors(lo: float, hi: float, val_lo: float, val_hi: float) -> "LinearPiece":
-        """The piece through (lo, val_lo) and (hi, val_hi).  Finite ends
-        whose width overflows are halved with the anchors, exactly for
-        normal floats.  ValueError when finite ends and anchors overflow the
-        slope or intercept (a rise too steep for a float, as on a piece
-        1e-311 wide): its values between the anchors would be wrong."""
-        h = 0.5 if math.isinf(hi - lo) and math.isfinite(lo) and math.isfinite(hi) else 1.0
-        slope = 0.0 if hi == lo else (h * val_hi - h * val_lo) / (h * hi - h * lo)
-        intercept = val_lo - _times(slope, lo)
-        if (not (math.isfinite(slope) and math.isfinite(intercept))
-                and all(map(math.isfinite, (lo, hi, val_lo, val_hi)))):
-            raise ValueError(f"linear piece on [{lo}, {hi}] through {val_lo} and "
-                             f"{val_hi} has an infinite slope or intercept")
-        return LinearPiece(lo, hi, slope, intercept, val_lo, val_hi)
+        """The piece through (lo, val_lo) and (hi, val_hi): ``from_anchor_columns``
+        on one entry, so by its rules and with its refusal, but with no
+        RuntimeWarning.  The fields are Python floats."""
+        with np.errstate(all="ignore"):   # as Python-float arithmetic, which never warns
+            return LinearPiece.from_anchor_columns(
+                *np.array([[lo], [hi], [val_lo], [val_hi]], dtype=float))[0]
 
     @staticmethod
     def from_anchor_columns(lo: np.ndarray, hi: np.ndarray, val_lo: np.ndarray,
                             val_hi: np.ndarray) -> List["LinearPiece"]:
-        """``from_anchors`` of each entry of four float arrays, by whole-array
-        steps: its bits, its refusals and, as on np.float64 arguments,
-        numpy's warnings.  The fields are Python floats."""
+        """The piece through (lo, val_lo) and (hi, val_hi) at each entry of
+        four float arrays, by whole-array steps.  Finite ends whose width
+        overflows are halved with the anchors, exactly for normal floats; a
+        zero-width piece has slope 0; 0 * (+/-inf) is 0 in the intercept.
+        ValueError when finite ends and anchors overflow the slope or
+        intercept (a rise too steep for a float, as on a piece 1e-311
+        wide): its values between the anchors would be wrong.  The steps
+        raise numpy's warnings, as on np.float64 scalars.  The fields are
+        Python floats."""
         h = np.where(np.isinf(hi - lo) & np.isfinite(lo) & np.isfinite(hi), 0.5, 1.0)
         w = np.flatnonzero(hi != lo)   # a zero-width piece keeps slope 0
         slope, hw = np.zeros(len(h)), h[w]
         slope[w] = (hw * val_hi[w] - hw * val_lo[w]) / (hw * hi[w] - hw * lo[w])
         st = slope * lo
-        st[np.isnan(st) & ((slope == 0.0) | (lo == 0.0))] = 0.0   # _times(slope, lo)
+        st[np.isnan(st) & ((slope == 0.0) | (lo == 0.0))] = 0.0   # 0 * (+/-inf) = 0
         intercept = val_lo - st
         finite = np.isfinite(slope) & np.isfinite(intercept)
         if not finite.all():
@@ -112,14 +111,6 @@ class LinearPiece:
                                  f"and {val_hi[i]} has an infinite slope or intercept")
         return list(map(LinearPiece, lo.tolist(), hi.tolist(), slope.tolist(),
                         intercept.tolist(), val_lo.tolist(), val_hi.tolist()))
-
-
-def _times(a: float, t: float) -> float:
-    """a * t with 0 * (+/-inf) = (+/-inf) * 0 = 0, for a factor of either
-    sign (``scale`` takes nonnegative ones); IEEE, signed zeros included,
-    everywhere else."""
-    p = a * t
-    return 0.0 if math.isnan(p) and (a == 0.0 or t == 0.0) else p
 
 
 class _PieceTable:

@@ -1,10 +1,36 @@
 """The scalar reference for piecewise-linear objectives, one t at a time.
 
-``optima._PieceTable`` evaluates piece tables as arrays; the tests hold it
-to these two functions bit for bit.
+``optima._PieceTable`` evaluates piece tables as arrays, and
+``LinearPiece.from_anchor_columns`` anchors pieces as arrays; the tests
+hold them to these functions bit for bit.
 """
 
-from optstab.optima import _times
+import math
+
+from optstab.optima import LinearPiece
+
+
+def _times(a: float, t: float) -> float:
+    """a * t with 0 * (+/-inf) = (+/-inf) * 0 = 0, for a factor of either
+    sign; IEEE, signed zeros included, everywhere else."""
+    p = a * t
+    return 0.0 if math.isnan(p) and (a == 0.0 or t == 0.0) else p
+
+
+def from_anchors(lo: float, hi: float, val_lo: float, val_hi: float) -> LinearPiece:
+    """The piece through (lo, val_lo) and (hi, val_hi), in the arithmetic of
+    the arguments' own types (np.float64 arguments raise numpy's warnings).
+    Finite ends whose width overflows are halved with the anchors; a
+    zero-width piece has slope 0; ValueError when finite ends and anchors
+    overflow the slope or intercept."""
+    h = 0.5 if math.isinf(hi - lo) and math.isfinite(lo) and math.isfinite(hi) else 1.0
+    slope = 0.0 if hi == lo else (h * val_hi - h * val_lo) / (h * hi - h * lo)
+    intercept = val_lo - _times(slope, lo)
+    if (not (math.isfinite(slope) and math.isfinite(intercept))
+            and all(map(math.isfinite, (lo, hi, val_lo, val_hi)))):
+        raise ValueError(f"linear piece on [{lo}, {hi}] through {val_lo} and "
+                         f"{val_hi} has an infinite slope or intercept")
+    return LinearPiece(lo, hi, slope, intercept, val_lo, val_hi)
 
 
 def piece_value(p, t: float) -> float:

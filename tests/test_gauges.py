@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gauge_reference
-from optstab.extreal import INF
+from optstab.distances import gauge_distance
+from optstab.extreal import INF, row_form
 from optstab.gauges import (GaugeSet, InvalidGaugeError, as_magnitude,
                             conjugate_gauge, minkowski_gauge)
+from optstab.linear import decompose, restricted_inverse_egi
+from optstab.sets import FiniteCloud, hausdorff
 
 
 def test_segment_gauge_goldens():
@@ -304,3 +307,40 @@ def test_the_polytope_kernel_equals_the_masked_quotient(seed, kind, dim, n, spec
     x = X[0] if one else X
     assert _outcome(minkowski_gauge, C, x) == _outcome(gauge_reference.minkowski_gauge, C, x)
     assert _outcome(C.contains, x) == _outcome(gauge_reference.contains, C, x)
+
+
+# the l1 ball and a skewed box, each as a one-point oracle and as its row form
+ORACLE_TWINS = {
+    "l1": (lambda x: np.abs(x).sum() <= 1.0,
+           row_form(lambda X: np.abs(X).sum(axis=1) <= 1.0)),
+    "box": (lambda x: bool(-0.5 <= x[0] <= 2.0 and -1.0 <= x[1] <= 0.25),
+            row_form(lambda X: (X[:, 0] >= -0.5) & (X[:, 0] <= 2.0)
+                     & (X[:, 1] >= -1.0) & (X[:, 1] <= 0.25))),
+}
+
+
+def _bytes(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TWINS))
+def test_row_form_oracle_members_equal_their_one_point_twins(name):
+    """A row-form member is called on rows, never on one point; every
+    membership, gauge, gauge-distance Hausdorff value and EGI constant keeps
+    the bits of the one-point twin."""
+    one, rows = (GaugeSet.from_oracle(m, 2, 2.5) for m in ORACLE_TWINS[name])
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((40, 2)) * 10.0 ** rng.integers(-3, 2, (40, 1))
+    X[:3] = [[0.0, 0.0], [2.0, 0.0], [-0.0, -1.0]]
+    assert one.contains(X).tolist() == rows.contains(X).tolist()
+    assert [one.contains(x) for x in X] == [rows.contains(x) for x in X]
+    assert _bytes(minkowski_gauge(one, X)) == _bytes(minkowski_gauge(rows, X))
+    assert _bytes([minkowski_gauge(one, x) for x in X[:8]]) == _bytes(
+        [minkowski_gauge(rows, x) for x in X[:8]])
+    A, B = FiniteCloud(X[:12]), FiniteCloud(X[12:30])
+    h_one, h_rows = (hausdorff(gauge_distance(C), A, B) for C in (one, rows))
+    assert (_bytes(h_one.value), h_one.mode) == (_bytes(h_rows.value), h_rows.mode)
+    lm = decompose(rng.standard_normal((2, 2)))
+    c_one, c_rows = (restricted_inverse_egi(lm, C, C, rng=np.random.default_rng(3),
+                                            n_eta_samples=200).constant for C in (one, rows))
+    assert _bytes(c_one) == _bytes(c_rows)
